@@ -10,7 +10,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bell import sign_matrix
+from .bell import sign_matrix, success_from_bell
 
 # Full enumeration is 2^(2^n) * 4^n strategies; n = 4 is allowed only behind a flag.
 _ENUM_DEFAULT_LIMIT = 3
@@ -218,8 +218,7 @@ def reference_correlators(strategy: DeterministicStrategy) -> np.ndarray:
 def success_from_correlators(strategy: DeterministicStrategy) -> float:
     """Success average recomputed through the sign-matrix expression."""
     value = float(np.sum(sign_matrix(strategy.n) * reference_correlators(strategy)))
-    cap = strategy.n * (1 << (strategy.n - 1))
-    return 0.5 * (1.0 + value / cap)
+    return success_from_bell(strategy.n, value)
 
 
 def first_bit_strategy(n: int) -> DeterministicStrategy:

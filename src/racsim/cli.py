@@ -14,13 +14,6 @@ import numpy as np
 
 from . import bell, classical, concat, mzi, qrac
 
-# Headline targets the report checks against (quantum maxima and optimal classical values).
-P2_QUANTUM = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
-C2_QUANTUM = 2.0 * math.sqrt(2.0)
-P3_QUANTUM = 0.5 * (1.0 + 1.0 / math.sqrt(3.0))
-C3_QUANTUM = 4.0 * math.sqrt(3.0)
-
-
 class UsageError(Exception):
     pass
 
@@ -87,6 +80,22 @@ def write_csv(rows: list[ReportRow], path: str) -> None:
 def exit_code(rows: list[ReportRow]) -> int:
     checked = [r.passed for r in rows if r.passed is not None]
     return 0 if all(checked) else 1
+
+
+def _quantum_optimum(n: int) -> tuple[float, float]:
+    """Quantum-optimal (success, expression value) of the n-bit code."""
+    cap = bell.quantum_max(n)
+    return bell.success_from_bell(n, cap), cap
+
+
+def _sampling_tolerance(base: float, pinned_shots: float, shots: int) -> float:
+    """Tolerance ``base`` at ``pinned_shots`` shots, widened as 1/sqrt(shots) below that."""
+    return base * max(1.0, math.sqrt(pinned_shots / shots))
+
+
+def _reaches_cap(value: float, cap: float) -> bool:
+    """One-sided seesaw rule: at most 1e-6 below the cap, above it only by rounding."""
+    return cap - 1e-6 <= value <= cap + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +236,7 @@ def cmd_quantum(args) -> list[ReportRow]:
         if n not in (2, 3):
             raise UsageError(f"single-stage protocol supports n in {{2, 3}}, got {n}")
         bases = qrac.default_bases(n)
-        expected_p = P2_QUANTUM if n == 2 else P3_QUANTUM
-        expected_c = C2_QUANTUM if n == 2 else C3_QUANTUM
+        expected_p, expected_c = _quantum_optimum(n)
     params = {"n": n, "bases": args.bases or "default"}
     result = qrac.protocol_result(bases)
     rows = [
@@ -254,7 +262,7 @@ def cmd_quantum(args) -> list[ReportRow]:
                 "quantum", "seesaw-max", best,
                 {**params, "starts": args.starts, "seed": args.seed},
                 expected=cap, tolerance=None, reference="quantum-cap",
-                passed=(best >= cap - 1e-6) and (best <= cap + 1e-9),
+                passed=_reaches_cap(best, cap),
             )
         )
     return rows
@@ -363,19 +371,19 @@ def cmd_mzi(args) -> list[ReportRow]:
         rows.append(
             ReportRow("mzi", "correlator-product-form", mzi.correlator_product_form(counts), params)
         )
-    # pinned at 0.01 / 0.002 for 1e6 shots per setting, scaled for other sizes
-    tol_c = 0.01 * max(1.0, math.sqrt(1e6 / args.shots))
-    tol_p = 0.002 * max(1.0, math.sqrt(1e6 / args.shots))
+    target_p, target_c = _quantum_optimum(2)
     rows.append(
         ReportRow(
             "mzi", "expression-estimate", estimate.bell, base_params,
-            expected=C2_QUANTUM, tolerance=tol_c, reference="quantum-optimum",
+            expected=target_c, tolerance=_sampling_tolerance(0.01, 1e6, args.shots),
+            reference="quantum-optimum",
         )
     )
     rows.append(
         ReportRow(
             "mzi", "success-estimate", estimate.success, base_params,
-            expected=P2_QUANTUM, tolerance=tol_p, reference="quantum-optimum",
+            expected=target_p, tolerance=_sampling_tolerance(0.002, 1e6, args.shots),
+            reference="quantum-optimum",
         )
     )
     if args.events:
@@ -428,7 +436,7 @@ def cmd_concat(args) -> list[ReportRow]:
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise UsageError(f"--input must be {n} bits")
     queries = range(n) if args.query == "all" else [int(args.query)]
-    tol = 0.01 * max(1.0, math.sqrt(2e5 / args.shots))
+    tol = _sampling_tolerance(0.01, 2e5, args.shots)
     for query in queries:
         if not 0 <= query < n:
             raise UsageError(f"query {query} out of range for n={n}")
@@ -453,131 +461,83 @@ def cmd_concat(args) -> list[ReportRow]:
 
 
 def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[ReportRow]:
-    """The consolidated check table: every headline number with its target."""
+    """The consolidated check table: every headline number with its target.
+
+    This is the one statement of the headline checks; the acceptance suite runs it
+    and asserts every row.
+    """
     rows: list[ReportRow] = []
     p = {"seed": seed, "shots": shots, "concat_shots": concat_shots}
+
+    def add(quantity, value, expected, tolerance, reference, passed=None):
+        rows.append(ReportRow("report", quantity, value, p, expected, tolerance, reference, passed))
 
     # exhaustive classical bounds
     for n in (2, 3):
         summary = classical.enumeration_summary(n)
-        rows.append(
-            ReportRow(
-                "report", f"classical-enum-max-n{n}", summary.max_average, p,
-                expected=0.75, tolerance=0.0, reference="optimal-classical",
-            )
+        add(f"classical-enum-max-n{n}", summary.max_average, 0.75, 0.0, "optimal-classical")
+        add(f"classical-enum-min-n{n}", summary.min_average, 0.25, 0.0, "pessimal-classical")
+        add(
+            f"classical-enum-count-n{n}", summary.count, classical.strategy_count(n), 0,
+            "counting-formula",
         )
-        rows.append(
-            ReportRow(
-                "report", f"classical-enum-min-n{n}", summary.min_average, p,
-                expected=0.25, tolerance=0.0, reference="pessimal-classical",
-            )
+        add(
+            f"classical-formula-n{n}", classical.optimal_classical_formula(n),
+            summary.max_average, 0.0, "enumeration",
         )
-        rows.append(
-            ReportRow(
-                "report", f"classical-enum-count-n{n}", summary.count, p,
-                expected=classical.strategy_count(n), tolerance=0,
-                reference="counting-formula",
-            )
-        )
-        rows.append(
-            ReportRow(
-                "report", f"classical-formula-n{n}", classical.optimal_classical_formula(n), p,
-                expected=summary.max_average, tolerance=0.0, reference="enumeration",
-            )
-        )
-    rows.append(
-        ReportRow(
-            "report", "classical-formula-n4", classical.optimal_classical_formula(4), p,
-            expected=11.0 / 16.0, tolerance=0.0, reference="optimal-classical",
-        )
+    add(
+        "classical-formula-n4", classical.optimal_classical_formula(4), 11.0 / 16.0, 0.0,
+        "optimal-classical",
     )
 
     # expression bounds: telescoping identity and brute-force maxima
     mismatches = sum(
         bell.classical_bound(n) != bell.classical_bound_telescoped(n) for n in range(1, 31)
     )
-    rows.append(
-        ReportRow(
-            "report", "bound-identity-mismatches-n1-30", mismatches, p,
-            expected=0, tolerance=0, reference="telescoping-identity",
-        )
-    )
+    add("bound-identity-mismatches-n1-30", mismatches, 0, 0, "telescoping-identity")
     for n in (2, 3, 4):
-        rows.append(
-            ReportRow(
-                "report", f"deterministic-max-n{n}", bell.deterministic_max(bell.sign_matrix(n)), p,
-                expected=bell.classical_bound(n), tolerance=0, reference="noncontextual-bound",
-            )
+        add(
+            f"deterministic-max-n{n}", bell.deterministic_max(bell.sign_matrix(n)),
+            bell.classical_bound(n), 0, "noncontextual-bound",
         )
 
     # headline quantum numbers
-    for n, target_p, target_c in ((2, P2_QUANTUM, C2_QUANTUM), (3, P3_QUANTUM, C3_QUANTUM)):
+    for n in (2, 3):
+        target_p, target_c = _quantum_optimum(n)
         bases = qrac.default_bases(n)
-        rows.append(
-            ReportRow(
-                "report", f"quantum-success-n{n}", qrac.quantum_success(bases), p,
-                expected=target_p, tolerance=1e-9, reference="quantum-optimum",
-            )
-        )
-        rows.append(
-            ReportRow(
-                "report", f"quantum-expression-n{n}", qrac.bell_from_preps(bases), p,
-                expected=target_c, tolerance=1e-9, reference="quantum-optimum",
-            )
+        add(f"quantum-success-n{n}", qrac.quantum_success(bases), target_p, 1e-9, "quantum-optimum")
+        add(
+            f"quantum-expression-n{n}", qrac.bell_from_preps(bases), target_c, 1e-9,
+            "quantum-optimum",
         )
 
     # structural identity over random bases
     rng = np.random.default_rng(seed)
     for n in (2, 3):
         worst = max(qrac.identity_check(qrac.random_bases(n, rng)) for _ in range(1000))
-        rows.append(
-            ReportRow(
-                "report", f"identity-residual-max-n{n}", worst, p,
-                expected=0.0, tolerance=1e-12, reference="success-expression-identity",
-            )
-        )
+        add(f"identity-residual-max-n{n}", worst, 0.0, 1e-12, "success-expression-identity")
 
     # commensurability of violation and success gain
     for n, denom in ((2, 8.0), (3, 24.0)):
         bases = qrac.default_bases(n)
         gain = qrac.quantum_success(bases) - classical.optimal_classical_formula(n)
         beta, _ = bell.violation_margin(n, qrac.bell_from_preps(bases), bell.classical_bound(n))
-        rows.append(
-            ReportRow(
-                "report", f"success-gain-vs-violation-n{n}", gain, p,
-                expected=beta / denom, tolerance=1e-9, reference="margin-identity",
-            )
-        )
+        add(f"success-gain-vs-violation-n{n}", gain, beta / denom, 1e-9, "margin-identity")
 
     # seesaw search against the quantum cap
     for n in (2, 3):
         cap = bell.quantum_max(n)
         best, _ = qrac.maximize_bell(n, starts=100, seed=seed)
-        rows.append(
-            ReportRow(
-                "report", f"seesaw-max-n{n}", best, p,
-                expected=cap, tolerance=None, reference="quantum-cap",
-                passed=(best >= cap - 1e-6) and (best <= cap + 1e-9),
-            )
-        )
+        add(f"seesaw-max-n{n}", best, cap, None, "quantum-cap", passed=_reaches_cap(best, cap))
 
     # sampled estimator at the protocol settings
     state = mzi.maximally_entangled_state()
     estimate = mzi.estimate_protocol(state, mzi.steering_bases(), shots, seed, workers=workers)
-    tol_c = 0.01 * max(1.0, math.sqrt(1e6 / shots))
-    tol_p = 0.002 * max(1.0, math.sqrt(1e6 / shots))
-    rows.append(
-        ReportRow(
-            "report", "sampled-expression", estimate.bell, p,
-            expected=C2_QUANTUM, tolerance=tol_c, reference="quantum-optimum",
-        )
-    )
-    rows.append(
-        ReportRow(
-            "report", "sampled-success", estimate.success, p,
-            expected=P2_QUANTUM, tolerance=tol_p, reference="quantum-optimum",
-        )
-    )
+    tol_c = _sampling_tolerance(0.01, 1e6, shots)
+    tol_p = _sampling_tolerance(0.002, 1e6, shots)
+    target_p, target_c = _quantum_optimum(2)
+    add("sampled-expression", estimate.bell, target_c, tol_c, "quantum-optimum")
+    add("sampled-success", estimate.success, target_p, tol_p, "quantum-optimum")
 
     # classical-regime sampling: every direction aligned with z
     aligned = qrac.MeasurementBases(
@@ -585,90 +545,55 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
         bob=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
     )
     aligned_est = mzi.estimate_protocol(state, aligned, shots, seed, workers=workers)
-    rows.append(
-        ReportRow(
-            "report", "aligned-expression", aligned_est.bell, p,
-            expected=-2.0, tolerance=tol_c, reference="pessimal-classical",
-        )
-    )
-    rows.append(
-        ReportRow(
-            "report", "aligned-success", aligned_est.success, p,
-            expected=0.25, tolerance=tol_p, reference="pessimal-classical",
-        )
-    )
+    add("aligned-expression", aligned_est.bell, -2.0, tol_c, "pessimal-classical")
+    add("aligned-success", aligned_est.success, 0.25, tol_p, "pessimal-classical")
 
     # estimator discrepancy on the aligned maximally entangled state
     counts = aligned_est.result.counts[0]
-    rows.append(
-        ReportRow(
-            "report", "discrepancy-correlator-joint", mzi.correlator_from_counts(counts), p,
-            expected=-1.0, tolerance=1e-12, reference="anti-correlation",
-        )
+    add(
+        "discrepancy-correlator-joint", mzi.correlator_from_counts(counts), -1.0, 1e-12,
+        "anti-correlation",
     )
-    rows.append(
-        ReportRow(
-            "report", "discrepancy-correlator-product-form", mzi.correlator_product_form(counts), p,
-            expected=0.0, tolerance=5.0 / math.sqrt(shots), reference="vanishing-port-asymmetry",
-        )
+    add(
+        "discrepancy-correlator-product-form", mzi.correlator_product_form(counts), 0.0,
+        5.0 / math.sqrt(shots), "vanishing-port-asymmetry",
     )
 
     # concatenation: analytic values, simulation, and bound consistency
-    rows.append(
-        ReportRow(
-            "report", "chain-success-2-0", concat.chain_success(2, 0), p,
-            expected=0.75, tolerance=0.0, reference="stage-formula",
-        )
+    add("chain-success-2-0", concat.chain_success(2, 0), 0.75, 0.0, "stage-formula")
+    add(
+        "chain-success-1-1", concat.chain_success(1, 1), 0.5 * (1.0 + 1.0 / math.sqrt(6.0)),
+        1e-15, "stage-formula",
     )
-    rows.append(
-        ReportRow(
-            "report", "chain-success-1-1", concat.chain_success(1, 1), p,
-            expected=0.5 * (1.0 + 1.0 / math.sqrt(6.0)), tolerance=1e-15,
-            reference="stage-formula",
-        )
-    )
-    sim_tol = 0.01 * max(1.0, math.sqrt(2e5 / concat_shots))
+    sim_tol = _sampling_tolerance(0.01, 2e5, concat_shots)
     for n in (4, 6):
         tree = concat.build_tree(n)
         sim = concat.simulate(tree, [0] * n, 0, concat_shots, seed, workers=workers)
-        rows.append(
-            ReportRow(
-                "report", f"concat-simulated-n{n}", sim.rate, p,
-                expected=float(concat.analytic_per_bit(tree)[0]), tolerance=sim_tol,
-                reference="stage-formula",
-            )
+        add(
+            f"concat-simulated-n{n}", sim.rate, float(concat.analytic_per_bit(tree)[0]), sim_tol,
+            "stage-formula",
         )
-    rows.append(
-        ReportRow(
-            "report", "success-at-quantum-max-n4", bell.success_from_bell(4, 16.0), p,
-            expected=concat.quantum_bound(4), tolerance=0.0, reference="shared-bound",
-        )
+    add(
+        "success-at-quantum-max-n4", bell.success_from_bell(4, 16.0), concat.quantum_bound(4),
+        0.0, "shared-bound",
     )
 
     # padded sizes for non-smooth n
-    rows.append(
-        ReportRow(
-            "report", "padded-bound-n5", concat.padded_lower_bound(5), p,
-            expected=0.5 + 0.5 / math.sqrt(6.0), tolerance=1e-9, reference="padded-code",
-        )
+    add(
+        "padded-bound-n5", concat.padded_lower_bound(5), 0.5 + 0.5 / math.sqrt(6.0), 1e-9,
+        "padded-code",
     )
-    rows.append(
-        ReportRow(
-            "report", "padded-bound-n7", concat.padded_lower_bound(7), p,
-            expected=0.5 + 0.5 / math.sqrt(8.0), tolerance=1e-9, reference="padded-code",
-        )
+    add(
+        "padded-bound-n7", concat.padded_lower_bound(7), 0.5 + 0.5 / math.sqrt(8.0), 1e-9,
+        "padded-code",
     )
 
     # reproducibility: identical counts for any worker count
     repro_settings = mzi.protocol_settings(mzi.steering_bases())
     counts_one = mzi.sample_events(state, repro_settings, 4096, seed, workers=1).counts
     counts_many = mzi.sample_events(state, repro_settings, 4096, seed, workers=3).counts
-    rows.append(
-        ReportRow(
-            "report", "worker-count-mismatches", sum(a != b for a, b in zip(counts_one, counts_many)), p,
-            expected=0, tolerance=0, reference="partitioned-streams",
-        )
-    )
+    mismatches = sum(a != b for a, b in zip(counts_one, counts_many))
+    add("worker-count-mismatches", mismatches, 0, 0, "partitioned-streams")
     return rows
 
 
@@ -683,12 +608,22 @@ def cmd_report(args) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _default_workers() -> int:
-    env = os.environ.get("RACSIM_WORKERS")
-    return int(env) if env else 1
+def _positive_int(text: str) -> int:
+    """argparse type for ``--workers``, whose default comes from RACSIM_WORKERS."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (--workers or RACSIM_WORKERS), got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse runs string defaults through ``type``, so a bad RACSIM_WORKERS exits 2 too
+    workers = os.environ.get("RACSIM_WORKERS") or "1"
     parser = argparse.ArgumentParser(
         prog="racsim",
         description="Random access code simulations: classical bounds, quantum protocols, "
@@ -722,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mzi.add_argument("--events", help="write per-shot event records to this path")
     p_mzi.add_argument("--a", type=float, default=1.0 / math.sqrt(2.0), help="first-splitter transmission amplitude")
     p_mzi.add_argument("--delta", type=float, default=math.pi, help="preparation phase (radians)")
-    p_mzi.add_argument("--workers", type=int, default=_default_workers())
+    p_mzi.add_argument("--workers", type=_positive_int, default=workers)
     p_mzi.set_defaults(func=cmd_mzi)
 
     p_concat = sub.add_parser("concat", help="concatenated n->1 codes")
@@ -733,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_concat.add_argument("--query", default="all")
     p_concat.add_argument("--input", help="explicit input bit string")
     p_concat.add_argument("--permute-seed", type=int, help="shared seed for the slot permutation stand-in")
-    p_concat.add_argument("--workers", type=int, default=_default_workers())
+    p_concat.add_argument("--workers", type=_positive_int, default=workers)
     p_concat.set_defaults(func=cmd_concat)
 
     p_report = sub.add_parser("report", help="consolidated check table")
@@ -742,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--shots", type=int, default=1_000_000)
     p_report.add_argument("--concat-shots", type=int, default=200_000)
     p_report.add_argument("--csv", help="also write the rows to a CSV file")
-    p_report.add_argument("--workers", type=int, default=_default_workers())
+    p_report.add_argument("--workers", type=_positive_int, default=workers)
     p_report.set_defaults(func=cmd_report)
 
     return parser

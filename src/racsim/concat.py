@@ -348,10 +348,7 @@ def simulate(
     if len(bits) != tree.n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"input must be {tree.n} bits")
 
-    workers = max(1, workers)
-    step = -(-shots // workers)
-    step += (-step) % 4
-    spans = [(lo, min(lo + step, shots)) for lo in range(0, shots, max(step, 4))]
+    spans = mzi._partition(shots, workers)
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(

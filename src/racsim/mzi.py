@@ -120,14 +120,6 @@ class DetectionCounts:
     def shots(self) -> int:
         return self.path_plus + self.path_minus
 
-    def merged(self, other: "DetectionCounts") -> "DetectionCounts":
-        return DetectionCounts(
-            self.n_plus + other.n_plus,
-            self.n_minus + other.n_minus,
-            self.m_plus + other.m_plus,
-            self.m_minus + other.m_minus,
-        )
-
 
 @dataclass(frozen=True)
 class EventRecord:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .bell import bell_value, quantum_max, sign_matrix
+from .bell import bell_value, quantum_max, sign_matrix, success_from_bell
 from .classical import bit_strings, class_index, optimal_classical_formula
 
 
@@ -101,9 +101,7 @@ def bell_from_preps(bases: MeasurementBases) -> float:
 
 def identity_check(bases: MeasurementBases) -> float:
     """Residual |success - (1 + value / (n 2^(n-1))) / 2|; zero up to rounding."""
-    n = bases.n
-    cap = n * (1 << (n - 1))
-    return abs(quantum_success(bases) - 0.5 * (1.0 + bell_from_preps(bases) / cap))
+    return abs(quantum_success(bases) - success_from_bell(bases.n, bell_from_preps(bases)))
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,7 @@ class ProtocolResult:
     margin: float
 
     def __post_init__(self):
-        cap = self.n * (1 << (self.n - 1))
-        if abs(self.success - 0.5 * (1.0 + self.bell / cap)) > 1e-12:
+        if abs(self.success - success_from_bell(self.n, self.bell)) > 1e-12:
             raise ValueError("success and expression value violate the exact identity")
 
 

@@ -274,6 +274,31 @@ class TestWorkersEnvFallback:
         assert code == 0
         assert rows[0]["params"]["workers"] == 3
 
+    def test_bad_env_value_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RACSIM_WORKERS", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mzi", "--shots", "8", "--seed", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --workers" in err and "RACSIM_WORKERS" in err and "'abc'" in err
+
+
+class TestWorkersOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mzi", "--shots", "8", "--seed", "1"],
+            ["concat", "--n", "4", "--engine", "born", "--shots", "8", "--seed", "1"],
+            ["report", "--all", "--seed", "1"],
+        ],
+        ids=["mzi", "concat", "report"],
+    )
+    def test_zero_rejected_before_any_work(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + ["--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_failing_check_exits_one(self):

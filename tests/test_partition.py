@@ -1,0 +1,38 @@
+"""Property tests for the shot partitioner shared by the mzi sampler and concat simulation."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racsim import concat, mzi
+
+STATE = mzi.maximally_entangled_state()
+SETTINGS = mzi.protocol_settings(mzi.steering_bases())
+TREE = concat.build_tree(6)
+
+shot_counts = st.integers(min_value=1, max_value=2000)
+worker_counts = st.integers(min_value=1, max_value=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shots=shot_counts, workers=worker_counts)
+def test_spans_tile_the_shot_range_on_block_boundaries(shots, workers):
+    spans = mzi._partition(shots, workers)
+    assert spans[0][0] == 0 and spans[-1][1] == shots
+    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
+    assert all(lo < hi and lo % 4 == 0 for lo, hi in spans)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shots=shot_counts, workers=worker_counts, seed=st.integers(0, 2**63 - 1))
+def test_results_do_not_depend_on_worker_count(shots, workers, seed):
+    one = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=1)
+    many = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=workers)
+    assert many.counts == one.counts
+    for (p1, s1), (p2, s2) in zip(one.outcomes, many.outcomes):
+        assert np.array_equal(p1, p2) and np.array_equal(s1, s2)
+    bits = [seed >> k & 1 for k in range(TREE.n)]
+    query = seed % TREE.n
+    base = concat.simulate(TREE, bits, query, shots, seed, workers=1)
+    rerun = concat.simulate(TREE, bits, query, shots, seed, workers=workers)
+    assert rerun.successes == base.successes
