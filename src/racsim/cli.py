@@ -168,8 +168,6 @@ def cmd_classical(args) -> list[ReportRow]:
 
 
 def cmd_bounds(args) -> list[ReportRow]:
-    if args.n_max > 30:
-        raise UsageError(f"bounds table supports n <= 30, got {args.n_max}")
     rows: list[ReportRow] = []
     for n in range(2, args.n_max + 1):
         params = {"n": n}
@@ -215,6 +213,8 @@ def load_bases(path: str) -> qrac.MeasurementBases:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    except OSError as exc:
+        raise UsageError(str(exc))
     try:
         return qrac.MeasurementBases(
             alice=np.asarray(data["alice"], dtype=float),
@@ -222,7 +222,7 @@ def load_bases(path: str) -> qrac.MeasurementBases:
         )
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}")
 
 
@@ -325,69 +325,55 @@ def _counts_params(setting: mzi.Setting, counts: mzi.DetectionCounts) -> dict:
 
 
 def write_events(result: mzi.SamplingResult, path: str) -> None:
+    """One JSON line per shot, setting by setting: {"setting": s, "shot": k, "path": p, "spin": q}."""
     with open(path, "w") as handle:
-        for event in result.events():
-            handle.write(
-                json.dumps(
-                    {
-                        "setting": event.setting,
-                        "shot": event.shot_index,
-                        "path": event.path_outcome,
-                        "spin": event.spin_outcome,
-                    }
-                )
-                + "\n"
+        for s_idx, (path_bits, spin_bits) in enumerate(result.outcomes):
+            handle.writelines(
+                f'{{"setting": {s_idx}, "shot": {k}, "path": {p}, "spin": {q}}}\n'
+                for k, (p, q) in enumerate(zip(path_bits.tolist(), spin_bits.tolist()))
             )
 
 
 def cmd_mzi(args) -> list[ReportRow]:
     state = mzi.entangled_state(args.a, math.sqrt(max(0.0, 1.0 - args.a**2)), args.delta)
     base_params = {"shots": args.shots, "seed": args.seed, "workers": args.workers}
-    rows: list[ReportRow] = []
     if args.settings:
         settings = load_settings(args.settings)
         result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers)
-        for setting, counts in zip(result.settings, result.counts):
-            params = {**base_params, **_counts_params(setting, counts)}
-            rows.append(ReportRow("mzi", "counts", counts.shots, params))
-            rows.append(
-                ReportRow("mzi", "correlator-joint", mzi.correlator_from_counts(counts), params)
-            )
-            rows.append(
-                ReportRow("mzi", "correlator-product-form", mzi.correlator_product_form(counts), params)
-            )
-        if args.events:
-            write_events(result, args.events)
-        return rows
-
-    estimate = mzi.estimate_protocol(
-        state, mzi.steering_bases(), args.shots, args.seed, workers=args.workers
-    )
-    for setting, counts in zip(estimate.result.settings, estimate.result.counts):
+    else:
+        estimate = mzi.estimate_protocol(
+            state, mzi.steering_bases(), args.shots, args.seed, workers=args.workers
+        )
+        result = estimate.result
+    rows: list[ReportRow] = []
+    for setting, counts in zip(result.settings, result.counts):
         params = {**base_params, **_counts_params(setting, counts)}
+        if args.settings:
+            rows.append(ReportRow("mzi", "counts", counts.shots, params))
         rows.append(
             ReportRow("mzi", "correlator-joint", mzi.correlator_from_counts(counts), params)
         )
         rows.append(
             ReportRow("mzi", "correlator-product-form", mzi.correlator_product_form(counts), params)
         )
-    target_p, target_c = _quantum_optimum(2)
-    rows.append(
-        ReportRow(
-            "mzi", "expression-estimate", estimate.bell, base_params,
-            expected=target_c, tolerance=_sampling_tolerance(0.01, 1e6, args.shots),
-            reference="quantum-optimum",
+    if not args.settings:
+        target_p, target_c = _quantum_optimum(2)
+        rows.append(
+            ReportRow(
+                "mzi", "expression-estimate", estimate.bell, base_params,
+                expected=target_c, tolerance=_sampling_tolerance(0.01, 1e6, args.shots),
+                reference="quantum-optimum",
+            )
         )
-    )
-    rows.append(
-        ReportRow(
-            "mzi", "success-estimate", estimate.success, base_params,
-            expected=target_p, tolerance=_sampling_tolerance(0.002, 1e6, args.shots),
-            reference="quantum-optimum",
+        rows.append(
+            ReportRow(
+                "mzi", "success-estimate", estimate.success, base_params,
+                expected=target_p, tolerance=_sampling_tolerance(0.002, 1e6, args.shots),
+                reference="quantum-optimum",
+            )
         )
-    )
     if args.events:
-        write_events(estimate.result, args.events)
+        write_events(result, args.events)
     return rows
 
 
@@ -432,10 +418,11 @@ def cmd_concat(args) -> list[ReportRow]:
     if args.engine == "analytic":
         return rows
 
-    bits = [0] * n if args.input is None else [int(c) for c in args.input]
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
+    text = "0" * n if args.input is None else args.input
+    if len(text) != n or set(text) - {"0", "1"}:
         raise UsageError(f"--input must be {n} bits")
-    queries = range(n) if args.query == "all" else [int(args.query)]
+    bits = [int(c) for c in text]
+    queries = range(n) if args.query == "all" else [args.query]
     tol = _sampling_tolerance(0.01, 2e5, args.shots)
     for query in queries:
         if not 0 <= query < n:
@@ -608,23 +595,51 @@ def cmd_report(args) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--workers``, whose default comes from RACSIM_WORKERS."""
+def _in_range(convert, low, high=math.inf, hint: str = ""):
+    """argparse type: ``convert(text)`` within [low, high]; ``hint`` names where it came from."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected {convert.__name__} in [{low}, {high}]{hint}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_count = _in_range(int, 1)
+_n_bits = _in_range(int, 2)
+# streams key on the seed's 64 bits: a wider or negative seed would alias another
+_seed = _in_range(int, 0, 2**64 - 1)
+
+
+def _query(text: str) -> str | int:
+    """argparse type for ``--query``: ``all`` or one bit index."""
+    if text == "all":
+        return text
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer (--workers or RACSIM_WORKERS), got {text!r}"
-        )
-    return value
+        raise argparse.ArgumentTypeError(f"expected 'all' or an integer, got {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, like every other bad-input error of the CLI."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
     # argparse runs string defaults through ``type``, so a bad RACSIM_WORKERS exits 2 too
     workers = os.environ.get("RACSIM_WORKERS") or "1"
-    parser = argparse.ArgumentParser(
+    workers_type = _in_range(int, 1, hint=" (--workers or RACSIM_WORKERS)")
+    parser = _Parser(
         prog="racsim",
         description="Random access code simulations: classical bounds, quantum protocols, "
         "interferometer sampling, and concatenated codes.",
@@ -632,52 +647,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classical = sub.add_parser("classical", help="deterministic strategies and bounds")
-    p_classical.add_argument("--n", type=int, required=True)
+    p_classical.add_argument("--n", type=_n_bits, required=True)
     p_classical.add_argument("--mode", choices=("enumerate", "formula"), default="enumerate")
     p_classical.add_argument("--dump-strategies", action="store_true")
     p_classical.set_defaults(func=cmd_classical)
 
     p_bounds = sub.add_parser("bounds", help="expression bounds and success conversions")
-    p_bounds.add_argument("--n-max", type=int, default=10)
+    p_bounds.add_argument("--n-max", type=_in_range(int, 2, 30), default=10)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_quantum = sub.add_parser("quantum", help="single-stage quantum protocol values")
-    p_quantum.add_argument("--n", type=int, default=2)
+    p_quantum.add_argument("--n", type=_n_bits, default=2)
     p_quantum.add_argument("--bases", help="JSON file with alice/bob unit vectors")
     p_quantum.add_argument("--optimize", action="store_true", help="run the seesaw search")
-    p_quantum.add_argument("--starts", type=int, default=100)
-    p_quantum.add_argument("--iterations", type=int, default=200)
-    p_quantum.add_argument("--seed", type=int)
+    p_quantum.add_argument("--starts", type=_count, default=100)
+    p_quantum.add_argument("--iterations", type=_count, default=200)
+    p_quantum.add_argument("--seed", type=_seed)
     p_quantum.set_defaults(func=cmd_quantum)
 
     p_mzi = sub.add_parser("mzi", help="interferometer sampling and count estimators")
-    p_mzi.add_argument("--shots", type=int, required=True)
-    p_mzi.add_argument("--seed", type=int, required=True)
+    p_mzi.add_argument("--shots", type=_count, required=True)
+    p_mzi.add_argument("--seed", type=_seed, required=True)
     p_mzi.add_argument("--settings", help="JSONL settings file (theta, phi, spin_axis per line)")
     p_mzi.add_argument("--events", help="write per-shot event records to this path")
-    p_mzi.add_argument("--a", type=float, default=1.0 / math.sqrt(2.0), help="first-splitter transmission amplitude")
+    p_mzi.add_argument("--a", type=_in_range(float, 0.0, 1.0), default=1.0 / math.sqrt(2.0), help="first-splitter transmission amplitude")
     p_mzi.add_argument("--delta", type=float, default=math.pi, help="preparation phase (radians)")
-    p_mzi.add_argument("--workers", type=_positive_int, default=workers)
+    p_mzi.add_argument("--workers", type=workers_type, default=workers)
     p_mzi.set_defaults(func=cmd_mzi)
 
     p_concat = sub.add_parser("concat", help="concatenated n->1 codes")
-    p_concat.add_argument("--n", type=int, required=True)
+    p_concat.add_argument("--n", type=_n_bits, required=True)
     p_concat.add_argument("--engine", choices=("analytic", "born", "mzi"), default="analytic")
-    p_concat.add_argument("--shots", type=int, default=200_000)
-    p_concat.add_argument("--seed", type=int)
-    p_concat.add_argument("--query", default="all")
+    p_concat.add_argument("--shots", type=_count, default=200_000)
+    p_concat.add_argument("--seed", type=_seed)
+    p_concat.add_argument("--query", type=_query, default="all")
     p_concat.add_argument("--input", help="explicit input bit string")
-    p_concat.add_argument("--permute-seed", type=int, help="shared seed for the slot permutation stand-in")
-    p_concat.add_argument("--workers", type=_positive_int, default=workers)
+    p_concat.add_argument("--permute-seed", type=_seed, help="shared seed for the slot permutation stand-in")
+    p_concat.add_argument("--workers", type=workers_type, default=workers)
     p_concat.set_defaults(func=cmd_concat)
 
     p_report = sub.add_parser("report", help="consolidated check table")
     p_report.add_argument("--all", action="store_true")
-    p_report.add_argument("--seed", type=int, required=True)
-    p_report.add_argument("--shots", type=int, default=1_000_000)
-    p_report.add_argument("--concat-shots", type=int, default=200_000)
+    p_report.add_argument("--seed", type=_seed, required=True)
+    p_report.add_argument("--shots", type=_count, default=1_000_000)
+    p_report.add_argument("--concat-shots", type=_count, default=200_000)
     p_report.add_argument("--csv", help="also write the rows to a CSV file")
-    p_report.add_argument("--workers", type=_positive_int, default=workers)
+    p_report.add_argument("--workers", type=workers_type, default=workers)
     p_report.set_defaults(func=cmd_report)
 
     return parser
@@ -690,8 +705,6 @@ def main(argv=None) -> int:
         parser.error("--seed is required for sampling engines")
     if args.command == "quantum" and args.optimize and args.seed is None:
         parser.error("--seed is required with --optimize")
-    if getattr(args, "n", 2) < 2 and args.command in ("classical", "concat", "quantum"):
-        parser.error("--n must be >= 2")
     try:
         rows = args.func(args)
     except UsageError as exc:

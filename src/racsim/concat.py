@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -265,7 +264,7 @@ def _node_ids(tree: ConcatTree) -> dict[int, int]:
     return {id(node): uid for uid, node in enumerate(tree.internal_postorder())}
 
 
-def _simulate_range(
+def simulate_range(
     tree: ConcatTree,
     bits: Sequence[int],
     query: int,
@@ -274,6 +273,7 @@ def _simulate_range(
     hi: int,
     engine: str,
 ) -> int:
+    """Successes among shots [lo, hi) of ``simulate``: the work of one span."""
     count = hi - lo
     uids = _node_ids(tree)
     cond_tables = {}
@@ -348,17 +348,9 @@ def simulate(
     if len(bits) != tree.n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"input must be {tree.n} bits")
 
-    spans = mzi._partition(shots, workers)
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda span: _simulate_range(tree, bits, query, seed, span[0], span[1], engine),
-                    spans,
-                )
-            )
-    else:
-        parts = [_simulate_range(tree, bits, query, seed, lo, hi, engine) for lo, hi in spans]
+    parts = mzi.map_spans(
+        lambda lo, hi: simulate_range(tree, bits, query, seed, lo, hi, engine), shots, workers
+    )
     return SimulationResult(successes=sum(parts), shots=shots)
 
 

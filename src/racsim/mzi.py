@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import qcore
+from .bell import success_from_bell
 from .qrac import MeasurementBases, default_bases
 
 
@@ -121,14 +123,6 @@ class DetectionCounts:
         return self.path_plus + self.path_minus
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    setting: int
-    shot_index: int
-    path_outcome: int
-    spin_outcome: int
-
-
 def stream(seed: int, stream_id: int, start: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream_id), positioned at draw ``start``.
 
@@ -178,16 +172,29 @@ def sample_setting(
 
 
 def _partition(shots: int, workers: int) -> list[tuple[int, int]]:
-    # block-of-4 aligned chunks so each worker resumes the stream exactly
+    # block-of-4 aligned chunks so each worker resumes the stream exactly;
+    # zero shots is one empty span
     workers = max(1, workers)
     step = -(-shots // workers)
     step += (-step) % 4
-    return [(lo, min(lo + step, shots)) for lo in range(0, shots, max(step, 4))]
+    return [(lo, min(lo + step, shots)) for lo in range(0, shots or 1, max(step, 4))]
+
+
+def map_spans(task: Callable[[int, int], object], shots: int, workers: int) -> list:
+    """``[task(lo, hi) for lo, hi in _partition(shots, workers)]``, in span order.
+
+    One span runs inline. Several run on one pool of min(spans, CPU count)
+    threads, so ``workers`` sets the partition but not the thread count.
+    """
+    spans = _partition(shots, workers)
+    if len(spans) == 1:
+        return [task(*spans[0])]
+    with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+        return list(pool.map(lambda span: task(*span), spans))
 
 
 def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> DetectionCounts:
-    joint = 2 * path_bits.astype(int) + spin_bits.astype(int)
-    tallies = np.bincount(joint, minlength=4)
+    tallies = np.bincount(2 * path_bits + spin_bits, minlength=4)
     return DetectionCounts(
         n_plus=int(tallies[0]),
         n_minus=int(tallies[1]),
@@ -198,16 +205,11 @@ def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> Detect
 
 @dataclass(frozen=True)
 class SamplingResult:
+    """Per-setting tallies and the (path bits, spin bits) uint8 arrays they came from."""
+
     settings: tuple[Setting, ...]
     counts: tuple[DetectionCounts, ...]
     outcomes: tuple[tuple[np.ndarray, np.ndarray], ...]
-    shots_per_setting: int
-    seed: int
-
-    def events(self) -> Iterator[EventRecord]:
-        for s_idx, (path_bits, spin_bits) in enumerate(self.outcomes):
-            for shot, (p, s) in enumerate(zip(path_bits, spin_bits)):
-                yield EventRecord(s_idx, shot, int(p), int(s))
 
 
 def sample_events(
@@ -222,25 +224,11 @@ def sample_events(
         raise ValueError("shots must be nonnegative")
 
     def run_setting(s_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        if shots_per_setting == 0:
-            empty = np.zeros(0, dtype=np.uint8)
-            return empty, empty
-        parts = _partition(shots_per_setting, workers)
-        if workers > 1 and len(parts) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(
-                    pool.map(
-                        lambda span: sample_setting(
-                            state, settings[s_idx], span[1] - span[0], seed, s_idx, span[0]
-                        ),
-                        parts,
-                    )
-                )
-        else:
-            chunks = [
-                sample_setting(state, settings[s_idx], hi - lo, seed, s_idx, lo)
-                for lo, hi in parts
-            ]
+        chunks = map_spans(
+            lambda lo, hi: sample_setting(state, settings[s_idx], hi - lo, seed, s_idx, lo),
+            shots_per_setting,
+            workers,
+        )
         return (
             np.concatenate([c[0] for c in chunks]),
             np.concatenate([c[1] for c in chunks]),
@@ -248,13 +236,7 @@ def sample_events(
 
     outcomes = tuple(run_setting(i) for i in range(len(settings)))
     counts = tuple(counts_from_outcomes(p, s) for p, s in outcomes)
-    return SamplingResult(
-        settings=tuple(settings),
-        counts=counts,
-        outcomes=outcomes,
-        shots_per_setting=shots_per_setting,
-        seed=seed,
-    )
+    return SamplingResult(settings=tuple(settings), counts=counts, outcomes=outcomes)
 
 
 def correlator_from_counts(counts: DetectionCounts) -> float:
@@ -340,6 +322,6 @@ def estimate_protocol(
     return ProtocolEstimate(
         correlators=correlators,
         bell=value,
-        success=0.5 + value / 8.0,
+        success=success_from_bell(2, value),
         result=result,
     )

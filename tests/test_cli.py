@@ -300,6 +300,46 @@ class TestWorkersOption:
         assert "argument --workers" in capsys.readouterr().err
 
 
+BAD_ARGV = {
+    "mzi-a-above-one": ["mzi", "--shots", "8", "--seed", "1", "--a", "2"],
+    "mzi-a-nan": ["mzi", "--shots", "8", "--seed", "1", "--a", "nan"],
+    "mzi-zero-shots": ["mzi", "--shots", "0", "--seed", "1"],
+    "mzi-negative-shots": ["mzi", "--shots", "-5", "--seed", "1"],
+    "mzi-settings-zero-shots": ["mzi", "--shots", "0", "--seed", "1", "--settings", "{settings}"],
+    "mzi-negative-seed": ["mzi", "--shots", "8", "--seed", "-1"],
+    "mzi-seed-above-64-bits": ["mzi", "--shots", "8", "--seed", str(2**64)],
+    "concat-zero-shots": ["concat", "--n", "4", "--engine", "born", "--shots", "0", "--seed", "1"],
+    "concat-query-not-int": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--query", "x"],
+    "concat-input-not-bits": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--input", "01x1"],
+    "concat-negative-permute-seed": ["concat", "--n", "5", "--permute-seed", "-1"],
+    "quantum-negative-seed": ["quantum", "--optimize", "--seed", "-1"],
+    "quantum-zero-starts": ["quantum", "--optimize", "--seed", "1", "--starts", "0"],
+    "quantum-zero-iterations": ["quantum", "--optimize", "--seed", "1", "--iterations", "0"],
+    "quantum-missing-bases": ["quantum", "--bases", "{missing}"],
+    "quantum-bases-not-object": ["quantum", "--bases", "{array}"],
+    "report-zero-shots": ["report", "--all", "--seed", "1", "--shots", "0"],
+    "report-zero-concat-shots": ["report", "--all", "--seed", "1", "--concat-shots", "0"],
+    "report-negative-seed": ["report", "--all", "--seed", "-1"],
+    "bounds-n-max-one": ["bounds", "--n-max", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV.keys())
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    settings_path = tmp_path / "settings.jsonl"
+    settings_path.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
+    array_path = tmp_path / "array.json"
+    array_path.write_text("[1, 2]\n")
+    paths = {"settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json"}
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([arg.format(**paths) for arg in argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "error:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestExitCodes:
     def test_failing_check_exits_one(self):
         rows = [cli.ReportRow("x", "q", 1.0, expected=2.0, tolerance=0.1)]

@@ -1,11 +1,12 @@
 """Tests for the interferometer model, Born sampling, and count estimators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from racsim import mzi, qcore, qrac
+from racsim import cli, concat, mzi, qcore, qrac
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -151,15 +152,66 @@ class TestSampling:
             for (p1, s1), (p2, s2) in zip(baseline.outcomes, rerun.outcomes):
                 assert np.array_equal(p1, p2) and np.array_equal(s1, s2)
 
-    def test_event_stream_matches_counts(self):
+    def test_event_stream_matches_counts(self, tmp_path):
+        state = mzi.maximally_entangled_state()
+        settings = [
+            mzi.Setting(theta=0.3, phi=0.4, spin_axis=qcore.X_AXIS),
+            mzi.Setting(theta=1.1, phi=-0.7, spin_axis=qcore.Z_AXIS),
+        ]
+        result = mzi.sample_events(state, settings, 501, seed=6, workers=2)
+        path = tmp_path / "events.jsonl"
+        cli.write_events(result, str(path))
+        expected = "".join(
+            json.dumps({"setting": s, "shot": k, "path": int(p), "spin": int(q)}) + "\n"
+            for s, (path_bits, spin_bits) in enumerate(result.outcomes)
+            for k, (p, q) in enumerate(zip(path_bits, spin_bits))
+        )
+        assert path.read_bytes() == expected.encode()
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(events) == 2 * 501
+        for s, counts in enumerate(result.counts):
+            plus_plus = sum(
+                1 for e in events if e["setting"] == s and (e["path"], e["spin"]) == (0, 0)
+            )
+            assert plus_plus == counts.n_plus
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs tasks in the caller."""
+
+    def __init__(self, built, max_workers):
+        built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestSpanRunner:
+    @pytest.mark.parametrize("cpus", [None, 1, 3, 1000])
+    def test_threads_capped_by_spans_and_cpus(self, monkeypatch, cpus):
+        built = []
+        monkeypatch.setattr(mzi, "ThreadPoolExecutor", lambda max_workers: _InlinePool(built, max_workers))
+        monkeypatch.setattr(mzi.os, "cpu_count", lambda: cpus)
+        shots, workers = 1000, 64
+        cap = min(len(mzi._partition(shots, workers)), cpus or 1)
         state = mzi.maximally_entangled_state()
         setting = mzi.Setting(theta=0.3, phi=0.4, spin_axis=qcore.X_AXIS)
-        result = mzi.sample_events(state, [setting], 500, seed=6)
-        events = list(result.events())
-        assert len(events) == 500
-        assert [e.shot_index for e in events] == list(range(500))
-        plus_plus = sum(1 for e in events if e.path_outcome == 0 and e.spin_outcome == 0)
-        assert plus_plus == result.counts[0].n_plus
+        many = mzi.sample_events(state, [setting], shots, seed=4, workers=workers)
+        assert built == [cap]
+        tree = concat.build_tree(4)
+        sim = concat.simulate(tree, [0, 1, 1, 0], 2, shots, seed=4, workers=workers)
+        assert built == [cap, cap]
+        # one span runs inline: no pool
+        one = mzi.sample_events(state, [setting], shots, seed=4, workers=1)
+        assert concat.simulate(tree, [0, 1, 1, 0], 2, shots, seed=4, workers=1) == sim
+        assert built == [cap, cap]
+        assert many.counts == one.counts
 
 
 class TestCountEstimators:

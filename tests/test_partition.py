@@ -1,7 +1,7 @@
 """Property tests for the shot partitioner shared by the mzi sampler and concat simulation."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racsim import concat, mzi
@@ -36,3 +36,17 @@ def test_results_do_not_depend_on_worker_count(shots, workers, seed):
     base = concat.simulate(TREE, bits, query, shots, seed, workers=1)
     rerun = concat.simulate(TREE, bits, query, shots, seed, workers=workers)
     assert rerun.successes == base.successes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 1000),
+    draws=st.integers(0, 40),
+)
+@example(seed=1, stream_id=0, start=1, draws=7)
+@example(seed=2, stream_id=3, start=6, draws=5)
+def test_stream_resumes_at_any_start(seed, stream_id, start, draws):
+    resumed = mzi.stream(seed, stream_id, start).random(draws)
+    assert np.array_equal(resumed, mzi.stream(seed, stream_id).random(start + draws)[start:])
