@@ -618,6 +618,17 @@ _n_bits = _in_range(int, 2)
 _seed = _in_range(int, 0, 2**64 - 1)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
+
+
 def _query(text: str) -> str | int:
     """argparse type for ``--query``: ``all`` or one bit index."""
     if text == "all":
@@ -671,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mzi.add_argument("--settings", help="JSONL settings file (theta, phi, spin_axis per line)")
     p_mzi.add_argument("--events", help="write per-shot event records to this path")
     p_mzi.add_argument("--a", type=_in_range(float, 0.0, 1.0), default=1.0 / math.sqrt(2.0), help="first-splitter transmission amplitude")
-    p_mzi.add_argument("--delta", type=float, default=math.pi, help="preparation phase (radians)")
+    p_mzi.add_argument("--delta", type=_finite_float, default=math.pi, help="preparation phase (radians)")
     p_mzi.add_argument("--workers", type=workers_type, default=workers)
     p_mzi.set_defaults(func=cmd_mzi)
 

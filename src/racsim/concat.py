@@ -260,10 +260,6 @@ class SimulationResult:
         return self.successes / self.shots
 
 
-def _node_ids(tree: ConcatTree) -> dict[int, int]:
-    return {id(node): uid for uid, node in enumerate(tree.internal_postorder())}
-
-
 def simulate_range(
     tree: ConcatTree,
     bits: Sequence[int],
@@ -273,11 +269,16 @@ def simulate_range(
     hi: int,
     engine: str,
 ) -> int:
-    """Successes among shots [lo, hi) of ``simulate``: the work of one span."""
-    count = hi - lo
-    uids = _node_ids(tree)
+    """Successes among shots [lo, hi) of ``simulate``: the work of one span.
+
+    Shots run ``mzi.BLOCK`` at a time. A child's message lives until its parent
+    consumes it, and only the subunits on the queried path keep their class and
+    Alice bit, so scratch memory is O(block x live subunits), not O(shots x subunits).
+    """
+    nodes = tree.internal_postorder()
+    uids = {id(node): uid for uid, node in enumerate(nodes)}
     cond_tables = {}
-    for arity in {node.arity for node in tree.internal_postorder()}:
+    for arity in {node.arity for node in nodes}:
         if engine == "mzi":
             cond_tables[arity] = _conditional_table_mzi(arity)
         else:
@@ -287,38 +288,42 @@ def simulate_range(
             cond[:, 0, :] = 0.5 * (1.0 + dots)
             cond[:, 1, :] = 0.5 * (1.0 - dots)
             cond_tables[arity] = cond
+    path = [
+        (uids[id(node)], cond_tables[node.arity], pos) for node, pos in tree.path_to_leaf(query)
+    ]
+    on_path = {uid for uid, _, _ in path}
+    alice_gens = [mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo) for uid in range(len(nodes))]
+    bob_gens = [mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid, _, _ in path]
+    uniforms = np.empty(min(hi - lo, mzi.BLOCK))
 
-    messages: dict[int, np.ndarray] = {}
-    alice_bits: dict[int, np.ndarray] = {}
-    classes: dict[int, np.ndarray] = {}
-    for node in tree.internal_postorder():
-        uid = uids[id(node)]
-        child_vals = []
-        for child in node.children:
-            if child.is_leaf:
-                child_vals.append(np.full(count, bits[child.leaf], dtype=np.uint8))
-            else:
-                child_vals.append(messages[uids[id(child)]])
-        ref = child_vals[0]
-        cls = np.zeros(count, dtype=np.intp)
-        for value in child_vals[1:]:
-            cls = (cls << 1) | (value ^ ref)
-        uniforms = mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo).random(count)
-        a = (uniforms < 0.5).astype(np.uint8)
-        messages[uid] = ref ^ a
-        alice_bits[uid] = a
-        classes[uid] = cls
+    successes = 0
+    for start in range(lo, hi, mzi.BLOCK):
+        u = uniforms[: min(mzi.BLOCK, hi - start)]
+        messages: dict[int, np.ndarray] = {}
+        kept: dict[int, tuple] = {}
+        for uid, node in enumerate(nodes):
+            # a leaf broadcasts its bit as a Python int; a child's message is consumed here
+            ref, *rest = (
+                bits[child.leaf] if child.is_leaf else messages.pop(uids[id(child)])
+                for child in node.children
+            )
+            cls = 0
+            for value in rest:
+                cls = (cls << 1) | (value ^ ref)
+            alice_gens[uid].random(out=u)
+            a = (u < 0.5).view(np.uint8)
+            messages[uid] = ref ^ a
+            if uid in on_path:
+                kept[uid] = (cls, a)
 
-    root_uid = uids[id(tree.internal_postorder()[-1])]
-    received = messages[root_uid]
-    for node, pos in tree.path_to_leaf(query):
-        uid = uids[id(node)]
-        cond = cond_tables[node.arity]
-        p_spin0 = cond[classes[uid], alice_bits[uid], pos]
-        uniforms = mzi.stream(seed, 2 * uid + _BOB_STREAM, lo).random(count)
-        b = (uniforms >= p_spin0).astype(np.uint8)
-        received = b ^ received
-    return int(np.sum(received == bits[query]))
+        received = messages.pop(len(nodes) - 1)
+        for (uid, cond, pos), gen in zip(path, bob_gens):
+            cls, a = kept[uid]
+            p_spin0 = cond[cls, a, pos]
+            gen.random(out=u)
+            received ^= (u >= p_spin0).view(np.uint8)
+        successes += int(np.count_nonzero(received == bits[query]))
+    return successes
 
 
 def simulate(

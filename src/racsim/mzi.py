@@ -14,6 +14,9 @@ from . import qcore
 from .bell import success_from_bell
 from .qrac import MeasurementBases, default_bases
 
+# Shots drawn per block by the mzi and concat samplers: a block's scratch stays in cache.
+BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class InterferometerConfig:
@@ -94,6 +97,8 @@ class Setting:
     label: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"theta and phi must be finite, got {self.theta}, {self.phi}")
         object.__setattr__(self, "spin_axis", qcore.require_unit(self.spin_axis))
 
 
@@ -161,14 +166,36 @@ def sample_setting(
     shots: int,
     seed: int,
     setting_index: int,
-    start: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``shots`` i.i.d. joint outcomes for one setting, starting at shot ``start``."""
+    start: int,
+    path_bits: np.ndarray,
+    spin_bits: np.ndarray,
+) -> np.ndarray:
+    """Draw ``shots`` i.i.d. joint outcomes for one setting, starting at shot ``start``.
+
+    Writes each shot's outcome bits into ``path_bits`` and ``spin_bits`` (length
+    ``shots``) and returns the 4 tallies in ``born_probabilities`` order. Uniforms
+    are drawn ``BLOCK`` at a time into one reused buffer, so scratch memory does
+    not grow with ``shots``.
+    """
     cum = np.cumsum(born_probabilities(state, setting))
     cum[-1] = 1.0
-    uniforms = stream(seed, setting_index, start).random(shots)
-    outcomes = np.searchsorted(cum, uniforms, side="right").astype(np.uint8)
-    return (outcomes >> 1).astype(np.uint8), (outcomes & 1).astype(np.uint8)
+    gen = stream(seed, setting_index, start)
+    uniforms = np.empty(min(shots, BLOCK))
+    joint = np.empty(len(uniforms), dtype=np.uint8)
+    tallies = np.zeros(4, dtype=np.int64)
+    for lo in range(0, shots, BLOCK):
+        hi = min(lo + BLOCK, shots)
+        u, o = uniforms[: hi - lo], joint[: hi - lo]
+        gen.random(out=u)
+        # for nondecreasing cum with cum[3] = 1 > u this equals
+        # searchsorted(cum, u, side="right"), bit for bit
+        np.greater_equal(u, cum[0], out=o)
+        o += u >= cum[1]
+        o += u >= cum[2]
+        tallies += np.bincount(o, minlength=4)
+        np.right_shift(o, 1, out=path_bits[lo:hi])
+        np.bitwise_and(o, 1, out=spin_bits[lo:hi])
+    return tallies
 
 
 def _partition(shots: int, workers: int) -> list[tuple[int, int]]:
@@ -223,20 +250,20 @@ def sample_events(
     if shots_per_setting < 0:
         raise ValueError("shots must be nonnegative")
 
-    def run_setting(s_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        chunks = map_spans(
-            lambda lo, hi: sample_setting(state, settings[s_idx], hi - lo, seed, s_idx, lo),
+    counts, outcomes = [], []
+    for s_idx, setting in enumerate(settings):
+        path_bits = np.empty(shots_per_setting, dtype=np.uint8)
+        spin_bits = np.empty(shots_per_setting, dtype=np.uint8)
+        tallies = map_spans(
+            lambda lo, hi: sample_setting(
+                state, setting, hi - lo, seed, s_idx, lo, path_bits[lo:hi], spin_bits[lo:hi]
+            ),
             shots_per_setting,
             workers,
         )
-        return (
-            np.concatenate([c[0] for c in chunks]),
-            np.concatenate([c[1] for c in chunks]),
-        )
-
-    outcomes = tuple(run_setting(i) for i in range(len(settings)))
-    counts = tuple(counts_from_outcomes(p, s) for p, s in outcomes)
-    return SamplingResult(settings=tuple(settings), counts=counts, outcomes=outcomes)
+        counts.append(DetectionCounts(*(int(t) for t in sum(tallies))))
+        outcomes.append((path_bits, spin_bits))
+    return SamplingResult(settings=tuple(settings), counts=tuple(counts), outcomes=tuple(outcomes))
 
 
 def correlator_from_counts(counts: DetectionCounts) -> float:

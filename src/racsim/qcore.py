@@ -25,7 +25,7 @@ def require_unit(direction) -> np.ndarray:
     if vec.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:  # NaN fails too
         raise ValueError(f"direction must have unit norm, got {norm}")
     return vec
 
@@ -41,7 +41,7 @@ class PureState:
         if amps.shape not in ((2,), (4,)):
             raise ValueError(f"state dimension must be 2 or 4, got {amps.shape}")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > ATOL:
+        if not abs(norm_sq - 1.0) <= ATOL:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -308,6 +308,10 @@ BAD_ARGV = {
     "mzi-settings-zero-shots": ["mzi", "--shots", "0", "--seed", "1", "--settings", "{settings}"],
     "mzi-negative-seed": ["mzi", "--shots", "8", "--seed", "-1"],
     "mzi-seed-above-64-bits": ["mzi", "--shots", "8", "--seed", str(2**64)],
+    "mzi-delta-nan": ["mzi", "--shots", "8", "--seed", "1", "--delta", "nan"],
+    "mzi-delta-inf": ["mzi", "--shots", "8", "--seed", "1", "--delta", "inf"],
+    "mzi-settings-theta-nan": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{theta_nan}"],
+    "mzi-settings-axis-nan": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{axis_nan}"],
     "concat-zero-shots": ["concat", "--n", "4", "--engine", "born", "--shots", "0", "--seed", "1"],
     "concat-query-not-int": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--query", "x"],
     "concat-input-not-bits": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--input", "01x1"],
@@ -330,7 +334,14 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     settings_path.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
     array_path = tmp_path / "array.json"
     array_path.write_text("[1, 2]\n")
-    paths = {"settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json"}
+    theta_nan = tmp_path / "theta_nan.jsonl"
+    theta_nan.write_text('{"theta": NaN, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
+    axis_nan = tmp_path / "axis_nan.jsonl"
+    axis_nan.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [NaN, 0, 0]}\n')
+    paths = {
+        "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
+        "theta_nan": theta_nan, "axis_nan": axis_nan,
+    }
     with pytest.raises(SystemExit) as excinfo:
         cli.main([arg.format(**paths) for arg in argv])
     assert excinfo.value.code == 2

@@ -1,0 +1,160 @@
+"""Block-wise sampling kernels: bit-identical to full-array references, memory flat in shots.
+
+``mzi.BLOCK`` is patched down to a few shots so that block edges fall inside
+small spans; the references draw each span's uniforms in one call.
+"""
+
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racsim import concat, mzi
+
+STATE = mzi.maximally_entangled_state()
+SETTING = mzi.protocol_settings(mzi.steering_bases())[0]
+SMOOTH = [2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36]
+
+blocks = st.sampled_from([1, 3, 8])
+seeds = st.integers(0, 2**64 - 1)
+# zero entries, equal entries and generic weights; at least one weight is positive
+weights = st.lists(
+    st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 1.0), min_size=4, max_size=4
+).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    block=blocks,
+    weights=weights,
+    seed=seeds,
+    setting_index=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 1000),
+    shots=st.integers(0, 50),
+)
+def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, start, shots):
+    probs = np.asarray(weights) / sum(weights)
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    uniforms = mzi.stream(seed, setting_index, start).random(shots)
+    outcomes = np.searchsorted(cum, uniforms, side="right")
+    path_bits = np.empty(shots, dtype=np.uint8)
+    spin_bits = np.empty(shots, dtype=np.uint8)
+    with mock.patch.object(mzi, "BLOCK", block), mock.patch.object(
+        mzi, "born_probabilities", lambda state, setting: probs
+    ):
+        tallies = mzi.sample_setting(
+            STATE, SETTING, shots, seed, setting_index, start, path_bits, spin_bits
+        )
+    assert tallies.tolist() == np.bincount(outcomes, minlength=4).tolist()
+    assert path_bits.tolist() == (outcomes >> 1).tolist()
+    assert spin_bits.tolist() == (outcomes & 1).tolist()
+    counts = mzi.counts_from_outcomes(path_bits, spin_bits)
+    assert [counts.n_plus, counts.n_minus, counts.m_plus, counts.m_minus] == tallies.tolist()
+
+
+def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
+    """Full-array span kernel: one message, Alice bit and class array per subunit."""
+    count = hi - lo
+    uids = {id(node): uid for uid, node in enumerate(tree.internal_postorder())}
+    cond_tables = {}
+    for arity in {node.arity for node in tree.internal_postorder()}:
+        if engine == "mzi":
+            cond_tables[arity] = concat._conditional_table_mzi(arity)
+        else:
+            dots = concat._dot_table(arity)
+            cond = np.empty((dots.shape[0], 2, arity))
+            cond[:, 0, :] = 0.5 * (1.0 + dots)
+            cond[:, 1, :] = 0.5 * (1.0 - dots)
+            cond_tables[arity] = cond
+
+    messages, alice_bits, classes = {}, {}, {}
+    for node in tree.internal_postorder():
+        uid = uids[id(node)]
+        child_vals = []
+        for child in node.children:
+            if child.is_leaf:
+                child_vals.append(np.full(count, bits[child.leaf], dtype=np.uint8))
+            else:
+                child_vals.append(messages[uids[id(child)]])
+        ref = child_vals[0]
+        cls = np.zeros(count, dtype=np.intp)
+        for value in child_vals[1:]:
+            cls = (cls << 1) | (value ^ ref)
+        uniforms = mzi.stream(seed, 2 * uid + concat._ALICE_STREAM, lo).random(count)
+        a = (uniforms < 0.5).astype(np.uint8)
+        messages[uid] = ref ^ a
+        alice_bits[uid] = a
+        classes[uid] = cls
+
+    received = messages[uids[id(tree.internal_postorder()[-1])]]
+    for node, pos in tree.path_to_leaf(query):
+        uid = uids[id(node)]
+        p_spin0 = cond_tables[node.arity][classes[uid], alice_bits[uid], pos]
+        uniforms = mzi.stream(seed, 2 * uid + concat._BOB_STREAM, lo).random(count)
+        received = (uniforms >= p_spin0).astype(np.uint8) ^ received
+    return int(np.sum(received == bits[query]))
+
+
+def relabeled(tree, order):
+    """The same nesting with leaf ``i`` renamed ``order[i]``."""
+
+    def walk(item):
+        return order[item] if isinstance(item, int) else [walk(c) for c in item]
+
+    return concat.ConcatTree.from_nested(walk(tree.to_nested()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=blocks,
+    n=st.sampled_from(SMOOTH),
+    engine=st.sampled_from(["born", "mzi"]),
+    data=st.data(),
+    seed=seeds,
+    lo=st.integers(0, 250).map(lambda k: 4 * k),
+    shots=st.integers(1, 50),
+)
+def test_concat_kernel_matches_full_array_reference(block, n, engine, data, seed, lo, shots):
+    order = data.draw(st.permutations(range(n)))
+    tree = relabeled(concat.build_tree(n), order)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    query = data.draw(st.integers(0, n - 1))
+    expected = reference_simulate_range(tree, bits, query, seed, lo, lo + shots, engine)
+    with mock.patch.object(mzi, "BLOCK", block):
+        assert concat.simulate_range(tree, bits, query, seed, lo, lo + shots, engine) == expected
+
+
+def traced_peak(run) -> int:
+    """Peak traced bytes allocated while ``run()`` executes, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_concat_scratch_does_not_grow_with_shots():
+    tree = concat.build_tree(54)
+    bits = [k % 2 for k in range(tree.n)]
+
+    def peak(blocks):
+        return traced_peak(lambda: concat.simulate(tree, bits, 5, blocks * mzi.BLOCK, seed=9))
+
+    peak(1)  # lazy imports on a first call are not scratch
+    assert peak(8) <= 1.25 * peak(2)
+
+
+def test_sample_events_scratch_does_not_grow_with_shots():
+    def scratch(blocks):
+        shots = blocks * mzi.BLOCK
+        outputs = 2 * shots  # the path and spin bit arrays the result keeps
+        return traced_peak(lambda: mzi.sample_events(STATE, [SETTING], shots, seed=9)) - outputs
+
+    scratch(1)  # lazy imports on a first call are not scratch
+    assert scratch(8) <= 1.25 * scratch(2)

@@ -38,6 +38,10 @@ class TestObservableFromBloch:
         with pytest.raises(ValueError):
             qcore.observable_from_bloch([0.0, 0.0, 0.5])
 
+    def test_rejects_nan_direction(self):
+        with pytest.raises(ValueError):
+            qcore.require_unit([math.nan, 0.0, 0.0])
+
     def test_eigenvalues_pm_one_for_random_directions(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -91,6 +95,10 @@ class TestPureState:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             qcore.PureState(np.array([1.0, 0.0, 0.0]))
+
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError):
+            qcore.PureState(np.array([1.0, math.nan]))
 
 
 class TestJointProbability:
