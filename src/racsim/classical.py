@@ -15,6 +15,8 @@ from .bell import sign_matrix, success_from_bell
 # Full enumeration is 2^(2^n) * 4^n strategies; n = 4 is allowed only behind a flag.
 _ENUM_DEFAULT_LIMIT = 3
 _ENUM_HARD_LIMIT = 4
+# Bob's per-bit decoders in enumeration order: the output for message 0, then for 1.
+_DECODERS = tuple(product((0, 1), repeat=2))
 
 
 def bit_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -141,19 +143,22 @@ def strategy_count(n: int) -> int:
     return (1 << (1 << n)) * 4**n
 
 
-def enumerate_deterministic(
-    n: int, allow_large: bool = False
-) -> Iterator[tuple[DeterministicStrategy, SuccessReport]]:
-    """Yield every deterministic strategy exactly once, with its success report."""
+def _require_enumerable(n: int, allow_large: bool) -> None:
     limit = _ENUM_HARD_LIMIT if allow_large else _ENUM_DEFAULT_LIMIT
     if n < 2 or n > limit:
         raise ValueError(
             f"enumeration rejected for n={n}: {strategy_count(n)} strategies"
             + ("" if allow_large else " (pass allow_large=True for n=4)")
         )
-    decoders = list(product((0, 1), repeat=2))
+
+
+def enumerate_deterministic(
+    n: int, allow_large: bool = False
+) -> Iterator[tuple[DeterministicStrategy, SuccessReport]]:
+    """Yield every deterministic strategy exactly once, with its success report."""
+    _require_enumerable(n, allow_large)
     for encode in product((0, 1), repeat=1 << n):
-        for decode in product(decoders, repeat=n):
+        for decode in product(_DECODERS, repeat=n):
             strategy = DeterministicStrategy(n=n, encode=encode, decode=decode)
             yield strategy, brute_success(strategy)
 
@@ -169,24 +174,42 @@ class EnumerationSummary:
 
 
 def enumeration_summary(n: int, allow_large: bool = False) -> EnumerationSummary:
-    """Scan the full enumeration and report the extreme average success values."""
-    count = 0
-    best = (-1.0, -1)
-    worst = (2.0, -1)
-    for strategy, report in enumerate_deterministic(n, allow_large=allow_large):
-        count += 1
-        if report.average > best[0]:
-            best = (report.average, strategy.strategy_id)
-        if report.average < worst[0]:
-            worst = (report.average, strategy.strategy_id)
+    """Score every strategy of ``enumerate_deterministic`` at once; report the extremes.
+
+    Bob's answer to query k depends only on the message and his decoder for bit k,
+    so ``hits[d, e, k]`` (strings whose bit k decoder d recovers under encode table
+    e) summed over one decoder per bit gives every strategy's hit count, laid out
+    in enumeration order. ``argmax``/``argmin`` pick the first extreme, as a
+    strict scan in that order does.
+    """
+    _require_enumerable(n, allow_large)
+    size = 1 << n
+    tables = 1 << size
+    strings = np.array(list(bit_strings(n)), dtype=np.uint8)
+    encode = ((np.arange(tables)[:, None] >> np.arange(size - 1, -1, -1)) & 1).astype(np.uint8)
+    answers = np.array(_DECODERS, dtype=np.uint8)[:, encode]
+    # totals reach n 2^n <= 64, so uint8 keeps n = 4 (16.7 M strategies) at ~17 MB
+    hits = (answers[..., None] == strings).sum(axis=2, dtype=np.uint8)
+    totals = np.zeros((tables, 1), dtype=np.uint8)
+    for k in range(n):
+        totals = (totals[:, :, None] + hits[:, :, k].T[:, None, :]).reshape(tables, -1)
+    best, worst = int(totals.argmax()), int(totals.argmin())
+    cells = n * size
     return EnumerationSummary(
         n=n,
-        count=count,
-        max_average=best[0],
-        min_average=worst[0],
-        best_id=best[1],
-        worst_id=worst[1],
+        count=totals.size,
+        max_average=int(totals.flat[best]) / cells,
+        min_average=int(totals.flat[worst]) / cells,
+        best_id=_strategy_at(n, best, encode).strategy_id,
+        worst_id=_strategy_at(n, worst, encode).strategy_id,
     )
+
+
+def _strategy_at(n: int, flat: int, encode: np.ndarray) -> DeterministicStrategy:
+    """The strategy at position ``flat`` of the enumeration order."""
+    table, choice = divmod(flat, 4**n)
+    decode = tuple(_DECODERS[(choice >> (2 * (n - 1 - k))) & 3] for k in range(n))
+    return DeterministicStrategy(n=n, encode=tuple(int(b) for b in encode[table]), decode=decode)
 
 
 def optimal_classical_formula(n: int) -> float:

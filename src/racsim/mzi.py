@@ -36,8 +36,7 @@ class InterferometerConfig:
     spin_axis: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if abs(self.transmission**2 + self.reflection**2 - 1.0) > qcore.ATOL:
-            raise ValueError("transmission^2 + reflection^2 must equal 1")
+        _require_splitter(self.transmission, self.reflection)
         axis = qcore.Z_AXIS if self.spin_axis is None else qcore.require_unit(self.spin_axis)
         object.__setattr__(self, "spin_axis", axis)
 
@@ -45,13 +44,17 @@ class InterferometerConfig:
         return entangled_state(self.transmission, self.reflection, self.prep_phase)
 
 
+def _require_splitter(transmission: float, reflection: float) -> None:
+    if not abs(transmission**2 + reflection**2 - 1.0) <= qcore.ATOL:  # NaN fails too
+        raise ValueError("transmission^2 + reflection^2 must equal 1")
+
+
 def entangled_state(transmission: float, reflection: float, prep_phase: float) -> qcore.PureState:
     """Path-spin state a |up_p down_z> + b e^(i delta) |down_p up_z> after the first splitter.
 
     Basis order: |up_p up_z>, |up_p down_z>, |down_p up_z>, |down_p down_z>.
     """
-    if abs(transmission**2 + reflection**2 - 1.0) > qcore.ATOL:
-        raise ValueError("transmission^2 + reflection^2 must equal 1")
+    _require_splitter(transmission, reflection)
     amps = np.zeros(4, dtype=complex)
     amps[1] = transmission
     amps[2] = reflection * np.exp(1j * prep_phase)

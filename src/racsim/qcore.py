@@ -30,6 +30,16 @@ def require_unit(direction) -> np.ndarray:
     return vec
 
 
+def require_density(mats: np.ndarray) -> None:
+    """Reject a stack (..., 2, 2) unless every matrix is Hermitian, unit-trace and PSD."""
+    if not np.max(np.abs(mats - np.conj(mats).swapaxes(-1, -2))) <= ATOL:  # NaN fails too
+        raise ValueError("density operator must be Hermitian")
+    if not np.max(np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)) <= ATOL:
+        raise ValueError("density operator must have unit trace")
+    if not np.min(np.linalg.eigvalsh(mats)) >= -ATOL:
+        raise ValueError("density operator must be positive semidefinite")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized state vector of dimension 2 or 4 (path factor first, spin second)."""
@@ -61,12 +71,7 @@ class DensityOperator:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (2, 2):
             raise ValueError(f"density operator must be 2x2, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValueError("density operator must be Hermitian")
-        if abs(float(np.trace(mat).real) - 1.0) > ATOL:
-            raise ValueError("density operator must have unit trace")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -ATOL:
-            raise ValueError("density operator must be positive semidefinite")
+        require_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 

@@ -1,5 +1,6 @@
 """Tests for deterministic strategies, enumeration, and reference-bit correlators."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,44 @@ class TestEnumeration:
             list(classical.enumerate_deterministic(4))
         with pytest.raises(ValueError):
             list(classical.enumerate_deterministic(5, allow_large=True))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_summary_matches_strategy_scan(self, n):
+        # oracle: brute_success one strategy at a time, first strict extreme in order
+        count, best, worst = 0, (-1.0, -1), (2.0, -1)
+        for strategy, report in classical.enumerate_deterministic(n):
+            count += 1
+            average = report.average
+            if average > best[0]:
+                best = (average, strategy.strategy_id)
+            if average < worst[0]:
+                worst = (average, strategy.strategy_id)
+        summary = classical.enumeration_summary(n)
+        assert summary.count == count
+        assert (summary.max_average, summary.best_id) == best
+        assert (summary.min_average, summary.worst_id) == worst
+
+    def test_four_bit_optimum_by_exhaustion(self):
+        tracemalloc.start()
+        try:
+            summary = classical.enumeration_summary(4, allow_large=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.count == 2**16 * 4**4
+        assert summary.max_average == 11 / 16 == classical.optimal_classical_formula(4)
+        assert summary.min_average == 5 / 16
+        assert peak < 64 * 2**20
+
+    def test_five_bits_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="strategies"):
+                classical.enumeration_summary(5, allow_large=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_formula_matches_enumeration_max(self):
         for n in (2, 3):

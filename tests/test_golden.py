@@ -2,7 +2,8 @@
 
 The digests pin the reproducibility contract across kernel rewrites: the same
 seed gives the same rows and event lines, byte for byte, for any worker count.
-A digest changes only when a sampled output changes.
+A digest changes only when a sampled output changes. The exact-layer entries
+pin the enumeration, Born-trace and seesaw rows the same way.
 """
 
 import hashlib
@@ -40,6 +41,24 @@ GOLDEN = {
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--query", "17",
          "--seed", "7", "--workers", "2"],
         "1248cb254da3d840c03c1ad82d5668fe11c610aec0b40bfa2322656d0efcc3f5",
+    ),
+    # exact layer: enumeration, Born traces, identity sweep and seesaw
+    "report-all-seed-5": (
+        ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",
+         "--workers", "1"],
+        "7e516a2d93e3d92d16634c4c5e2399cc515917d8cba3817db20df35f5821b73b",
+    ),
+    "quantum-n3-optimize": (
+        ["quantum", "--n", "3", "--optimize", "--seed", "7"],
+        "bceffd574ff48ddf926a1c77dce94e10bf0516e9a64b3656eb912aaf4bd46c40",
+    ),
+    "quantum-n2": (
+        ["quantum", "--n", "2"],
+        "7c73b1eeaf9870d3b2c492405318dedb4dc84d19e36dad93b3ba034a801940c0",
+    ),
+    "classical-n3": (
+        ["classical", "--n", "3"],
+        "5d0c23cf383abe37183c04999f29aa8df6e3af0274e48a7be9e9941913e58135",
     ),
 }
 

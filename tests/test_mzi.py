@@ -55,6 +55,16 @@ class TestEntangledState:
         with pytest.raises(ValueError):
             mzi.InterferometerConfig(transmission=1.0, reflection=1.0, prep_phase=0.0)
 
+    @pytest.mark.parametrize("amplitudes", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_splitter_amplitude_rejected_by_both_entry_points(self, amplitudes):
+        transmission, reflection = amplitudes
+        with pytest.raises(ValueError, match=r"transmission\^2 \+ reflection\^2"):
+            mzi.InterferometerConfig(
+                transmission=transmission, reflection=reflection, prep_phase=0.0
+            )
+        with pytest.raises(ValueError, match=r"transmission\^2 \+ reflection\^2"):
+            mzi.entangled_state(transmission, reflection, 0.0)
+
 
 class TestPathObservable:
     def test_zero_phase_form(self):

@@ -196,3 +196,14 @@ class TestDensityOperator:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             qcore.DensityOperator(np.diag([1.5, -0.5]))
+
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ValueError):
+            qcore.DensityOperator(np.full((2, 2), np.nan))
+
+    def test_stack_check_rejects_one_bad_matrix(self):
+        stack = np.stack([qcore.projector(qcore.Z_AXIS, 0).entries] * 5)
+        qcore.require_density(stack)
+        stack[3] = np.diag([1.5, -0.5])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            qcore.require_density(stack)

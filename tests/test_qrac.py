@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racsim import qrac
 from racsim.bell import quantum_max, sign_matrix
@@ -177,3 +179,55 @@ class TestMeasurementBases:
         np.testing.assert_allclose(rho.bloch_vector, bases.alice[1], atol=1e-12)
         rho = qrac.preparation(bases, (1, 0))
         np.testing.assert_allclose(rho.bloch_vector, -bases.alice[1], atol=1e-12)
+
+
+def random_stack(n, size, seed):
+    rng = np.random.default_rng(seed)
+    stack = [qrac.random_bases(n, rng) for _ in range(size)]
+    return stack, np.stack([b.alice for b in stack]), np.stack([b.bob for b in stack])
+
+
+stacks = {
+    "n": st.sampled_from([2, 3]),
+    "size": st.integers(1, 20),
+    "seed": st.integers(0, 2**64 - 1),
+}
+
+
+class TestStackedKernel:
+    """The stacked Born-trace kernel against its one-basis views and the dot form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**stacks)
+    def test_stack_matches_one_basis_views_bit_for_bit(self, n, size, seed):
+        stack, alice, bob = random_stack(n, size, seed)
+        residuals = qrac.identity_residuals(stack)
+        success, tables = qrac._born_traces(alice, bob)
+        assert residuals.tolist() == [qrac.identity_check(b) for b in stack]
+        assert success.tolist() == [qrac.quantum_success(b) for b in stack]
+        for table, bases in zip(tables, stack):
+            assert table.tobytes() == qrac.correlator_table(bases).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**stacks)
+    def test_trace_form_agrees_with_dot_form(self, n, size, seed):
+        stack, alice, bob = random_stack(n, size, seed)
+        _, tables = qrac._born_traces(alice, bob)
+        for table, a, b in zip(tables, alice, bob):
+            np.testing.assert_allclose(table, a @ b.T, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**stacks)
+    def test_identity_residuals_vanish(self, n, size, seed):
+        stack, _, _ = random_stack(n, size, seed)
+        assert np.all(qrac.identity_residuals(stack) < 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**stacks, side=st.sampled_from(["alice", "bob"]), pick=st.integers(0, 2**32))
+    def test_non_unit_direction_rejected_by_batched_check(self, n, size, seed, side, pick):
+        _, alice, bob = random_stack(n, size, seed)
+        directions = {"alice": alice, "bob": bob}[side]
+        basis, row = divmod(pick % (size * directions.shape[1]), directions.shape[1])
+        directions[basis, row] *= 1.001
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            qrac._born_traces(alice, bob)
