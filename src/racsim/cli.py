@@ -422,15 +422,17 @@ def cmd_concat(args) -> list[ReportRow]:
     if len(text) != n or set(text) - {"0", "1"}:
         raise UsageError(f"--input must be {n} bits")
     bits = [int(c) for c in text]
-    queries = range(n) if args.query == "all" else [args.query]
+    if args.query == "all":
+        queries = range(n)
+    elif 0 <= args.query < n:
+        queries = [args.query]
+    else:
+        raise UsageError(f"query {args.query} out of range for n={n}")
+    sims = concat.simulate_padded(
+        code, bits, queries, args.shots, args.seed, engine=args.engine, workers=args.workers
+    )
     tol = _sampling_tolerance(0.01, 2e5, args.shots)
-    for query in queries:
-        if not 0 <= query < n:
-            raise UsageError(f"query {query} out of range for n={n}")
-        sim = concat.simulate_padded(
-            code, bits, query, args.shots, args.seed,
-            engine=args.engine, workers=args.workers,
-        )
+    for query, sim in zip(queries, sims):
         leaf = code.leaf_for_bit(query)
         rows.append(
             ReportRow(
@@ -556,7 +558,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     sim_tol = _sampling_tolerance(0.01, 2e5, concat_shots)
     for n in (4, 6):
         tree = concat.build_tree(n)
-        sim = concat.simulate(tree, [0] * n, 0, concat_shots, seed, workers=workers)
+        [sim] = concat.simulate(tree, [0] * n, [0], concat_shots, seed, workers=workers)
         add(
             f"concat-simulated-n{n}", sim.rate, float(concat.analytic_per_bit(tree)[0]), sim_tol,
             "stage-formula",

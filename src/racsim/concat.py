@@ -260,82 +260,123 @@ class SimulationResult:
         return self.successes / self.shots
 
 
+class SimulationResults(tuple):
+    """One ``SimulationResult`` per query, in query order, all over the same shots."""
+
+    @property
+    def shots(self) -> int:
+        """Shots of every query: the pass draws each shot once for all of them."""
+        return self[0].shots
+
+
+def _spin_tables(arity: int, engine: str) -> list[np.ndarray]:
+    """Per child slot j: P(spin outcome 0 | class i, Alice bit a) at flat index 2 i + a."""
+    if engine == "mzi":
+        cond = _conditional_table_mzi(arity)
+    else:
+        dots = _dot_table(arity)
+        # P(spin=0 | a) = (1 + (-1)^a A_i . B_j) / 2 under the steering convention
+        cond = np.empty((dots.shape[0], 2, arity))
+        cond[:, 0, :] = 0.5 * (1.0 + dots)
+        cond[:, 1, :] = 0.5 * (1.0 - dots)
+    return [np.ascontiguousarray(cond[:, :, j]).ravel() for j in range(arity)]
+
+
 def simulate_range(
     tree: ConcatTree,
     bits: Sequence[int],
-    query: int,
+    queries: Sequence[int],
     seed: int,
     lo: int,
     hi: int,
     engine: str,
-) -> int:
-    """Successes among shots [lo, hi) of ``simulate``: the work of one span.
+) -> list[int]:
+    """Successes per query among shots [lo, hi) of ``simulate``: the work of one span.
 
-    Shots run ``mzi.BLOCK`` at a time. A child's message lives until its parent
-    consumes it, and only the subunits on the queried path keep their class and
-    Alice bit, so scratch memory is O(block x live subunits), not O(shots x subunits).
+    A subunit's message is its first leaf's bit XOR the Alice bits down its
+    first-child chain, and decoding a query reads the root's message plus the
+    class and Alice bit of each subunit on the query's path. So the span opens
+    the Alice streams of the first-child chains below the root and below every
+    child of an on-path subunit, and the Bob streams of the on-path subunits,
+    each once, and draws each once per block for all queries. Off-path subunits
+    only pass their first child's message through. Streams are keyed per
+    subunit and positioned per shot, so a stream left closed changes no other
+    draw, and every query's count equals a run of that query alone.
+
+    Shots run ``mzi.BLOCK`` at a time. A message lives until its parent consumes
+    it and each query keeps one block of spin-flip parity, so scratch memory is
+    O(block x (live subunits + queries)), not O(shots x subunits).
     """
     nodes = tree.internal_postorder()
     uids = {id(node): uid for uid, node in enumerate(nodes)}
-    cond_tables = {}
-    for arity in {node.arity for node in nodes}:
-        if engine == "mzi":
-            cond_tables[arity] = _conditional_table_mzi(arity)
-        else:
-            dots = _dot_table(arity)
-            # P(spin=0 | a) = (1 + (-1)^a A_i . B_j) / 2 under the steering convention
-            cond = np.empty((dots.shape[0], 2, arity))
-            cond[:, 0, :] = 0.5 * (1.0 + dots)
-            cond[:, 1, :] = 0.5 * (1.0 - dots)
-            cond_tables[arity] = cond
-    path = [
-        (uids[id(node)], cond_tables[node.arity], pos) for node, pos in tree.path_to_leaf(query)
-    ]
-    on_path = {uid for uid, _, _ in path}
-    alice_gens = [mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo) for uid in range(len(nodes))]
-    bob_gens = [mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid, _, _ in path]
-    uniforms = np.empty(min(hi - lo, mzi.BLOCK))
+    tables = {arity: _spin_tables(arity, engine) for arity in {node.arity for node in nodes}}
+    # on-path subunit -> child slot -> the queries whose path leaves it there
+    readers: dict[int, dict[int, list[int]]] = {}
+    for k, query in enumerate(queries):
+        for node, pos in tree.path_to_leaf(query):
+            readers.setdefault(uids[id(node)], {}).setdefault(pos, []).append(k)
+    needed: set[int] = set()
 
-    successes = 0
+    def chain(node: TreeNode) -> None:
+        while not node.is_leaf:
+            needed.add(uids[id(node)])
+            node = node.children[0]
+
+    chain(tree.root)
+    for uid in readers:
+        for child in nodes[uid].children:
+            chain(child)
+    order = sorted(needed)  # uids number the postorder, so children come first
+    alice_gens = {uid: mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo) for uid in order}
+    bob_gens = {uid: mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid in readers}
+    uniforms = np.empty(min(hi - lo, mzi.BLOCK))
+    # each query's row starts at its own bit, so a shot succeeds where the row
+    # ends equal to the root's message
+    query_bits = np.array([[bits[q]] for q in queries], dtype=np.uint8)
+    parity = np.empty((len(queries), len(uniforms)), dtype=np.uint8)
+
+    successes = np.zeros(len(queries), dtype=np.int64)
     for start in range(lo, hi, mzi.BLOCK):
         u = uniforms[: min(mzi.BLOCK, hi - start)]
+        flips = parity[:, : len(u)]
+        flips[...] = query_bits
         messages: dict[int, np.ndarray] = {}
-        kept: dict[int, tuple] = {}
-        for uid, node in enumerate(nodes):
+        for uid in order:
+            node = nodes[uid]
+            slots = readers.get(uid)
             # a leaf broadcasts its bit as a Python int; a child's message is consumed here
             ref, *rest = (
                 bits[child.leaf] if child.is_leaf else messages.pop(uids[id(child)])
-                for child in node.children
+                for child in (node.children if slots else node.children[:1])
             )
-            cls = 0
-            for value in rest:
-                cls = (cls << 1) | (value ^ ref)
             alice_gens[uid].random(out=u)
             a = (u < 0.5).view(np.uint8)
             messages[uid] = ref ^ a
-            if uid in on_path:
-                kept[uid] = (cls, a)
-
-        received = messages.pop(len(nodes) - 1)
-        for (uid, cond, pos), gen in zip(path, bob_gens):
-            cls, a = kept[uid]
-            p_spin0 = cond[cls, a, pos]
-            gen.random(out=u)
-            received ^= (u >= p_spin0).view(np.uint8)
-        successes += int(np.count_nonzero(received == bits[query]))
-    return successes
+            if slots:
+                cls = 0
+                for value in rest:
+                    cls = (cls << 1) | (value ^ ref)
+                index = (cls << 1) | a
+                bob_gens[uid].random(out=u)
+                for pos, ks in slots.items():
+                    spin = (u >= tables[node.arity][pos][index]).view(np.uint8)
+                    for k in ks:
+                        flips[k] ^= spin
+        np.equal(flips, messages.pop(len(nodes) - 1), out=flips)
+        successes += flips.sum(axis=1, dtype=np.int64)
+    return successes.tolist()
 
 
 def simulate(
     tree: ConcatTree,
     bits: Sequence[int],
-    query: int,
+    queries: Sequence[int],
     shots: int,
     seed: int,
     engine: str = "born",
     workers: int = 1,
-) -> SimulationResult:
-    """Shot-by-shot run of the concatenated code for one input string and queried bit.
+) -> SimulationResults:
+    """Shot-by-shot run of the concatenated code for one input string, per queried bit.
 
     Each subunit encodes bottom-up: the first child bit is the reference, the
     remaining children fix the class, and the transmitted bit is the reference
@@ -343,31 +384,37 @@ def simulate(
     along the queried child's direction at each level and XOR-correcting with the
     received bit. The ``mzi`` engine draws the same conditional probabilities
     through the 4-dimensional apparatus model.
+
+    All ``queries`` (repeats allowed) share one pass over the shots and its
+    streams; each result is bit-identical to a run of that query alone.
     """
     if engine not in ("born", "mzi"):
         raise ValueError(f"unknown engine {engine!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if not 0 <= query < tree.n:
-        raise ValueError(f"query {query} out of range for n={tree.n}")
+    if not queries:
+        raise ValueError("need at least one query")
+    for query in queries:
+        if not 0 <= query < tree.n:
+            raise ValueError(f"query {query} out of range for n={tree.n}")
     if len(bits) != tree.n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"input must be {tree.n} bits")
 
     parts = mzi.map_spans(
-        lambda lo, hi: simulate_range(tree, bits, query, seed, lo, hi, engine), shots, workers
+        lambda lo, hi: simulate_range(tree, bits, queries, seed, lo, hi, engine), shots, workers
     )
-    return SimulationResult(successes=sum(parts), shots=shots)
+    return SimulationResults(SimulationResult(sum(counts), shots) for counts in zip(*parts))
 
 
 def simulate_padded(
     code: PaddedCode,
     bits: Sequence[int],
-    bit_index: int,
+    bit_indices: Sequence[int],
     shots: int,
     seed: int,
     engine: str = "born",
     workers: int = 1,
-) -> SimulationResult:
+) -> SimulationResults:
     """Simulate a padded code: real bits mapped to their slots, padding slots at 0."""
     padded = [0] * code.tree.n
     for leaf, src in enumerate(code.slots):
@@ -376,7 +423,7 @@ def simulate_padded(
     return simulate(
         code.tree,
         padded,
-        code.leaf_for_bit(bit_index),
+        [code.leaf_for_bit(b) for b in bit_indices],
         shots,
         seed,
         engine=engine,

@@ -24,10 +24,20 @@ def require_unit(direction) -> np.ndarray:
     vec = np.asarray(direction, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= ATOL:  # NaN fails too
-        raise ValueError(f"direction must have unit norm, got {norm}")
+    require_unit_rows(vec[None])
     return vec
+
+
+def require_unit_rows(rows: np.ndarray) -> None:
+    """Reject a (k, 3) stack of directions unless every row has unit norm.
+
+    ``sqrt(vecdot)`` equals ``np.linalg.norm`` of each 3-vector bit for bit; the
+    message names the norm of the first bad row.
+    """
+    norms = np.sqrt(np.vecdot(rows, rows))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL))  # NaN fails too
+    if bad.size:
+        raise ValueError(f"direction must have unit norm, got {float(norms[bad[0]])}")
 
 
 def require_density(mats: np.ndarray) -> None:

@@ -29,8 +29,7 @@ class MeasurementBases:
             raise ValueError(
                 f"alice directions must be ({1 << (n - 1)}, 3) for n={n}, got {alice.shape}"
             )
-        for row in np.vstack((alice, bob)):
-            qcore.require_unit(row)
+        qcore.require_unit_rows(np.vstack((alice, bob)))
         alice.setflags(write=False)
         bob.setflags(write=False)
         object.__setattr__(self, "alice", alice)

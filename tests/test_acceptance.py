@@ -174,10 +174,10 @@ def test_criterion_13_reproducibility(report):
         rerun = mzi.sample_events(state, settings, 50_000, seed=11, workers=workers)
         assert rerun.counts == base.counts
     tree = concat.build_tree(6)
-    base_sim = concat.simulate(tree, [0] * 6, 2, 50_000, seed=11, workers=1)
+    base_sim = concat.simulate(tree, [0] * 6, [2], 50_000, seed=11, workers=1)
     for workers in (2, 3):
-        rerun_sim = concat.simulate(tree, [0] * 6, 2, 50_000, seed=11, workers=workers)
-        assert rerun_sim.successes == base_sim.successes
+        rerun_sim = concat.simulate(tree, [0] * 6, [2], 50_000, seed=11, workers=workers)
+        assert rerun_sim == base_sim
 
 
 def test_criterion_14_documented_estimator_discrepancy(report):

@@ -314,6 +314,7 @@ BAD_ARGV = {
     "mzi-settings-axis-nan": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{axis_nan}"],
     "concat-zero-shots": ["concat", "--n", "4", "--engine", "born", "--shots", "0", "--seed", "1"],
     "concat-query-not-int": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--query", "x"],
+    "concat-query-out-of-range": ["concat", "--n", "5", "--engine", "born", "--seed", "1", "--query", "5"],
     "concat-input-not-bits": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--input", "01x1"],
     "concat-negative-permute-seed": ["concat", "--n", "5", "--permute-seed", "-1"],
     "quantum-negative-seed": ["quantum", "--optimize", "--seed", "-1"],

@@ -140,49 +140,49 @@ class TestBounds:
 class TestSimulate:
     def test_four_leaf_rate(self):
         tree = concat.build_tree(4)
-        sim = concat.simulate(tree, [1, 0, 1, 1], 2, 200_000, seed=17)
+        [sim] = concat.simulate(tree, [1, 0, 1, 1], [2], 200_000, seed=17)
         assert abs(sim.rate - 0.75) <= 0.01
 
     def test_six_leaf_rate(self):
         tree = concat.build_tree(6)
-        sim = concat.simulate(tree, [0] * 6, 4, 200_000, seed=17)
+        [sim] = concat.simulate(tree, [0] * 6, [4], 200_000, seed=17)
         assert abs(sim.rate - 0.7041241) <= 0.01
 
     def test_single_pair_rate(self):
         tree = concat.build_tree(2)
-        sim = concat.simulate(tree, [1, 0], 0, 200_000, seed=17)
+        [sim] = concat.simulate(tree, [1, 0], [0], 200_000, seed=17)
         assert abs(sim.rate - 0.8535534) <= 0.01
 
     def test_rate_close_to_analytic_for_all_leaves(self):
         tree = concat.ConcatTree.from_nested([[0, 1, 2], [3, 4]])
         per_bit = concat.analytic_per_bit(tree)
         shots = 100_000
-        for leaf in range(5):
-            sim = concat.simulate(tree, [1, 1, 0, 0, 1], leaf, shots, seed=23)
+        sims = concat.simulate(tree, [1, 1, 0, 0, 1], range(5), shots, seed=23)
+        for leaf, sim in enumerate(sims):
             assert abs(sim.rate - per_bit[leaf]) <= 5.0 / math.sqrt(shots)
 
     def test_engines_agree_statistically(self):
         tree = concat.build_tree(6)
-        born = concat.simulate(tree, [1, 0, 1, 1, 0, 0], 3, 50_000, seed=11, engine="born")
-        apparatus = concat.simulate(tree, [1, 0, 1, 1, 0, 0], 3, 50_000, seed=11, engine="mzi")
+        [born] = concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="born")
+        [apparatus] = concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="mzi")
         assert abs(born.rate - apparatus.rate) <= 5.0 / math.sqrt(50_000)
 
     def test_reproducible_across_worker_counts(self):
         tree = concat.build_tree(4)
-        baseline = concat.simulate(tree, [1, 1, 0, 1], 1, 80_000, seed=5, workers=1)
+        [baseline] = concat.simulate(tree, [1, 1, 0, 1], [1], 80_000, seed=5, workers=1)
         for workers in (2, 4):
-            rerun = concat.simulate(tree, [1, 1, 0, 1], 1, 80_000, seed=5, workers=workers)
+            [rerun] = concat.simulate(tree, [1, 1, 0, 1], [1], 80_000, seed=5, workers=workers)
             assert rerun.successes == baseline.successes
 
     def test_rejects_bad_query(self):
         tree = concat.build_tree(4)
         with pytest.raises(ValueError):
-            concat.simulate(tree, [0, 0, 0, 0], 4, 10, seed=1)
+            concat.simulate(tree, [0, 0, 0, 0], [4], 10, seed=1)
 
     def test_rejects_bad_engine(self):
         tree = concat.build_tree(2)
         with pytest.raises(ValueError):
-            concat.simulate(tree, [0, 0], 0, 10, seed=1, engine="exact")
+            concat.simulate(tree, [0, 0], [0], 10, seed=1, engine="exact")
 
 
 class TestPadding:
@@ -200,7 +200,7 @@ class TestPadding:
         code = concat.build_padded(5)
         per_bit = concat.analytic_per_bit(code.tree)
         shots = 100_000
-        sim = concat.simulate_padded(code, [1, 0, 1, 1, 0], 2, shots, seed=29)
+        [sim] = concat.simulate_padded(code, [1, 0, 1, 1, 0], [2], shots, seed=29)
         leaf = code.leaf_for_bit(2)
         assert abs(sim.rate - per_bit[leaf]) <= 5.0 / math.sqrt(shots)
 

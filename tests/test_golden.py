@@ -42,6 +42,17 @@ GOLDEN = {
          "--seed", "7", "--workers", "2"],
         "1248cb254da3d840c03c1ad82d5668fe11c610aec0b40bfa2322656d0efcc3f5",
     ),
+    # --query all: every simulated-per-bit row of one shared multi-query pass
+    "concat-n200-born-permuted-all": (
+        ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--seed", "7",
+         "--shots", "2000", "--workers", "2"],
+        "7aa6fad58a357e382b5c2c5672aa5a84c7b79d54a6e92e9a01cbe61b28f2cf7b",
+    ),
+    "concat-n12-mzi-all": (
+        ["concat", "--n", "12", "--engine", "mzi", "--seed", "7", "--shots", "3001",
+         "--workers", "2"],
+        "b0d0bc38eae9fe178dca5e499c3e3fbd52369d714fabf24da2f54f3e71ff41bc",
+    ),
     # exact layer: enumeration, Born traces, identity sweep and seesaw
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",

@@ -121,10 +121,73 @@ def test_concat_kernel_matches_full_array_reference(block, n, engine, data, seed
     order = data.draw(st.permutations(range(n)))
     tree = relabeled(concat.build_tree(n), order)
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    query = data.draw(st.integers(0, n - 1))
-    expected = reference_simulate_range(tree, bits, query, seed, lo, lo + shots, engine)
+    # repeats and any order: each query's count is that of a run of it alone
+    queries = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    expected = [
+        reference_simulate_range(tree, bits, q, seed, lo, lo + shots, engine) for q in queries
+    ]
     with mock.patch.object(mzi, "BLOCK", block):
-        assert concat.simulate_range(tree, bits, query, seed, lo, lo + shots, engine) == expected
+        assert concat.simulate_range(tree, bits, queries, seed, lo, lo + shots, engine) == expected
+
+
+def opened_streams(tree, queries) -> list[int]:
+    """Stream ids one ``simulate_range`` span opens, in opening order."""
+    opened = []
+    real = mzi.stream
+
+    def spy(seed, stream_id, start=0):
+        opened.append(stream_id)
+        return real(seed, stream_id, start)
+
+    with mock.patch.object(mzi, "stream", spy):
+        concat.simulate_range(tree, [0] * tree.n, queries, 3, 0, 8, "born")
+    return opened
+
+
+def read_subunits(tree, query) -> set[int]:
+    """Subunits whose Alice bit reaches the decoder of ``query``, found bottom-up.
+
+    Alice's bit at u flips the message of every subunit reached by climbing from u
+    while the climb stays on first children. The decoder reads the root's message
+    and the message of every child of an on-path subunit.
+    """
+    nodes = tree.internal_postorder()
+    uid = {id(node): k for k, node in enumerate(nodes)}
+    parent = {id(c): node for node in nodes for c in node.children}
+    on_path = {id(node) for node, _ in tree.path_to_leaf(query)}
+    read = set()
+    for node in nodes:
+        w = node
+        while True:
+            up = parent.get(id(w))
+            if up is None or id(up) in on_path:
+                read.add(uid[id(node)])
+                break
+            if up.children[0] is not w:
+                break
+            w = up
+    return read
+
+
+def test_one_query_opens_only_the_streams_it_reads():
+    code = concat.build_padded(200, permute_seed=3)
+    tree = code.tree
+    uid = {id(node): k for k, node in enumerate(tree.internal_postorder())}
+    query = code.leaf_for_bit(17)
+    opened = opened_streams(tree, [query])
+    alice = sorted(s // 2 for s in opened if s % 2 == concat._ALICE_STREAM)
+    bob = sorted(s // 2 for s in opened if s % 2 == concat._BOB_STREAM)
+    assert len(opened) == len(set(opened))
+    assert alice == sorted(read_subunits(tree, query)) and len(alice) == 24
+    assert bob == sorted(uid[id(node)] for node, _ in tree.path_to_leaf(query)) and len(bob) == 6
+
+
+def test_all_queries_open_each_stream_once():
+    tree = concat.build_padded(200, permute_seed=3).tree
+    subunits = len(tree.internal_postorder())
+    assert subunits == 111
+    # every subunit is on some leaf's path, so each opens its Alice and its Bob stream
+    assert sorted(opened_streams(tree, range(tree.n))) == list(range(2 * subunits))
 
 
 def traced_peak(run) -> int:
@@ -144,7 +207,21 @@ def test_concat_scratch_does_not_grow_with_shots():
     bits = [k % 2 for k in range(tree.n)]
 
     def peak(blocks):
-        return traced_peak(lambda: concat.simulate(tree, bits, 5, blocks * mzi.BLOCK, seed=9))
+        return traced_peak(lambda: concat.simulate(tree, bits, [5], blocks * mzi.BLOCK, seed=9))
+
+    peak(1)  # lazy imports on a first call are not scratch
+    assert peak(8) <= 1.25 * peak(2)
+
+
+def test_concat_all_queries_scratch_does_not_grow_with_shots():
+    tree = concat.build_tree(54)
+    bits = [int(k % 3 == 0) for k in range(tree.n)]
+    queries = range(tree.n)
+
+    def peak(blocks):
+        return traced_peak(
+            lambda: concat.simulate(tree, bits, queries, blocks * mzi.BLOCK, seed=9)
+        )
 
     peak(1)  # lazy imports on a first call are not scratch
     assert peak(8) <= 1.25 * peak(2)

@@ -215,11 +215,11 @@ class TestSpanRunner:
         many = mzi.sample_events(state, [setting], shots, seed=4, workers=workers)
         assert built == [cap]
         tree = concat.build_tree(4)
-        sim = concat.simulate(tree, [0, 1, 1, 0], 2, shots, seed=4, workers=workers)
+        sim = concat.simulate(tree, [0, 1, 1, 0], [2], shots, seed=4, workers=workers)
         assert built == [cap, cap]
         # one span runs inline: no pool
         one = mzi.sample_events(state, [setting], shots, seed=4, workers=1)
-        assert concat.simulate(tree, [0, 1, 1, 0], 2, shots, seed=4, workers=1) == sim
+        assert concat.simulate(tree, [0, 1, 1, 0], [2], shots, seed=4, workers=1) == sim
         assert built == [cap, cap]
         assert many.counts == one.counts
 

@@ -33,9 +33,9 @@ def test_results_do_not_depend_on_worker_count(shots, workers, seed):
         assert np.array_equal(p1, p2) and np.array_equal(s1, s2)
     bits = [seed >> k & 1 for k in range(TREE.n)]
     query = seed % TREE.n
-    base = concat.simulate(TREE, bits, query, shots, seed, workers=1)
-    rerun = concat.simulate(TREE, bits, query, shots, seed, workers=workers)
-    assert rerun.successes == base.successes
+    base = concat.simulate(TREE, bits, [query], shots, seed, workers=1)
+    rerun = concat.simulate(TREE, bits, [query], shots, seed, workers=workers)
+    assert rerun == base
 
 
 @settings(max_examples=200, deadline=None)

@@ -42,6 +42,15 @@ class TestObservableFromBloch:
         with pytest.raises(ValueError):
             qcore.require_unit([math.nan, 0.0, 0.0])
 
+    def test_stacked_check_names_the_norm_of_the_first_bad_row(self):
+        rng = np.random.default_rng(3)
+        for row in rng.standard_normal((200, 3)) * rng.choice([1e-3, 1.0, 1e3], (200, 1)):
+            expected = f"direction must have unit norm, got {float(np.linalg.norm(row))}"
+            with pytest.raises(ValueError) as stacked:
+                qcore.require_unit_rows(np.vstack((qcore.Z_AXIS, row, 2 * qcore.Z_AXIS)))
+            assert str(stacked.value) == expected
+        qcore.require_unit_rows(np.vstack((qcore.X_AXIS, qcore.Z_AXIS)))
+
     def test_eigenvalues_pm_one_for_random_directions(self):
         rng = np.random.default_rng(10)
         for _ in range(100):

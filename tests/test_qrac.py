@@ -169,6 +169,15 @@ class TestMeasurementBases:
         with pytest.raises(ValueError):
             qrac.MeasurementBases(alice=np.array([[0, 0, 2.0], [0, 0, 1.0]]), bob=np.tile(Z, (2, 1)))
 
+    @pytest.mark.parametrize("scale,message", [(2.0, "got 2.0"), (math.nan, "got nan")])
+    def test_names_the_first_bad_row_of_the_stack(self, scale, message):
+        alice = np.tile(Z, (4, 1))
+        alice[2] *= scale
+        bob = np.tile(Z, (3, 1))
+        bob[1] *= 3.0
+        with pytest.raises(ValueError, match=f"^direction must have unit norm, {message}$"):
+            qrac.MeasurementBases(alice=alice, bob=bob)
+
     def test_rejects_wrong_alice_count(self):
         with pytest.raises(ValueError):
             qrac.MeasurementBases(alice=np.tile(Z, (3, 1)), bob=np.tile(Z, (2, 1)))
