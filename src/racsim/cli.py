@@ -18,6 +18,14 @@ class UsageError(Exception):
     pass
 
 
+def _open(path: str, mode: str = "r", **kwargs):
+    """``open``, with an OS error (a missing file, an unwritable directory) as a UsageError."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise UsageError(str(exc))
+
+
 @dataclass
 class ReportRow:
     """One check/result line: computed value, optional reference target and verdict."""
@@ -59,7 +67,7 @@ def emit(rows: list[ReportRow], stream=None) -> None:
 
 
 def write_csv(rows: list[ReportRow], path: str) -> None:
-    with open(path, "w", newline="") as handle:
+    with _open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["cmd", "quantity", "value", "expected", "tolerance", "reference", "pass", "params"])
         for row in rows:
@@ -209,12 +217,10 @@ def cmd_bounds(args) -> list[ReportRow]:
 
 def load_bases(path: str) -> qrac.MeasurementBases:
     try:
-        with open(path) as handle:
+        with _open(path) as handle:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
-    except OSError as exc:
-        raise UsageError(str(exc))
     try:
         return qrac.MeasurementBases(
             alice=np.asarray(data["alice"], dtype=float),
@@ -275,11 +281,7 @@ def cmd_quantum(args) -> list[ReportRow]:
 
 def load_settings(path: str) -> list[mzi.Setting]:
     settings: list[mzi.Setting] = []
-    try:
-        handle = open(path)
-    except OSError as exc:
-        raise UsageError(str(exc))
-    with handle:
+    with _open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -324,14 +326,46 @@ def _counts_params(setting: mzi.Setting, counts: mzi.DetectionCounts) -> dict:
     }
 
 
+# event lines per chunk; at about 50 bytes a line, one chunk is about 0.2 MB
+EVENT_CHUNK = 4096
+# every event line ends in this tail, with the outcome bits added to its two zeros
+_EVENT_TAIL = b', "path": 0, "spin": 0}\n'
+_PATH_COL, _SPIN_COL = _EVENT_TAIL.index(b"0"), _EVENT_TAIL.rindex(b"0")
+
+
+def _event_chunks(shots: int):
+    """Shot ranges [lo, hi) of at most ``EVENT_CHUNK`` shots with one digit count each."""
+    lo = 0
+    while lo < shots:
+        hi = min(shots, lo + EVENT_CHUNK, 10 ** len(str(lo)))
+        yield lo, hi
+        lo = hi
+
+
 def write_events(result: mzi.SamplingResult, path: str) -> None:
-    """One JSON line per shot, setting by setting: {"setting": s, "shot": k, "path": p, "spin": q}."""
-    with open(path, "w") as handle:
+    """One JSON line per shot, setting by setting: {"setting": s, "shot": k, "path": p, "spin": q}.
+
+    The lines of one setting whose shot numbers have the same number of digits
+    are equally wide, so each chunk of them is built as one (rows, width) uint8
+    array and written at once: the setting's head, the shot digits column by
+    column, and the tail with the path and spin bits added to its two zeros.
+    Scratch memory is O(``EVENT_CHUNK``) whatever the shot count.
+    """
+    with _open(path, "wb") as handle:
         for s_idx, (path_bits, spin_bits) in enumerate(result.outcomes):
-            handle.writelines(
-                f'{{"setting": {s_idx}, "shot": {k}, "path": {p}, "spin": {q}}}\n'
-                for k, (p, q) in enumerate(zip(path_bits.tolist(), spin_bits.tolist()))
-            )
+            head = np.frombuffer(f'{{"setting": {s_idx}, "shot": '.encode(), dtype=np.uint8)
+            for lo, hi in _event_chunks(len(path_bits)):
+                tail = len(head) + len(str(lo))
+                rows = np.empty((hi - lo, tail + len(_EVENT_TAIL)), dtype=np.uint8)
+                rows[:, : len(head)] = head
+                shot = np.arange(lo, hi)
+                for col in range(tail - 1, len(head) - 1, -1):
+                    rows[:, col] = shot % 10 + 48
+                    shot //= 10
+                rows[:, tail:] = np.frombuffer(_EVENT_TAIL, dtype=np.uint8)
+                rows[:, tail + _PATH_COL] += path_bits[lo:hi]
+                rows[:, tail + _SPIN_COL] += spin_bits[lo:hi]
+                handle.write(rows)
 
 
 def cmd_mzi(args) -> list[ReportRow]:
@@ -721,11 +755,11 @@ def main(argv=None) -> int:
         parser.error("--seed is required with --optimize")
     try:
         rows = args.func(args)
+        if getattr(args, "csv", None):
+            write_csv(rows, args.csv)
     except UsageError as exc:
         parser.exit(2, f"error: {exc}\n")
     emit(rows)
-    if getattr(args, "csv", None):
-        write_csv(rows, args.csv)
     return exit_code(rows)
 
 

@@ -93,23 +93,30 @@ class ConcatTree:
         walk(self.root, 0, 0)
         return [profile[i] for i in range(self.n)]
 
-    def path_to_leaf(self, leaf: int) -> list[tuple[TreeNode, int]]:
-        """Internal nodes from the root down to ``leaf``, with the child slot taken."""
-        path: list[tuple[TreeNode, int]] = []
+    def paths_to_leaves(self, leaves: Sequence[int]) -> list[list[tuple[TreeNode, int]]]:
+        """Per leaf, in the order given: internal nodes from the root down to it, with the slot taken.
 
-        def walk(node: TreeNode) -> bool:
+        One depth-first pass finds every path; an unknown leaf raises ``ValueError``.
+        """
+        wanted = set(leaves)
+        found: dict[int, list[tuple[TreeNode, int]]] = {}
+        trail: list[tuple[TreeNode, int]] = []
+
+        def walk(node: TreeNode) -> None:
             if node.is_leaf:
-                return node.leaf == leaf
+                if node.leaf in wanted:
+                    found[node.leaf] = list(trail)
+                return
             for pos, child in enumerate(node.children):
-                if walk(child):
-                    path.append((node, pos))
-                    return True
-            return False
+                trail.append((node, pos))
+                walk(child)
+                trail.pop()
 
-        if not walk(self.root):
-            raise ValueError(f"leaf {leaf} not present (n={self.n})")
-        path.reverse()
-        return path
+        walk(self.root)
+        for leaf in leaves:
+            if leaf not in found:
+                raise ValueError(f"leaf {leaf} not present (n={self.n})")
+        return [found[leaf] for leaf in leaves]
 
     def to_nested(self):
         """Nested lists of leaf indices; group size carries the arity ([[0, 1], [2, 3]] for n=4)."""
@@ -312,8 +319,8 @@ def simulate_range(
     tables = {arity: _spin_tables(arity, engine) for arity in {node.arity for node in nodes}}
     # on-path subunit -> child slot -> the queries whose path leaves it there
     readers: dict[int, dict[int, list[int]]] = {}
-    for k, query in enumerate(queries):
-        for node, pos in tree.path_to_leaf(query):
+    for k, path in enumerate(tree.paths_to_leaves(queries)):
+        for node, pos in path:
             readers.setdefault(uids[id(node)], {}).setdefault(pos, []).append(k)
     needed: set[int] = set()
 

@@ -326,6 +326,11 @@ BAD_ARGV = {
     "report-zero-concat-shots": ["report", "--all", "--seed", "1", "--concat-shots", "0"],
     "report-negative-seed": ["report", "--all", "--seed", "-1"],
     "bounds-n-max-one": ["bounds", "--n-max", "1"],
+    "mzi-events-unwritable": ["mzi", "--shots", "10", "--seed", "1", "--events", "{unwritable}"],
+    "report-csv-unwritable": [
+        "report", "--all", "--seed", "1", "--shots", "1000", "--concat-shots", "1000",
+        "--csv", "{unwritable}",
+    ],
 }
 
 
@@ -342,6 +347,7 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {
         "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
         "theta_nan": theta_nan, "axis_nan": axis_nan,
+        "unwritable": tmp_path / "no-such-dir" / "out",
     }
     with pytest.raises(SystemExit) as excinfo:
         cli.main([arg.format(**paths) for arg in argv])

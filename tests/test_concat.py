@@ -73,6 +73,27 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             concat.ConcatTree.from_nested([0, 1, 2, 3])
 
+    def test_paths_to_leaves_follow_nesting(self):
+        tree = concat.ConcatTree.from_nested([[0, 1, 2], [3, [4, 5]]])
+        paths = tree.paths_to_leaves([5, 0, 5])
+        assert [[pos for _, pos in path] for path in paths] == [[1, 1, 1], [0, 0], [1, 1, 1]]
+        assert all(path[0][0] is tree.root for path in paths)
+        assert [node.arity for node, _ in paths[0]] == [2, 2, 2]
+
+    def test_paths_to_leaves_match_depth_profile(self):
+        tree = concat.build_padded(200, permute_seed=3).tree
+        paths = tree.paths_to_leaves(range(tree.n))
+        profile = [
+            (sum(node.arity == 2 for node, _ in path), sum(node.arity == 3 for node, _ in path))
+            for path in paths
+        ]
+        assert profile == tree.depth_profile()
+
+    def test_paths_to_leaves_rejects_unknown_leaf(self):
+        tree = concat.build_tree(4)
+        with pytest.raises(ValueError, match=r"^leaf 7 not present \(n=4\)$"):
+            tree.paths_to_leaves([0, 7])
+
 
 class TestChainSuccess:
     @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import concat, mzi
+from racsim import cli, concat, mzi
 
 STATE = mzi.maximally_entangled_state()
 SETTING = mzi.protocol_settings(mzi.steering_bases())[0]
@@ -90,7 +90,7 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
         classes[uid] = cls
 
     received = messages[uids[id(tree.internal_postorder()[-1])]]
-    for node, pos in tree.path_to_leaf(query):
+    for node, pos in tree.paths_to_leaves([query])[0]:
         uid = uids[id(node)]
         p_spin0 = cond_tables[node.arity][classes[uid], alice_bits[uid], pos]
         uniforms = mzi.stream(seed, 2 * uid + concat._BOB_STREAM, lo).random(count)
@@ -154,7 +154,7 @@ def read_subunits(tree, query) -> set[int]:
     nodes = tree.internal_postorder()
     uid = {id(node): k for k, node in enumerate(nodes)}
     parent = {id(c): node for node in nodes for c in node.children}
-    on_path = {id(node) for node, _ in tree.path_to_leaf(query)}
+    on_path = {id(node) for node, _ in tree.paths_to_leaves([query])[0]}
     read = set()
     for node in nodes:
         w = node
@@ -179,7 +179,8 @@ def test_one_query_opens_only_the_streams_it_reads():
     bob = sorted(s // 2 for s in opened if s % 2 == concat._BOB_STREAM)
     assert len(opened) == len(set(opened))
     assert alice == sorted(read_subunits(tree, query)) and len(alice) == 24
-    assert bob == sorted(uid[id(node)] for node, _ in tree.path_to_leaf(query)) and len(bob) == 6
+    (path,) = tree.paths_to_leaves([query])
+    assert bob == sorted(uid[id(node)] for node, _ in path) and len(bob) == 6
 
 
 def test_all_queries_open_each_stream_once():
@@ -235,3 +236,12 @@ def test_sample_events_scratch_does_not_grow_with_shots():
 
     scratch(1)  # lazy imports on a first call are not scratch
     assert scratch(8) <= 1.25 * scratch(2)
+
+
+def test_write_events_scratch_does_not_grow_with_shots(tmp_path):
+    def peak(blocks):
+        result = mzi.sample_events(STATE, [SETTING], blocks * mzi.BLOCK, seed=9)
+        return traced_peak(lambda: cli.write_events(result, str(tmp_path / "events.jsonl")))
+
+    peak(1)  # lazy imports on a first call are not scratch
+    assert peak(8) <= 1.25 * peak(2)

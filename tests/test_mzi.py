@@ -2,9 +2,14 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from racsim import cli, concat, mzi, qcore, qrac
 
@@ -184,6 +189,59 @@ class TestSampling:
                 1 for e in events if e["setting"] == s and (e["path"], e["spin"]) == (0, 0)
             )
             assert plus_plus == counts.n_plus
+
+
+def reference_write_events(result: mzi.SamplingResult, path: str) -> None:
+    """The event writer as one f-string per shot: the oracle for ``cli.write_events``."""
+    with open(path, "w") as handle:
+        for s_idx, (path_bits, spin_bits) in enumerate(result.outcomes):
+            handle.writelines(
+                f'{{"setting": {s_idx}, "shot": {k}, "path": {p}, "spin": {q}}}\n'
+                for k, (p, q) in enumerate(zip(path_bits.tolist(), spin_bits.tolist()))
+            )
+
+
+# decade and chunk edges; shot 100000 is the first six-digit line
+EVENT_SHOTS = [0, 1, 9, 10, 11, 99, 100, 100_001]
+EVENT_SHOTS += [cli.EVENT_CHUNK + d for d in (-1, 0, 1)] + [mzi.BLOCK + d for d in (-1, 1)]
+
+
+def assert_writes_reference_bytes(shots, n_settings, workers, seed):
+    base = mzi.protocol_settings(mzi.steering_bases())
+    chosen = [base[k % len(base)] for k in range(n_settings)]
+    result = mzi.sample_events(mzi.maximally_entangled_state(), chosen, shots, seed, workers)
+    with tempfile.TemporaryDirectory() as tmp:
+        expected, written = Path(tmp, "expected.jsonl"), Path(tmp, "written.jsonl")
+        reference_write_events(result, str(expected))
+        cli.write_events(result, str(written))
+        assert written.read_bytes() == expected.read_bytes()
+
+
+# settings 10 and up have a wider head
+n_settings = st.integers(1, 12)
+event_workers = st.integers(1, 3)
+event_seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@example(shots=100_001, n_settings=2, workers=3, seed=1)
+@given(shots=st.sampled_from(EVENT_SHOTS), n_settings=n_settings, workers=event_workers, seed=event_seeds)
+def test_write_events_matches_reference_bytes(shots, n_settings, workers, seed):
+    assert_writes_reference_bytes(shots, n_settings, workers, seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    chunk=st.integers(1, 8),
+    shots=st.integers(0, 120),
+    n_settings=n_settings,
+    workers=event_workers,
+    seed=event_seeds,
+)
+def test_write_events_small_chunks_match_reference_bytes(chunk, shots, n_settings, workers, seed):
+    # chunk edges land inside decades and next to their ends
+    with mock.patch.object(cli, "EVENT_CHUNK", chunk):
+        assert_writes_reference_bytes(shots, n_settings, workers, seed)
 
 
 class _InlinePool:
