@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .bell import sign_matrix, success_from_bell
-
-# Full enumeration is 2^(2^n) * 4^n strategies; n = 4 is allowed only behind a flag.
-_ENUM_DEFAULT_LIMIT = 3
-_ENUM_HARD_LIMIT = 4
+# Full enumeration is 2^(2^n) * 4^n strategies: the count array scores up to
+# n = 4 (16.7 M), a strategy-by-strategy scan up to n = 3 (16 384).
+_SUMMARY_LIMIT = 4
+_SCAN_LIMIT = 3
 # Bob's per-bit decoders in enumeration order: the output for message 0, then for 1.
 _DECODERS = tuple(product((0, 1), repeat=2))
 
@@ -93,70 +91,29 @@ class DeterministicStrategy:
         return ident
 
 
-@dataclass(frozen=True)
-class StrategyMixture:
-    """Convex mixture of deterministic strategies drawn independently of the input."""
-
-    components: tuple[tuple[float, DeterministicStrategy], ...]
-
-    def __post_init__(self):
-        weights = [w for w, _ in self.components]
-        if any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")
-
-
-@dataclass(frozen=True)
-class SuccessReport:
-    """Per-cell success indicators over all (string, queried bit) pairs, plus the mean."""
-
-    per_cell: dict[tuple[tuple[int, ...], int], float]
-    average: float
-
-    def average_fraction(self) -> Fraction:
-        total = Fraction(0)
-        for v in self.per_cell.values():
-            total += Fraction(v)
-        return total / len(self.per_cell)
-
-
-def brute_success(strategy: DeterministicStrategy) -> SuccessReport:
-    """Evaluate the success condition on every (string, bit) cell, uniform weights."""
-    per_cell: dict[tuple[tuple[int, ...], int], float] = {}
+def brute_success(strategy: DeterministicStrategy) -> float:
+    """Average of the success condition over every (string, bit) cell, uniform weights."""
     hits = 0
     for bits in bit_strings(strategy.n):
         message = strategy.message(bits)
-        for k in range(strategy.n):
-            ok = strategy.output(k, message) == bits[k]
-            per_cell[(bits, k)] = 1.0 if ok else 0.0
-            hits += ok
-    return SuccessReport(per_cell=per_cell, average=hits / len(per_cell))
-
-
-def mixed_success(mixture: StrategyMixture) -> float:
-    """Average success of a strategy mixture: convex combination of member averages."""
-    return sum(w * brute_success(s).average for w, s in mixture.components)
+        hits += sum(strategy.output(k, message) == bits[k] for k in range(strategy.n))
+    return hits / (strategy.n << strategy.n)
 
 
 def strategy_count(n: int) -> int:
     return (1 << (1 << n)) * 4**n
 
 
-def _require_enumerable(n: int, allow_large: bool) -> None:
-    limit = _ENUM_HARD_LIMIT if allow_large else _ENUM_DEFAULT_LIMIT
+def _require_enumerable(n: int, limit: int) -> None:
     if n < 2 or n > limit:
         raise ValueError(
-            f"enumeration rejected for n={n}: {strategy_count(n)} strategies"
-            + ("" if allow_large else " (pass allow_large=True for n=4)")
+            f"enumeration supports 2 <= n <= {limit}; n={n} would mean {strategy_count(n)} strategies"
         )
 
 
-def enumerate_deterministic(
-    n: int, allow_large: bool = False
-) -> Iterator[tuple[DeterministicStrategy, SuccessReport]]:
-    """Yield every deterministic strategy exactly once, with its success report."""
-    _require_enumerable(n, allow_large)
+def enumerate_deterministic(n: int) -> Iterator[tuple[DeterministicStrategy, float]]:
+    """Yield every deterministic strategy exactly once, with its average success."""
+    _require_enumerable(n, _SCAN_LIMIT)
     for encode in product((0, 1), repeat=1 << n):
         for decode in product(_DECODERS, repeat=n):
             strategy = DeterministicStrategy(n=n, encode=encode, decode=decode)
@@ -173,8 +130,8 @@ class EnumerationSummary:
     worst_id: int
 
 
-def enumeration_summary(n: int, allow_large: bool = False) -> EnumerationSummary:
-    """Score every strategy of ``enumerate_deterministic`` at once; report the extremes.
+def enumeration_summary(n: int) -> EnumerationSummary:
+    """Score every deterministic strategy at once, in enumeration order; report the extremes.
 
     Bob's answer to query k depends only on the message and his decoder for bit k,
     so ``hits[d, e, k]`` (strings whose bit k decoder d recovers under encode table
@@ -182,7 +139,7 @@ def enumeration_summary(n: int, allow_large: bool = False) -> EnumerationSummary
     in enumeration order. ``argmax``/``argmin`` pick the first extreme, as a
     strict scan in that order does.
     """
-    _require_enumerable(n, allow_large)
+    _require_enumerable(n, _SUMMARY_LIMIT)
     size = 1 << n
     tables = 1 << size
     strings = np.array(list(bit_strings(n)), dtype=np.uint8)
@@ -236,32 +193,3 @@ def reference_correlators(strategy: DeterministicStrategy) -> np.ndarray:
                 out_sign = -1.0 if strategy.output(k, message) else 1.0
                 table[i, k] += 0.5 * ref_sign * out_sign
     return table
-
-
-def success_from_correlators(strategy: DeterministicStrategy) -> float:
-    """Success average recomputed through the sign-matrix expression."""
-    value = float(np.sum(sign_matrix(strategy.n) * reference_correlators(strategy)))
-    return success_from_bell(strategy.n, value)
-
-
-def first_bit_strategy(n: int) -> DeterministicStrategy:
-    """Send the first bit; Bob repeats the received bit for every query."""
-    encode = tuple(bits[0] for bits in bit_strings(n))
-    return DeterministicStrategy(n=n, encode=encode, decode=((0, 1),) * n)
-
-
-def majority_strategy(n: int, invert_encode: bool = False, invert_decode: bool = False) -> DeterministicStrategy:
-    """Majority encoding (ties round up) with identity decoding, optionally inverted."""
-    encode = []
-    for bits in bit_strings(n):
-        maj = 1 if 2 * sum(bits) >= n else 0
-        encode.append(maj ^ (1 if invert_encode else 0))
-    decoder = (1, 0) if invert_decode else (0, 1)
-    return DeterministicStrategy(n=n, encode=tuple(encode), decode=(decoder,) * n)
-
-
-def constant_strategy(n: int, message: int = 0, output: int = 0) -> DeterministicStrategy:
-    """Alice always sends ``message``; Bob always answers ``output``."""
-    return DeterministicStrategy(
-        n=n, encode=(message,) * (1 << n), decode=((output, output),) * n
-    )

@@ -26,6 +26,15 @@ def _open(path: str, mode: str = "r", **kwargs):
         raise UsageError(str(exc))
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be opened or decoded is a UsageError."""
+    with _open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}: {exc}")
+
+
 @dataclass
 class ReportRow:
     """One check/result line: computed value, optional reference target and verdict."""
@@ -127,26 +136,25 @@ def cmd_classical(args) -> list[ReportRow]:
         )
         return rows
 
-    if args.n not in (2, 3):
-        raise UsageError(
-            f"enumeration supports n in {{2, 3}}; n={args.n} would mean "
-            f"{classical.strategy_count(args.n)} strategies"
-        )
-    if args.dump_strategies:
-        for strategy, report in classical.enumerate_deterministic(args.n):
-            rows.append(
-                ReportRow(
-                    "classical",
-                    "strategy",
-                    report.average,
-                    {
-                        **params,
-                        "strategy_id": strategy.strategy_id,
-                        "correlators": classical.reference_correlators(strategy).tolist(),
-                    },
-                )
+    try:
+        # both check n before any work: the scan stops at n = 3, the summary at n = 4
+        strategies = list(classical.enumerate_deterministic(args.n)) if args.dump_strategies else []
+        summary = classical.enumeration_summary(args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    for strategy, average in strategies:
+        rows.append(
+            ReportRow(
+                "classical",
+                "strategy",
+                average,
+                {
+                    **params,
+                    "strategy_id": strategy.strategy_id,
+                    "correlators": classical.reference_correlators(strategy).tolist(),
+                },
             )
-    summary = classical.enumeration_summary(args.n)
+        )
     formula = classical.optimal_classical_formula(args.n)
     rows.append(
         ReportRow(
@@ -217,8 +225,7 @@ def cmd_bounds(args) -> list[ReportRow]:
 
 def load_bases(path: str) -> qrac.MeasurementBases:
     try:
-        with _open(path) as handle:
-            data = json.load(handle)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
     try:
@@ -244,17 +251,20 @@ def cmd_quantum(args) -> list[ReportRow]:
         bases = qrac.default_bases(n)
         expected_p, expected_c = _quantum_optimum(n)
     params = {"n": n, "bases": args.bases or "default"}
-    result = qrac.protocol_result(bases)
+    success = qrac.quantum_success(bases)
     rows = [
         ReportRow(
-            "quantum", "success", result.success, params,
+            "quantum", "success", success, params,
             expected=expected_p, tolerance=1e-9, reference="quantum-optimum",
         ),
         ReportRow(
-            "quantum", "expression-value", result.bell, params,
+            "quantum", "expression-value", qrac.bell_from_preps(bases), params,
             expected=expected_c, tolerance=1e-9, reference="quantum-optimum",
         ),
-        ReportRow("quantum", "margin-over-classical", result.margin, params),
+        ReportRow(
+            "quantum", "margin-over-classical",
+            success - classical.optimal_classical_formula(n), params,
+        ),
         ReportRow(
             "quantum", "identity-residual", qrac.identity_check(bases), params,
             expected=0.0, tolerance=1e-12, reference="success-expression-identity",
@@ -281,31 +291,30 @@ def cmd_quantum(args) -> list[ReportRow]:
 
 def load_settings(path: str) -> list[mzi.Setting]:
     settings: list[mzi.Setting] = []
-    with _open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{path}:{lineno}: invalid JSON: {exc.msg}")
-            try:
-                label = None
-                if "i" in record and "j" in record:
-                    label = (int(record["i"]), int(record["j"]))
-                settings.append(
-                    mzi.Setting(
-                        theta=float(record["theta"]),
-                        phi=float(record["phi"]),
-                        spin_axis=np.asarray(record["spin_axis"], dtype=float),
-                        label=label,
-                    )
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}:{lineno}: invalid JSON: {exc.msg}")
+        try:
+            label = None
+            if "i" in record and "j" in record:
+                label = (int(record["i"]), int(record["j"]))
+            settings.append(
+                mzi.Setting(
+                    theta=float(record["theta"]),
+                    phi=float(record["phi"]),
+                    spin_axis=np.asarray(record["spin_axis"], dtype=float),
+                    label=label,
                 )
-            except KeyError as exc:
-                raise UsageError(f"{path}:{lineno}: missing field {exc}")
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"{path}:{lineno}: {exc}")
+            )
+        except KeyError as exc:
+            raise UsageError(f"{path}:{lineno}: missing field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}")
     if not settings:
         raise UsageError(f"{path}: no settings found")
     return settings
@@ -371,8 +380,10 @@ def write_events(result: mzi.SamplingResult, path: str) -> None:
 def cmd_mzi(args) -> list[ReportRow]:
     state = mzi.entangled_state(args.a, math.sqrt(max(0.0, 1.0 - args.a**2)), args.delta)
     base_params = {"shots": args.shots, "seed": args.seed, "workers": args.workers}
-    if args.settings:
-        settings = load_settings(args.settings)
+    settings = load_settings(args.settings) if args.settings else None
+    if args.events:
+        _open(args.events, "wb").close()  # an unwritable path fails before any sampling
+    if settings:
         result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers)
     else:
         estimate = mzi.estimate_protocol(
@@ -754,6 +765,8 @@ def main(argv=None) -> int:
     if args.command == "quantum" and args.optimize and args.seed is None:
         parser.error("--seed is required with --optimize")
     try:
+        if getattr(args, "csv", None):
+            _open(args.csv, "w").close()  # an unwritable path fails before any work
         rows = args.func(args)
         if getattr(args, "csv", None):
             write_csv(rows, args.csv)

@@ -18,43 +18,13 @@ from .qrac import MeasurementBases, default_bases
 BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class InterferometerConfig:
-    """Apparatus parameters: splitter amplitudes, preparation phase, analyzer settings.
-
-    ``transmission`` and ``reflection`` are the real amplitudes of the first
-    beamsplitter (squares sum to 1); ``prep_phase`` is the phase shifter in the
-    reflected arm. ``analyzer_angle``/``analyzer_phase`` set the recombining
-    beamsplitter-plus-phase stage and ``spin_axis`` the spin analyzer.
-    """
-
-    transmission: float
-    reflection: float
-    prep_phase: float
-    analyzer_angle: float = 0.0
-    analyzer_phase: float = 0.0
-    spin_axis: np.ndarray = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        _require_splitter(self.transmission, self.reflection)
-        axis = qcore.Z_AXIS if self.spin_axis is None else qcore.require_unit(self.spin_axis)
-        object.__setattr__(self, "spin_axis", axis)
-
-    def state(self) -> qcore.PureState:
-        return entangled_state(self.transmission, self.reflection, self.prep_phase)
-
-
-def _require_splitter(transmission: float, reflection: float) -> None:
-    if not abs(transmission**2 + reflection**2 - 1.0) <= qcore.ATOL:  # NaN fails too
-        raise ValueError("transmission^2 + reflection^2 must equal 1")
-
-
 def entangled_state(transmission: float, reflection: float, prep_phase: float) -> qcore.PureState:
     """Path-spin state a |up_p down_z> + b e^(i delta) |down_p up_z> after the first splitter.
 
     Basis order: |up_p up_z>, |up_p down_z>, |down_p up_z>, |down_p down_z>.
     """
-    _require_splitter(transmission, reflection)
+    if not abs(transmission**2 + reflection**2 - 1.0) <= qcore.ATOL:  # NaN fails too
+        raise ValueError("transmission^2 + reflection^2 must equal 1")
     amps = np.zeros(4, dtype=complex)
     amps[1] = transmission
     amps[2] = reflection * np.exp(1j * prep_phase)
@@ -77,13 +47,8 @@ def path_direction(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def path_observable(theta: float, phi: float) -> np.ndarray:
-    """Which-port observable of the recombining stage; eigenvalues exactly +/-1."""
-    return qcore.observable_from_bloch(path_direction(theta, phi))
-
-
 def angles_for_direction(direction) -> tuple[float, float]:
-    """Analyzer angles (theta, phi) whose path observable measures along ``direction``."""
+    """Analyzer angles (theta, phi) whose recombining stage measures along ``direction``."""
     vec = qcore.require_unit(direction)
     theta = 0.5 * math.acos(max(-1.0, min(1.0, -vec[2])))
     phi = math.atan2(vec[1], vec[0])

@@ -1,4 +1,4 @@
-"""Small-dimension complex state algebra: Bloch observables, projectors, Born probabilities."""
+"""Small-dimension complex state algebra: Bloch-direction projectors and Born probabilities."""
 
 from __future__ import annotations
 
@@ -71,75 +71,31 @@ class PureState:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """2x2 Hermitian, unit-trace, positive-semidefinite operator."""
+def outcome_projectors(directions) -> np.ndarray:
+    """(I + (-1)^outcome d . sigma) / 2 for stacked directions (..., 3): shape (..., 2, 2, 2).
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError(f"density operator must be 2x2, got {mat.shape}")
-        require_density(mat)
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
-
-    @property
-    def bloch_vector(self) -> np.ndarray:
-        rho = self.entries
-        return np.array(
-            [
-                float(np.trace(rho @ SIGMA_X).real),
-                float(np.trace(rho @ SIGMA_Y).real),
-                float(np.trace(rho @ SIGMA_Z).real),
-            ]
-        )
-
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
-
-
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Rank-1 projector onto the eigenstate of a Bloch-direction observable.
-
-    Outcome bit 0 selects the +1 eigenvalue, bit 1 the -1 eigenvalue.
+    Index ``[..., outcome, :, :]``; outcome bit 0 selects the +1 eigenvalue of
+    d . sigma, bit 1 the -1 eigenvalue, and the pair sums to the identity.
+    Directions are not checked here; callers check unit norms.
     """
-
-    direction: np.ndarray
-    outcome: int
-    entries: np.ndarray
-
-
-def observable_from_bloch(direction) -> np.ndarray:
-    """Dichotomic observable n . sigma for a unit Bloch direction n."""
-    vec = require_unit(direction)
-    return vec[0] * SIGMA_X + vec[1] * SIGMA_Y + vec[2] * SIGMA_Z
+    d = np.asarray(directions, dtype=float)[..., None, None]
+    obs = d[..., 0, :, :] * SIGMA_X + d[..., 1, :, :] * SIGMA_Y + d[..., 2, :, :] * SIGMA_Z
+    signs = np.array([1.0, -1.0])[:, None, None]
+    return 0.5 * (IDENTITY + signs * obs[..., None, :, :])
 
 
-def projector(direction, outcome: int) -> Projector:
-    """Projector (I + (-1)^outcome n . sigma) / 2; the pair over outcomes sums to identity."""
+def projector(direction, outcome: int) -> np.ndarray:
+    """Projector (I + (-1)^outcome n . sigma) / 2 for a unit direction n, as a 2x2 matrix."""
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    vec = require_unit(direction)
-    sign = 1.0 if outcome == 0 else -1.0
-    mat = 0.5 * (IDENTITY + sign * observable_from_bloch(vec))
-    mat.setflags(write=False)
-    vec.setflags(write=False)
-    return Projector(direction=vec, outcome=outcome, entries=mat)
+    return outcome_projectors(require_unit(direction))[outcome]
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the path factor first and the spin factor second."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def joint_probability(state: PureState, path_proj: Projector, spin_proj: Projector) -> float:
-    """Born probability <psi| P_path (x) P_spin |psi> on a 4-dimensional state."""
+def joint_probability(state: PureState, path_proj: np.ndarray, spin_proj: np.ndarray) -> float:
+    """Born probability <psi| P_path (x) P_spin |psi> on a 4-dimensional state, path factor first."""
     if state.dim != 4:
         raise ValueError("joint_probability requires a 4-dimensional state")
-    op = tensor(path_proj.entries, spin_proj.entries)
+    op = np.kron(path_proj, spin_proj)
     return float(np.vdot(state.amplitudes, op @ state.amplitudes).real)
 
 
@@ -157,6 +113,8 @@ def expectation_product(state: PureState, direction_a, direction_b) -> float:
     return total
 
 
-def prepared_state(direction, bit: int) -> DensityOperator:
-    """Pure qubit preparation with Bloch vector (-1)^bit along ``direction``."""
-    return DensityOperator(projector(direction, bit).entries)
+def prepared_state(direction, bit: int) -> np.ndarray:
+    """Pure qubit preparation with Bloch vector (-1)^bit along ``direction``, checked as a density operator."""
+    rho = projector(direction, bit)
+    require_density(rho)
+    return rho

@@ -1,4 +1,4 @@
-"""Quantum 2->1 and 3->1 protocols: measurement bases, preparations, success, seesaw search."""
+"""Quantum 2->1 and 3->1 protocols: measurement bases, Born-rule success, seesaw search."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 
 from . import qcore
 from .bell import bell_value, quantum_max, sign_matrix, success_from_bell
-from .classical import bit_strings, class_index, optimal_classical_formula
+from .classical import bit_strings, class_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,28 +60,8 @@ def default_bases(n: int) -> MeasurementBases:
     return MeasurementBases(alice=alice, bob=bob)
 
 
-def preparation(bases: MeasurementBases, bits: tuple[int, ...]) -> qcore.DensityOperator:
-    """Qubit state encoding ``bits``: Bloch vector (-1)^(first bit) along the class direction."""
-    return qcore.prepared_state(bases.alice[class_index(bits)], bits[0])
-
-
 # Bases per kernel call in identity_residuals: about 1.4 MB of temporaries at n = 3.
 _SLICE = 250
-
-
-def _outcome_projectors(directions: np.ndarray) -> np.ndarray:
-    """(I + (-1)^outcome d . sigma) / 2 for stacked directions (..., 3): shape (..., 2, 2, 2).
-
-    The same elementwise arithmetic as ``qcore.projector``, so every entry is equal.
-    """
-    d = directions[..., None, None]
-    obs = (
-        d[..., 0, :, :] * qcore.SIGMA_X
-        + d[..., 1, :, :] * qcore.SIGMA_Y
-        + d[..., 2, :, :] * qcore.SIGMA_Z
-    )
-    signs = np.array([1.0, -1.0])[:, None, None]
-    return 0.5 * (qcore.IDENTITY + signs * obs[..., None, :, :])
 
 
 def _born_traces(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +74,8 @@ def _born_traces(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.nda
     the dot product alice[i] . bob[j].
     """
     n = bob.shape[1]
-    preps = _outcome_projectors(alice)
-    projs = _outcome_projectors(bob)
+    preps = qcore.outcome_projectors(alice)
+    projs = qcore.outcome_projectors(bob)
     qcore.require_density(preps)
     qcore.require_density(projs)
     strings = np.array(list(bit_strings(n)))
@@ -152,35 +132,6 @@ def identity_residuals(stack: list[MeasurementBases]) -> np.ndarray:
 def identity_check(bases: MeasurementBases) -> float:
     """Residual of the success/expression identity for one basis choice."""
     return float(identity_residuals([bases])[0])
-
-
-@dataclass(frozen=True)
-class ProtocolResult:
-    """Success probability, expression value, and gain over the classical optimum.
-
-    Construction enforces the success/expression identity to 1e-12.
-    """
-
-    n: int
-    success: float
-    bell: float
-    margin: float
-
-    def __post_init__(self):
-        if abs(self.success - success_from_bell(self.n, self.bell)) > 1e-12:
-            raise ValueError("success and expression value violate the exact identity")
-
-
-def protocol_result(bases: MeasurementBases) -> ProtocolResult:
-    """Evaluate a basis choice into a consistent (success, expression, margin) triple."""
-    success = quantum_success(bases)
-    value = bell_from_preps(bases)
-    return ProtocolResult(
-        n=bases.n,
-        success=success,
-        bell=value,
-        margin=success - optimal_classical_formula(bases.n),
-    )
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:

@@ -7,7 +7,41 @@ import numpy as np
 import pytest
 
 from racsim import classical
-from racsim.bell import sign_matrix
+from racsim.bell import sign_matrix, success_from_bell
+
+
+def first_bit_strategy(n):
+    """Send the first bit; Bob repeats the received bit for every query."""
+    encode = tuple(bits[0] for bits in classical.bit_strings(n))
+    return classical.DeterministicStrategy(n=n, encode=encode, decode=((0, 1),) * n)
+
+
+def majority_strategy(n, invert_encode=False, invert_decode=False):
+    """Majority encoding (ties round up) with identity decoding, optionally inverted."""
+    encode = tuple(int(2 * sum(bits) >= n) ^ invert_encode for bits in classical.bit_strings(n))
+    decoder = (1, 0) if invert_decode else (0, 1)
+    return classical.DeterministicStrategy(n=n, encode=encode, decode=(decoder,) * n)
+
+
+def constant_strategy(n, message=0, output=0):
+    """Alice always sends ``message``; Bob always answers ``output``."""
+    return classical.DeterministicStrategy(
+        n=n, encode=(message,) * (1 << n), decode=((output, output),) * n
+    )
+
+
+def cell_hits(strategy):
+    """Success indicator per (string, queried bit) cell, from the strategy's own tables."""
+    return {
+        (bits, k): int(strategy.output(k, strategy.message(bits)) == bits[k])
+        for bits in classical.bit_strings(strategy.n)
+        for k in range(strategy.n)
+    }
+
+
+def exact_average(strategy):
+    hits = cell_hits(strategy)
+    return Fraction(sum(hits.values()), len(hits))
 
 
 def exact_expression_value(strategy):
@@ -23,67 +57,48 @@ def exact_expression_value(strategy):
 
 class TestBruteSuccess:
     def test_send_first_bit_repeat(self):
-        report = classical.brute_success(classical.first_bit_strategy(2))
-        assert report.average == 0.75
+        assert classical.brute_success(first_bit_strategy(2)) == 0.75
 
     def test_anti_majority_repeat(self):
-        report = classical.brute_success(classical.majority_strategy(2, invert_encode=True))
-        assert report.average == 0.25
+        assert classical.brute_success(majority_strategy(2, invert_encode=True)) == 0.25
 
     def test_majority_conjugate_decode(self):
-        report = classical.brute_success(classical.majority_strategy(2, invert_decode=True))
-        assert report.average == 0.25
+        assert classical.brute_success(majority_strategy(2, invert_decode=True)) == 0.25
 
     def test_majority_three_bits(self):
-        report = classical.brute_success(classical.majority_strategy(3))
-        assert report.average == 0.75
-        assert len(report.per_cell) == 24
-        assert all(v in (0.0, 1.0) for v in report.per_cell.values())
+        strategy = majority_strategy(3)
+        assert classical.brute_success(strategy) == 0.75
+        hits = cell_hits(strategy)
+        assert len(hits) == 24
+        assert sum(hits.values()) / len(hits) == 0.75
 
     def test_per_cell_detail_majority_two_bits(self):
-        report = classical.brute_success(classical.majority_strategy(2))
+        hits = cell_hits(majority_strategy(2))
         # both bits recovered for 00 and 11, exactly one for 01 and 10
-        assert report.per_cell[((0, 0), 0)] == 1.0
-        assert report.per_cell[((0, 0), 1)] == 1.0
-        assert report.per_cell[((0, 1), 0)] + report.per_cell[((0, 1), 1)] == 1.0
+        assert hits[((0, 0), 0)] == 1
+        assert hits[((0, 0), 1)] == 1
+        assert hits[((0, 1), 0)] + hits[((0, 1), 1)] == 1
+        assert classical.brute_success(majority_strategy(2)) == sum(hits.values()) / 8
 
 
 class TestMixedSuccess:
+    """Strategies drawn with shared randomness, independently of the input, succeed
+    with the weighted mean of their averages."""
+
     def test_pure_majority(self):
-        mix = classical.StrategyMixture(((1.0, classical.majority_strategy(2)),))
-        assert classical.mixed_success(mix) == 0.75
+        # a mixture with one component is that strategy
+        assert classical.brute_success(majority_strategy(2)) == 0.75
 
     def test_even_mixture_of_extremes(self):
-        mix = classical.StrategyMixture(
-            (
-                (0.5, classical.majority_strategy(2)),
-                (0.5, classical.majority_strategy(2, invert_encode=True)),
-            )
-        )
-        assert classical.mixed_success(mix) == 0.5
+        averages = [
+            classical.brute_success(majority_strategy(2)),
+            classical.brute_success(majority_strategy(2, invert_encode=True)),
+        ]
+        assert 0.5 * averages[0] + 0.5 * averages[1] == 0.5
 
     def test_uniform_mixture_over_all_strategies(self):
-        strategies = [s for s, _ in classical.enumerate_deterministic(2)]
-        weight = 1.0 / len(strategies)
-        mix = classical.StrategyMixture(tuple((weight, s) for s in strategies))
-        assert classical.mixed_success(mix) == pytest.approx(0.5, abs=1e-12)
-
-    def test_mixture_bounded_by_components(self):
-        rng = np.random.default_rng(31)
-        strategies = [s for s, _ in classical.enumerate_deterministic(2)]
-        for _ in range(20):
-            picks = rng.choice(len(strategies), size=3, replace=False)
-            weights = rng.dirichlet(np.ones(3))
-            mix = classical.StrategyMixture(
-                tuple((float(w), strategies[i]) for w, i in zip(weights, picks))
-            )
-            averages = [classical.brute_success(strategies[i]).average for i in picks]
-            value = classical.mixed_success(mix)
-            assert min(averages) - 1e-12 <= value <= max(averages) + 1e-12
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            classical.StrategyMixture(((0.7, classical.majority_strategy(2)),))
+        averages = [average for _, average in classical.enumerate_deterministic(2)]
+        assert sum(averages) / len(averages) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestEnumeration:
@@ -108,18 +123,19 @@ class TestEnumeration:
         assert len(set(ids)) == 256
 
     def test_rejects_large_n(self):
-        with pytest.raises(ValueError, match="strategies"):
+        with pytest.raises(ValueError, match="16777216 strategies"):
             list(classical.enumerate_deterministic(4))
-        with pytest.raises(ValueError):
-            list(classical.enumerate_deterministic(5, allow_large=True))
+        with pytest.raises(ValueError, match="strategies"):
+            list(classical.enumerate_deterministic(5))
+        with pytest.raises(ValueError, match="16 strategies"):
+            classical.enumeration_summary(1)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_summary_matches_strategy_scan(self, n):
         # oracle: brute_success one strategy at a time, first strict extreme in order
         count, best, worst = 0, (-1.0, -1), (2.0, -1)
-        for strategy, report in classical.enumerate_deterministic(n):
+        for strategy, average in classical.enumerate_deterministic(n):
             count += 1
-            average = report.average
             if average > best[0]:
                 best = (average, strategy.strategy_id)
             if average < worst[0]:
@@ -132,7 +148,7 @@ class TestEnumeration:
     def test_four_bit_optimum_by_exhaustion(self):
         tracemalloc.start()
         try:
-            summary = classical.enumeration_summary(4, allow_large=True)
+            summary = classical.enumeration_summary(4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -145,7 +161,7 @@ class TestEnumeration:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="strategies"):
-                classical.enumeration_summary(5, allow_large=True)
+                classical.enumeration_summary(5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,38 +185,39 @@ class TestOptimalFormula:
 
 class TestReferenceCorrelators:
     def test_first_bit_strategy_all_ones(self):
-        table = classical.reference_correlators(classical.first_bit_strategy(2))
+        table = classical.reference_correlators(first_bit_strategy(2))
         np.testing.assert_array_equal(table, np.ones((2, 2)))
 
     def test_majority_three_bit_rows(self):
-        table = classical.reference_correlators(classical.majority_strategy(3))
+        table = classical.reference_correlators(majority_strategy(3))
         np.testing.assert_array_equal(table[:3], np.ones((3, 3)))
         np.testing.assert_array_equal(table[3], -np.ones(3))
 
     def test_constant_encoder_all_zero(self):
-        table = classical.reference_correlators(classical.constant_strategy(2, message=0))
+        table = classical.reference_correlators(constant_strategy(2, message=0))
         np.testing.assert_array_equal(table, np.zeros((2, 2)))
 
     def test_success_identity_exact_all_two_bit_strategies(self):
-        for strategy, report in classical.enumerate_deterministic(2):
-            lhs = report.average_fraction()
-            rhs = Fraction(1, 2) * (1 + exact_expression_value(strategy) / 4)
-            assert lhs == rhs
+        for strategy, average in classical.enumerate_deterministic(2):
+            lhs = exact_average(strategy)
+            assert float(lhs) == average
+            assert lhs == Fraction(1, 2) * (1 + exact_expression_value(strategy) / 4)
 
     def test_success_identity_exact_all_three_bit_strategies(self):
-        for strategy, report in classical.enumerate_deterministic(3):
-            lhs = report.average_fraction()
-            rhs = Fraction(1, 2) * (1 + exact_expression_value(strategy) / 12)
-            assert lhs == rhs
+        for strategy, average in classical.enumerate_deterministic(3):
+            lhs = exact_average(strategy)
+            assert float(lhs) == average
+            assert lhs == Fraction(1, 2) * (1 + exact_expression_value(strategy) / 12)
 
     def test_success_from_correlators_matches_brute(self):
         for strategy in (
-            classical.first_bit_strategy(3),
-            classical.majority_strategy(3, invert_decode=True),
-            classical.constant_strategy(3, message=1, output=1),
+            first_bit_strategy(3),
+            majority_strategy(3, invert_decode=True),
+            constant_strategy(3, message=1, output=1),
         ):
-            assert classical.success_from_correlators(strategy) == pytest.approx(
-                classical.brute_success(strategy).average, abs=1e-12
+            value = float(np.sum(sign_matrix(3) * classical.reference_correlators(strategy)))
+            assert success_from_bell(3, value) == pytest.approx(
+                classical.brute_success(strategy), abs=1e-12
             )
 
 

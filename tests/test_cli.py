@@ -40,9 +40,22 @@ class TestClassicalCommand:
         assert code == 0
         assert by_quantity(rows, "optimal-success-formula")[0]["value"] == 0.6875
 
+    def test_enumerate_four_bits(self, capsys):
+        code, rows = run(capsys, ["classical", "--n", "4"])
+        assert code == 0
+        assert by_quantity(rows, "strategy-count")[0]["value"] == 16_777_216
+        assert by_quantity(rows, "max-average")[0]["value"] == 11 / 16
+        assert by_quantity(rows, "min-average")[0]["value"] == 5 / 16
+        assert all(row["pass"] for row in rows)
+
     def test_oversized_enumeration_refused_with_count(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["classical", "--n", "4", "--mode", "enumerate"])
+            cli.main(["classical", "--n", "5", "--mode", "enumerate"])
+        assert excinfo.value.code == 2
+        assert "4398046511104" in capsys.readouterr().err
+        # the strategy-by-strategy dump stops at n = 3
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["classical", "--n", "4", "--dump-strategies"])
         assert excinfo.value.code == 2
         assert "16777216" in capsys.readouterr().err
 
@@ -322,6 +335,8 @@ BAD_ARGV = {
     "quantum-zero-iterations": ["quantum", "--optimize", "--seed", "1", "--iterations", "0"],
     "quantum-missing-bases": ["quantum", "--bases", "{missing}"],
     "quantum-bases-not-object": ["quantum", "--bases", "{array}"],
+    "quantum-bases-utf16": ["quantum", "--bases", "{utf16}"],
+    "mzi-settings-utf16": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{utf16}"],
     "report-zero-shots": ["report", "--all", "--seed", "1", "--shots", "0"],
     "report-zero-concat-shots": ["report", "--all", "--seed", "1", "--concat-shots", "0"],
     "report-negative-seed": ["report", "--all", "--seed", "-1"],
@@ -344,9 +359,11 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     theta_nan.write_text('{"theta": NaN, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
     axis_nan = tmp_path / "axis_nan.jsonl"
     axis_nan.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [NaN, 0, 0]}\n')
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes('{"theta": 0.3}\n'.encode("utf-16"))  # starts with the BOM ff fe
     paths = {
         "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
-        "theta_nan": theta_nan, "axis_nan": axis_nan,
+        "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16,
         "unwritable": tmp_path / "no-such-dir" / "out",
     }
     with pytest.raises(SystemExit) as excinfo:
@@ -356,6 +373,30 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "error:" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mzi", "--shots", "10", "--seed", "1", "--events", "{unwritable}"],
+        ["mzi", "--shots", "10", "--seed", "1", "--settings", "{settings}", "--events", "{unwritable}"],
+        ["report", "--all", "--seed", "1", "--csv", "{unwritable}"],
+    ],
+    ids=["mzi-events", "mzi-settings-events", "report-csv"],
+)
+def test_unwritable_output_fails_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the output path was checked")
+
+    monkeypatch.setattr(cli.mzi, "sample_events", no_work)
+    monkeypatch.setattr(cli, "report_rows", no_work)
+    settings_path = tmp_path / "settings.jsonl"
+    settings_path.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
+    paths = {"settings": settings_path, "unwritable": tmp_path / "no-such-dir" / "out"}
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([arg.format(**paths) for arg in argv])
+    assert excinfo.value.code == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestExitCodes:

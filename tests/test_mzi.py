@@ -50,46 +50,43 @@ class TestEntangledState:
         with pytest.raises(ValueError):
             mzi.entangled_state(0.9, 0.9, 0.0)
 
-    def test_config_wraps_state(self):
-        config = mzi.InterferometerConfig(
-            transmission=SQRT_HALF, reflection=SQRT_HALF, prep_phase=math.pi
-        )
-        np.testing.assert_allclose(
-            config.state().amplitudes, mzi.maximally_entangled_state().amplitudes, atol=1e-12
-        )
-        with pytest.raises(ValueError):
-            mzi.InterferometerConfig(transmission=1.0, reflection=1.0, prep_phase=0.0)
-
     @pytest.mark.parametrize("amplitudes", [(math.nan, 0.5), (0.5, math.nan)])
-    def test_nan_splitter_amplitude_rejected_by_both_entry_points(self, amplitudes):
+    def test_nan_splitter_amplitude_rejected(self, amplitudes):
         transmission, reflection = amplitudes
         with pytest.raises(ValueError, match=r"transmission\^2 \+ reflection\^2"):
-            mzi.InterferometerConfig(
-                transmission=transmission, reflection=reflection, prep_phase=0.0
-            )
-        with pytest.raises(ValueError, match=r"transmission\^2 \+ reflection\^2"):
             mzi.entangled_state(transmission, reflection, 0.0)
+
+
+def path_observable(theta, phi):
+    """Which-port observable of the recombining stage: the projector pair along its direction."""
+    direction = mzi.path_direction(theta, phi)
+    return qcore.projector(direction, 0) - qcore.projector(direction, 1)
 
 
 class TestPathObservable:
     def test_zero_phase_form(self):
         theta = 0.7
-        expected = math.sin(2 * theta) * qcore.SIGMA_X - math.cos(2 * theta) * qcore.SIGMA_Z
-        np.testing.assert_allclose(mzi.path_observable(theta, 0.0), expected, atol=1e-12)
+        expected = [math.sin(2 * theta), 0.0, -math.cos(2 * theta)]
+        np.testing.assert_allclose(mzi.path_direction(theta, 0.0), expected, atol=1e-12)
 
     def test_straight_through_is_minus_z(self):
-        np.testing.assert_allclose(mzi.path_observable(0.0, 1.23), -qcore.SIGMA_Z, atol=1e-12)
+        np.testing.assert_allclose(mzi.path_direction(0.0, 1.23), -qcore.Z_AXIS, atol=1e-12)
+        np.testing.assert_allclose(path_observable(0.0, 1.23), -qcore.SIGMA_Z, atol=1e-12)
 
     def test_quarter_settings_give_sigma_y(self):
         np.testing.assert_allclose(
-            mzi.path_observable(math.pi / 4, math.pi / 2), qcore.SIGMA_Y, atol=1e-12
+            mzi.path_direction(math.pi / 4, math.pi / 2), qcore.Y_AXIS, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            path_observable(math.pi / 4, math.pi / 2), qcore.SIGMA_Y, atol=1e-12
         )
 
     def test_unit_eigenvalues_and_zero_trace(self):
         rng = np.random.default_rng(52)
         for _ in range(100):
             theta, phi = rng.uniform(0, math.pi, size=2)
-            obs = mzi.path_observable(theta, phi)
+            assert np.linalg.norm(mzi.path_direction(theta, phi)) == pytest.approx(1.0, abs=1e-12)
+            obs = path_observable(theta, phi)
             np.testing.assert_allclose(np.linalg.eigvalsh(obs), [-1.0, 1.0], atol=1e-12)
             assert abs(np.trace(obs)) < 1e-12
 
@@ -104,8 +101,8 @@ class TestPathObservable:
     def test_matches_projector_eigenvectors(self):
         theta, phi = 0.4, 1.1
         direction = mzi.path_direction(theta, phi)
-        obs = mzi.path_observable(theta, phi)
-        plus = qcore.projector(direction, 0).entries
+        obs = path_observable(theta, phi)
+        plus = qcore.projector(direction, 0)
         np.testing.assert_allclose(obs @ plus, plus, atol=1e-12)
 
 

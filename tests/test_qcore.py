@@ -16,27 +16,36 @@ def random_unit(rng):
     return vec / np.linalg.norm(vec)
 
 
+def observable(direction):
+    """n . sigma as the difference of its outcome projectors: eigenvalue +1 minus -1."""
+    return qcore.projector(direction, 0) - qcore.projector(direction, 1)
+
+
+def bloch_vector(rho):
+    return np.array([np.trace(rho @ sigma).real for sigma in (qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)])
+
+
 class TestObservableFromBloch:
+    """The dichotomic observable n . sigma that a projector pair resolves."""
+
     def test_z_axis_is_diagonal(self):
-        np.testing.assert_allclose(
-            qcore.observable_from_bloch(qcore.Z_AXIS), np.diag([1.0, -1.0]), atol=ATOL
-        )
+        np.testing.assert_allclose(observable(qcore.Z_AXIS), np.diag([1.0, -1.0]), atol=ATOL)
 
     def test_x_axis_is_antidiagonal(self):
         np.testing.assert_allclose(
-            qcore.observable_from_bloch(qcore.X_AXIS), np.array([[0, 1], [1, 0]]), atol=ATOL
+            observable(qcore.X_AXIS), np.array([[0, 1], [1, 0]]), atol=ATOL
         )
 
     def test_diagonal_direction_eigenvalues(self):
         direction = np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
-        obs = qcore.observable_from_bloch(direction)
+        obs = observable(direction)
         eigenvalues = np.linalg.eigvalsh(obs)
         np.testing.assert_allclose(eigenvalues, [-1.0, 1.0], atol=ATOL)
         assert abs(np.trace(obs)) < ATOL
 
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
-            qcore.observable_from_bloch([0.0, 0.0, 0.5])
+            qcore.projector([0.0, 0.0, 0.5], 0)
 
     def test_rejects_nan_direction(self):
         with pytest.raises(ValueError):
@@ -54,26 +63,26 @@ class TestObservableFromBloch:
     def test_eigenvalues_pm_one_for_random_directions(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            obs = qcore.observable_from_bloch(random_unit(rng))
+            obs = observable(random_unit(rng))
             np.testing.assert_allclose(np.linalg.eigvalsh(obs), [-1.0, 1.0], atol=ATOL)
 
 
 class TestProjector:
     def test_z_projectors(self):
-        np.testing.assert_allclose(qcore.projector(qcore.Z_AXIS, 0).entries, np.diag([1.0, 0.0]), atol=ATOL)
-        np.testing.assert_allclose(qcore.projector(qcore.Z_AXIS, 1).entries, np.diag([0.0, 1.0]), atol=ATOL)
+        np.testing.assert_allclose(qcore.projector(qcore.Z_AXIS, 0), np.diag([1.0, 0.0]), atol=ATOL)
+        np.testing.assert_allclose(qcore.projector(qcore.Z_AXIS, 1), np.diag([0.0, 1.0]), atol=ATOL)
 
     def test_x_projector_all_halves(self):
         np.testing.assert_allclose(
-            qcore.projector(qcore.X_AXIS, 0).entries, np.full((2, 2), 0.5), atol=ATOL
+            qcore.projector(qcore.X_AXIS, 0), np.full((2, 2), 0.5), atol=ATOL
         )
 
     def test_idempotence_and_completeness_random_sweep(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             direction = random_unit(rng)
-            p0 = qcore.projector(direction, 0).entries
-            p1 = qcore.projector(direction, 1).entries
+            p0 = qcore.projector(direction, 0)
+            p1 = qcore.projector(direction, 1)
             np.testing.assert_allclose(p0 @ p0, p0, atol=ATOL)
             np.testing.assert_allclose(p1 @ p1, p1, atol=ATOL)
             np.testing.assert_allclose(p0 + p1, np.eye(2), atol=ATOL)
@@ -82,18 +91,51 @@ class TestProjector:
         with pytest.raises(ValueError):
             qcore.projector(qcore.Z_AXIS, 2)
 
+    def test_stack_builder_matches_one_direction_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        directions = rng.standard_normal((2000, 3))
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        stack = qcore.outcome_projectors(directions)
+        assert stack.shape == (2000, 2, 2, 2)
+        for direction, pair in zip(directions[:200], stack):
+            for bit in (0, 1):
+                assert qcore.projector(direction, bit).tobytes() == pair[bit].tobytes()
+
 
 class TestTensor:
+    """The path-first tensor product inside ``joint_probability``, on basis states."""
+
+    @staticmethod
+    def basis_state(index):
+        amps = np.zeros(4)
+        amps[index] = 1.0
+        return qcore.PureState(amps)
+
     def test_identity(self):
-        np.testing.assert_allclose(qcore.tensor(np.eye(2), np.eye(2)), np.eye(4), atol=ATOL)
+        # the four projector products resolve the identity on every basis state
+        for index in range(4):
+            state = self.basis_state(index)
+            total = sum(
+                qcore.joint_probability(
+                    state, qcore.projector(qcore.X_AXIS, a), qcore.projector(qcore.Y_AXIS, b)
+                )
+                for a in (0, 1)
+                for b in (0, 1)
+            )
+            assert total == pytest.approx(1.0, abs=ATOL)
 
     def test_projector_product(self):
-        up = np.diag([1.0, 0.0])
-        np.testing.assert_allclose(qcore.tensor(up, up), np.diag([1.0, 0, 0, 0]), atol=ATOL)
+        up, down = qcore.projector(qcore.Z_AXIS, 0), qcore.projector(qcore.Z_AXIS, 1)
+        # basis order |up_p up_s>, |up_p down_s>, |down_p up_s>, |down_p down_s>
+        for index, (path, spin) in enumerate([(up, up), (up, down), (down, up), (down, down)]):
+            probs = [qcore.joint_probability(self.basis_state(k), path, spin) for k in range(4)]
+            np.testing.assert_allclose(probs, np.eye(4)[index], atol=ATOL)
 
     def test_sigma_z_pair(self):
-        zz = qcore.tensor(qcore.SIGMA_Z, qcore.SIGMA_Z)
-        np.testing.assert_allclose(zz, np.diag([1.0, -1.0, -1.0, 1.0]), atol=ATOL)
+        values = [
+            qcore.expectation_product(self.basis_state(k), qcore.Z_AXIS, qcore.Z_AXIS) for k in range(4)
+        ]
+        np.testing.assert_allclose(values, [1.0, -1.0, -1.0, 1.0], atol=ATOL)
 
 
 class TestPureState:
@@ -164,15 +206,16 @@ class TestExpectationProduct:
 class TestPreparedState:
     def test_z_preparations(self):
         np.testing.assert_allclose(
-            qcore.prepared_state(qcore.Z_AXIS, 0).entries, np.diag([1.0, 0.0]), atol=ATOL
+            qcore.prepared_state(qcore.Z_AXIS, 0), np.diag([1.0, 0.0]), atol=ATOL
         )
         np.testing.assert_allclose(
-            qcore.prepared_state(qcore.Z_AXIS, 1).entries, np.diag([0.0, 1.0]), atol=ATOL
+            qcore.prepared_state(qcore.Z_AXIS, 1), np.diag([0.0, 1.0]), atol=ATOL
         )
 
     def test_purity_for_tilted_direction(self):
         direction = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
-        assert qcore.prepared_state(direction, 0).purity() == pytest.approx(1.0, abs=ATOL)
+        rho = qcore.prepared_state(direction, 0)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=ATOL)
 
     def test_matches_projector_entrywise(self):
         rng = np.random.default_rng(15)
@@ -180,8 +223,8 @@ class TestPreparedState:
             direction = random_unit(rng)
             for bit in (0, 1):
                 np.testing.assert_allclose(
-                    qcore.prepared_state(direction, bit).entries,
-                    qcore.projector(direction, bit).entries,
+                    qcore.prepared_state(direction, bit),
+                    qcore.projector(direction, bit),
                     atol=ATOL,
                 )
 
@@ -190,28 +233,30 @@ class TestPreparedState:
         for _ in range(50):
             direction = random_unit(rng)
             rho = qcore.prepared_state(direction, 1)
-            np.testing.assert_allclose(rho.bloch_vector, -direction, atol=1e-10)
+            np.testing.assert_allclose(bloch_vector(rho), -direction, atol=1e-10)
 
 
 class TestDensityOperator:
+    """``require_density``, the one density-operator check, on single matrices and stacks."""
+
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            qcore.DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            qcore.require_density(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            qcore.DensityOperator(np.eye(2))
+        with pytest.raises(ValueError, match="unit trace"):
+            qcore.require_density(np.eye(2, dtype=complex))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            qcore.DensityOperator(np.diag([1.5, -0.5]))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            qcore.require_density(np.diag([1.5, -0.5]).astype(complex))
 
     def test_rejects_nan_entries(self):
         with pytest.raises(ValueError):
-            qcore.DensityOperator(np.full((2, 2), np.nan))
+            qcore.require_density(np.full((2, 2), np.nan, dtype=complex))
 
     def test_stack_check_rejects_one_bad_matrix(self):
-        stack = np.stack([qcore.projector(qcore.Z_AXIS, 0).entries] * 5)
+        stack = np.stack([qcore.projector(qcore.Z_AXIS, 0)] * 5)
         qcore.require_density(stack)
         stack[3] = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match="positive semidefinite"):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import qrac
-from racsim.bell import quantum_max, sign_matrix
-from racsim.classical import optimal_classical_formula
+from racsim import qcore, qrac
+from racsim.bell import quantum_max, sign_matrix, success_from_bell
+from racsim.classical import class_index, optimal_classical_formula
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -148,20 +148,21 @@ class TestMaximizeBell:
 
 
 class TestProtocolResult:
+    """The (success, expression value, margin) triple that ``racsim quantum`` reports."""
+
     def test_default_bases_bundle(self):
-        result = qrac.protocol_result(qrac.default_bases(2))
-        assert result.success == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-12)
-        assert result.bell == pytest.approx(2 * math.sqrt(2), abs=1e-12)
-        assert result.margin == pytest.approx(result.success - 0.75, abs=1e-12)
+        bases = qrac.default_bases(2)
+        success = qrac.quantum_success(bases)
+        assert success == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-12)
+        assert qrac.bell_from_preps(bases) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert success - optimal_classical_formula(2) == pytest.approx(success - 0.75, abs=1e-12)
 
     def test_random_bases_satisfy_identity(self):
         rng = np.random.default_rng(44)
         for _ in range(50):
-            qrac.protocol_result(qrac.random_bases(3, rng))  # constructor validates
-
-    def test_inconsistent_values_rejected(self):
-        with pytest.raises(ValueError):
-            qrac.ProtocolResult(n=2, success=0.9, bell=2.0, margin=0.0)
+            bases = qrac.random_bases(3, rng)
+            success = qrac.quantum_success(bases)
+            assert abs(success - success_from_bell(3, qrac.bell_from_preps(bases))) <= 1e-12
 
 
 class TestMeasurementBases:
@@ -183,11 +184,14 @@ class TestMeasurementBases:
             qrac.MeasurementBases(alice=np.tile(Z, (3, 1)), bob=np.tile(Z, (2, 1)))
 
     def test_preparation_bloch_vectors(self):
+        # as the Born-trace kernel indexes them: the string's class picks Alice's
+        # direction, its first bit the sign
         bases = qrac.default_bases(2)
-        rho = qrac.preparation(bases, (0, 1))
-        np.testing.assert_allclose(rho.bloch_vector, bases.alice[1], atol=1e-12)
-        rho = qrac.preparation(bases, (1, 0))
-        np.testing.assert_allclose(rho.bloch_vector, -bases.alice[1], atol=1e-12)
+        preps = qcore.outcome_projectors(bases.alice)
+        for bits, sign in (((0, 1), 1.0), ((1, 0), -1.0)):
+            rho = preps[class_index(bits), bits[0]]
+            bloch = [np.trace(rho @ s).real for s in (qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)]
+            np.testing.assert_allclose(bloch, sign * bases.alice[1], atol=1e-12)
 
 
 def random_stack(n, size, seed):
