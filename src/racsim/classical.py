@@ -122,12 +122,9 @@ def enumerate_deterministic(n: int) -> Iterator[tuple[DeterministicStrategy, flo
 
 @dataclass(frozen=True)
 class EnumerationSummary:
-    n: int
     count: int
     max_average: float
     min_average: float
-    best_id: int
-    worst_id: int
 
 
 def enumeration_summary(n: int) -> EnumerationSummary:
@@ -136,8 +133,7 @@ def enumeration_summary(n: int) -> EnumerationSummary:
     Bob's answer to query k depends only on the message and his decoder for bit k,
     so ``hits[d, e, k]`` (strings whose bit k decoder d recovers under encode table
     e) summed over one decoder per bit gives every strategy's hit count, laid out
-    in enumeration order. ``argmax``/``argmin`` pick the first extreme, as a
-    strict scan in that order does.
+    in enumeration order.
     """
     _require_enumerable(n, _SUMMARY_LIMIT)
     size = 1 << n
@@ -150,23 +146,12 @@ def enumeration_summary(n: int) -> EnumerationSummary:
     totals = np.zeros((tables, 1), dtype=np.uint8)
     for k in range(n):
         totals = (totals[:, :, None] + hits[:, :, k].T[:, None, :]).reshape(tables, -1)
-    best, worst = int(totals.argmax()), int(totals.argmin())
     cells = n * size
     return EnumerationSummary(
-        n=n,
         count=totals.size,
-        max_average=int(totals.flat[best]) / cells,
-        min_average=int(totals.flat[worst]) / cells,
-        best_id=_strategy_at(n, best, encode).strategy_id,
-        worst_id=_strategy_at(n, worst, encode).strategy_id,
+        max_average=int(totals.max()) / cells,
+        min_average=int(totals.min()) / cells,
     )
-
-
-def _strategy_at(n: int, flat: int, encode: np.ndarray) -> DeterministicStrategy:
-    """The strategy at position ``flat`` of the enumeration order."""
-    table, choice = divmod(flat, 4**n)
-    decode = tuple(_DECODERS[(choice >> (2 * (n - 1 - k))) & 3] for k in range(n))
-    return DeterministicStrategy(n=n, encode=tuple(int(b) for b in encode[table]), decode=decode)
 
 
 def optimal_classical_formula(n: int) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,128 +16,64 @@ _ALICE_STREAM = 0
 _BOB_STREAM = 1
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal subunit (2 or 3 children) or a leaf carrying an input-bit slot."""
-
-    children: tuple["TreeNode", ...] = ()
-    leaf: int | None = None
-
-    def __post_init__(self):
-        if self.leaf is None:
-            if len(self.children) not in (2, 3):
-                raise ValueError(f"subunit arity must be 2 or 3, got {len(self.children)}")
-        elif self.children:
-            raise ValueError("a leaf cannot have children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.leaf is not None
-
-    @property
-    def arity(self) -> int:
-        return len(self.children)
-
-
-@dataclass(frozen=True)
 class ConcatTree:
-    """Nesting of 2->1 and 3->1 subunits encoding n leaves into one message bit."""
+    """Nesting of 2->1 and 3->1 subunits encoding n leaves into one message bit.
 
-    root: TreeNode
-    n: int = field(init=False)
+    Built from nested sequences of leaf indices, a group's size giving its
+    subunit's arity: ``[[0, 1], [2, 3]]`` is the balanced n = 4 code. One walk
+    checks the nesting, numbers the subunits in postorder (root last; subunit
+    ``u`` keys its Alice and Bob streams ``2 u`` and ``2 u + 1``), and stores
+    each subunit's children and each leaf's path from the root.
+    """
 
-    def __post_init__(self):
-        leaves = self.leaf_order()
+    def __init__(self, nested):
+        subunits: list[tuple[tuple[bool, int], ...]] = []
+        paths: dict[int, list[tuple[int, int]]] = {}
+
+        def walk(item) -> tuple[tuple[bool, int], list[int]]:
+            """``item`` as a child, (is subunit, subunit number or leaf index), and its leaves."""
+            if isinstance(item, int):
+                paths[item] = []
+                return (False, item), [item]
+            if len(item) not in (2, 3):
+                raise ValueError(f"subunit arity must be 2 or 3, got {len(item)}")
+            children, groups = zip(*(walk(child) for child in item))
+            uid = len(subunits)
+            subunits.append(children)
+            for slot, leaves in enumerate(groups):
+                for leaf in leaves:
+                    paths[leaf].append((uid, slot))
+            return (True, uid), [leaf for leaves in groups for leaf in leaves]
+
+        _, leaves = walk(nested)
         if sorted(leaves) != list(range(len(leaves))):
             raise ValueError("leaf indices must be a permutation of 0..n-1")
-        object.__setattr__(self, "n", len(leaves))
+        self.n = len(leaves)
+        self._subunits = tuple(subunits)
+        # each path was collected bottom-up
+        self._paths = tuple(tuple(reversed(paths[leaf])) for leaf in range(self.n))
 
-    def leaf_order(self) -> list[int]:
-        order: list[int] = []
-
-        def walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                order.append(node.leaf)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return order
-
-    def internal_postorder(self) -> list[TreeNode]:
-        nodes: list[TreeNode] = []
-
-        def walk(node: TreeNode) -> None:
-            if not node.is_leaf:
-                for child in node.children:
-                    walk(child)
-                nodes.append(node)
-
-        walk(self.root)
-        return nodes
+    def internal_postorder(self) -> tuple[tuple[tuple[bool, int], ...], ...]:
+        """Children of each subunit, by subunit number: (is subunit, subunit number or leaf index)."""
+        return self._subunits
 
     def depth_profile(self) -> list[tuple[int, int]]:
         """Per leaf (by index): counts of 2-ary and 3-ary ancestor subunits."""
-        profile: dict[int, tuple[int, int]] = {}
+        profile = []
+        for path in self._paths:
+            twos = sum(len(self._subunits[uid]) == 2 for uid, _ in path)
+            profile.append((twos, len(path) - twos))
+        return profile
 
-        def walk(node: TreeNode, twos: int, threes: int) -> None:
-            if node.is_leaf:
-                profile[node.leaf] = (twos, threes)
-            else:
-                t2 = twos + (node.arity == 2)
-                t3 = threes + (node.arity == 3)
-                for child in node.children:
-                    walk(child, t2, t3)
+    def paths_to_leaves(self, leaves: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+        """Per leaf, in the order given: (subunit number, child slot taken) from the root down.
 
-        walk(self.root, 0, 0)
-        return [profile[i] for i in range(self.n)]
-
-    def paths_to_leaves(self, leaves: Sequence[int]) -> list[list[tuple[TreeNode, int]]]:
-        """Per leaf, in the order given: internal nodes from the root down to it, with the slot taken.
-
-        One depth-first pass finds every path; an unknown leaf raises ``ValueError``.
+        An unknown leaf raises ``ValueError``.
         """
-        wanted = set(leaves)
-        found: dict[int, list[tuple[TreeNode, int]]] = {}
-        trail: list[tuple[TreeNode, int]] = []
-
-        def walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                if node.leaf in wanted:
-                    found[node.leaf] = list(trail)
-                return
-            for pos, child in enumerate(node.children):
-                trail.append((node, pos))
-                walk(child)
-                trail.pop()
-
-        walk(self.root)
         for leaf in leaves:
-            if leaf not in found:
+            if not 0 <= leaf < self.n:
                 raise ValueError(f"leaf {leaf} not present (n={self.n})")
-        return [found[leaf] for leaf in leaves]
-
-    def to_nested(self):
-        """Nested lists of leaf indices; group size carries the arity ([[0, 1], [2, 3]] for n=4)."""
-
-        def render(node: TreeNode):
-            if node.is_leaf:
-                return node.leaf
-            return [render(c) for c in node.children]
-
-        return render(self.root)
-
-    @classmethod
-    def from_nested(cls, nested) -> "ConcatTree":
-        """Build from nested sequences of leaf indices; arities follow group sizes."""
-
-        def build(item) -> TreeNode:
-            if isinstance(item, int):
-                return TreeNode(leaf=item)
-            return TreeNode(children=tuple(build(c) for c in item))
-
-        return cls(root=build(nested))
+        return [self._paths[leaf] for leaf in leaves]
 
 
 def smooth_ceiling(n: int) -> int:
@@ -174,12 +110,10 @@ def smooth_factorization(n: int) -> tuple[int, int]:
 def build_tree(n: int) -> ConcatTree:
     """Balanced tree for 3-smooth n: 3-ary layers nearest the leaves, then 2-ary layers."""
     k, j = smooth_factorization(n)
-    level: list[TreeNode] = [TreeNode(leaf=i) for i in range(n)]
-    for _ in range(j):
-        level = [TreeNode(children=tuple(level[i : i + 3])) for i in range(0, len(level), 3)]
-    for _ in range(k):
-        level = [TreeNode(children=tuple(level[i : i + 2])) for i in range(0, len(level), 2)]
-    return ConcatTree(root=level[0])
+    level: list = list(range(n))
+    for arity in [3] * j + [2] * k:
+        level = [level[i : i + arity] for i in range(0, len(level), arity)]
+    return ConcatTree(level[0])
 
 
 def chain_success(two_stages: int, three_stages: int) -> float:
@@ -314,26 +248,26 @@ def simulate_range(
     it and each query keeps one block of spin-flip parity, so scratch memory is
     O(block x (live subunits + queries)), not O(shots x subunits).
     """
-    nodes = tree.internal_postorder()
-    uids = {id(node): uid for uid, node in enumerate(nodes)}
-    tables = {arity: _spin_tables(arity, engine) for arity in {node.arity for node in nodes}}
+    subunits = tree.internal_postorder()
+    root = len(subunits) - 1
+    tables = {arity: _spin_tables(arity, engine) for arity in {len(kids) for kids in subunits}}
     # on-path subunit -> child slot -> the queries whose path leaves it there
     readers: dict[int, dict[int, list[int]]] = {}
     for k, path in enumerate(tree.paths_to_leaves(queries)):
-        for node, pos in path:
-            readers.setdefault(uids[id(node)], {}).setdefault(pos, []).append(k)
+        for uid, pos in path:
+            readers.setdefault(uid, {}).setdefault(pos, []).append(k)
     needed: set[int] = set()
 
-    def chain(node: TreeNode) -> None:
-        while not node.is_leaf:
-            needed.add(uids[id(node)])
-            node = node.children[0]
+    def chain(is_subunit: bool, uid: int) -> None:
+        while is_subunit:
+            needed.add(uid)
+            is_subunit, uid = subunits[uid][0]
 
-    chain(tree.root)
+    chain(True, root)
     for uid in readers:
-        for child in nodes[uid].children:
-            chain(child)
-    order = sorted(needed)  # uids number the postorder, so children come first
+        for child in subunits[uid]:
+            chain(*child)
+    order = sorted(needed)  # subunits are numbered in postorder, so children come first
     alice_gens = {uid: mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo) for uid in order}
     bob_gens = {uid: mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid in readers}
     uniforms = np.empty(min(hi - lo, mzi.BLOCK))
@@ -349,12 +283,12 @@ def simulate_range(
         flips[...] = query_bits
         messages: dict[int, np.ndarray] = {}
         for uid in order:
-            node = nodes[uid]
+            kids = subunits[uid]
             slots = readers.get(uid)
             # a leaf broadcasts its bit as a Python int; a child's message is consumed here
             ref, *rest = (
-                bits[child.leaf] if child.is_leaf else messages.pop(uids[id(child)])
-                for child in (node.children if slots else node.children[:1])
+                messages.pop(i) if is_subunit else bits[i]
+                for is_subunit, i in (kids if slots else kids[:1])
             )
             alice_gens[uid].random(out=u)
             a = (u < 0.5).view(np.uint8)
@@ -366,10 +300,10 @@ def simulate_range(
                 index = (cls << 1) | a
                 bob_gens[uid].random(out=u)
                 for pos, ks in slots.items():
-                    spin = (u >= tables[node.arity][pos][index]).view(np.uint8)
+                    spin = (u >= tables[len(kids)][pos][index]).view(np.uint8)
                     for k in ks:
                         flips[k] ^= spin
-        np.equal(flips, messages.pop(len(nodes) - 1), out=flips)
+        np.equal(flips, messages.pop(root), out=flips)
         successes += flips.sum(axis=1, dtype=np.int64)
     return successes.tolist()
 
@@ -423,6 +357,9 @@ def simulate_padded(
     workers: int = 1,
 ) -> SimulationResults:
     """Simulate a padded code: real bits mapped to their slots, padding slots at 0."""
+    real = sum(src is not None for src in code.slots)
+    if len(bits) != real:
+        raise ValueError(f"input must be {real} bits")
     padded = [0] * code.tree.n
     for leaf, src in enumerate(code.slots):
         if src is not None:

@@ -284,7 +284,6 @@ def protocol_settings(bases: MeasurementBases) -> list[Setting]:
 
 @dataclass(frozen=True)
 class ProtocolEstimate:
-    correlators: np.ndarray
     bell: float
     success: float
     result: SamplingResult
@@ -315,7 +314,6 @@ def estimate_protocol(
     ).reshape(2, 2)
     value = correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1]
     return ProtocolEstimate(
-        correlators=correlators,
         bell=value,
         success=success_from_bell(2, value),
         result=result,

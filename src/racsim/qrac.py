@@ -149,6 +149,10 @@ def random_bases(n: int, rng: np.random.Generator) -> MeasurementBases:
     return MeasurementBases(alice=alice, bob=bob)
 
 
+# a seesaw start stops once one round gains less than this
+SEESAW_TOL = 1e-14
+
+
 def _seesaw_value(signs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> float:
     return float(np.sum(signs * (alice @ bob.T)))
 
@@ -158,7 +162,6 @@ def maximize_bell(
     starts: int = 100,
     iterations: int = 200,
     seed: int | None = None,
-    tol: float = 1e-14,
     initial: MeasurementBases | None = None,
 ) -> tuple[float, MeasurementBases]:
     """Alternating (seesaw) maximization of the n-bit expression over unit directions.
@@ -202,7 +205,7 @@ def maximize_bell(
                 break
             alice = alice_new / norms[:, None]
             new_value = _seesaw_value(signs, alice, bob)
-            if new_value - value < tol:
+            if new_value - value < SEESAW_TOL:
                 value = new_value
                 break
             value = new_value

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racsim import concat
 from racsim.bell import quantum_max, success_from_bell
@@ -41,7 +43,7 @@ class TestBuildTree:
         tree = concat.build_tree(4)
         assert tree.depth_profile() == [(2, 0)] * 4
         assert len(tree.internal_postorder()) == 3
-        assert all(node.arity == 2 for node in tree.internal_postorder())
+        assert all(len(children) == 2 for children in tree.internal_postorder())
 
     def test_six_leaves_mixed_profile(self):
         tree = concat.build_tree(6)
@@ -62,29 +64,37 @@ class TestBuildTree:
             k, j = profile[0]
             assert 2**k * 3**j == n
 
-    def test_nested_round_trip(self):
-        for n in (2, 4, 6, 12):
-            tree = concat.build_tree(n)
-            rebuilt = concat.ConcatTree.from_nested(tree.to_nested())
-            assert rebuilt.to_nested() == tree.to_nested()
-            assert rebuilt.depth_profile() == tree.depth_profile()
+    def test_subunits_numbered_in_postorder(self):
+        # 3-ary groups nearest the leaves; children are (is subunit, number or leaf)
+        leaf, sub = False, True
+        assert concat.build_tree(6).internal_postorder() == (
+            ((leaf, 0), (leaf, 1), (leaf, 2)),
+            ((leaf, 3), (leaf, 4), (leaf, 5)),
+            ((sub, 0), (sub, 1)),
+        )
 
     def test_rejects_bad_arity(self):
-        with pytest.raises(ValueError):
-            concat.ConcatTree.from_nested([0, 1, 2, 3])
+        with pytest.raises(ValueError, match=r"^subunit arity must be 2 or 3, got 4$"):
+            concat.ConcatTree([0, 1, 2, 3])
+
+    def test_rejects_repeated_leaf(self):
+        with pytest.raises(ValueError, match="permutation"):
+            concat.ConcatTree([[0, 1], [1, 2]])
 
     def test_paths_to_leaves_follow_nesting(self):
-        tree = concat.ConcatTree.from_nested([[0, 1, 2], [3, [4, 5]]])
+        tree = concat.ConcatTree([[0, 1, 2], [3, [4, 5]]])
         paths = tree.paths_to_leaves([5, 0, 5])
         assert [[pos for _, pos in path] for path in paths] == [[1, 1, 1], [0, 0], [1, 1, 1]]
-        assert all(path[0][0] is tree.root for path in paths)
-        assert [node.arity for node, _ in paths[0]] == [2, 2, 2]
+        subunits = tree.internal_postorder()
+        assert all(path[0][0] == len(subunits) - 1 for path in paths)  # the root is numbered last
+        assert [len(subunits[uid]) for uid, _ in paths[0]] == [2, 2, 2]
 
     def test_paths_to_leaves_match_depth_profile(self):
         tree = concat.build_padded(200, permute_seed=3).tree
         paths = tree.paths_to_leaves(range(tree.n))
+        arity = [len(children) for children in tree.internal_postorder()]
         profile = [
-            (sum(node.arity == 2 for node, _ in path), sum(node.arity == 3 for node, _ in path))
+            (sum(arity[uid] == 2 for uid, _ in path), sum(arity[uid] == 3 for uid, _ in path))
             for path in paths
         ]
         assert profile == tree.depth_profile()
@@ -93,6 +103,59 @@ class TestBuildTree:
         tree = concat.build_tree(4)
         with pytest.raises(ValueError, match=r"^leaf 7 not present \(n=4\)$"):
             tree.paths_to_leaves([0, 7])
+
+
+# nestings of 2- and 3-ary groups with None at the leaves; the root is a group
+shapes = st.lists(
+    st.recursive(st.none(), lambda kids: st.lists(kids, min_size=2, max_size=3), max_leaves=40),
+    min_size=2,
+    max_size=3,
+)
+
+
+def label(shape, names):
+    """``shape`` with its leaves, left to right, named by ``names``."""
+    if shape is None:
+        return next(names)
+    return [label(child, names) for child in shape]
+
+
+def leaf_count(shape):
+    return 1 if shape is None else sum(leaf_count(child) for child in shape)
+
+
+def subunit_count(item):
+    return 0 if isinstance(item, int) else 1 + sum(subunit_count(child) for child in item)
+
+
+def naive_paths(item, first=0, trail=()):
+    """Leaf -> root-first (postorder number, slot) pairs; ``first`` numbers item's first subunit."""
+    if isinstance(item, int):
+        return {item: trail}
+    uid = first + subunit_count(item) - 1
+    found = {}
+    for slot, child in enumerate(item):
+        found.update(naive_paths(child, first, trail + ((uid, slot),)))
+        first += subunit_count(child)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=shapes, data=st.data())
+def test_stored_paths_match_a_recursive_walk(shape, data):
+    n = leaf_count(shape)
+    nested = label(shape, iter(data.draw(st.permutations(range(n)))))
+    tree = concat.ConcatTree(nested)
+    expected = naive_paths(nested)
+    paths = tree.paths_to_leaves(range(n))
+    assert tree.n == n
+    assert paths == [expected[leaf] for leaf in range(n)]
+    # each step names the child the next step is in, and the last step the leaf
+    subunits = tree.internal_postorder()
+    assert len(subunits) == subunit_count(nested)
+    for leaf, path in enumerate(paths):
+        below = [(True, uid) for uid, _ in path[1:]] + [(False, leaf)]
+        assert [subunits[uid][slot] for uid, slot in path] == below
 
 
 class TestChainSuccess:
@@ -122,7 +185,7 @@ class TestAnalyticPerBit:
         )
 
     def test_five_leaf_mixed_tree_favors_pair_branch(self):
-        tree = concat.ConcatTree.from_nested([[0, 1, 2], [3, 4]])
+        tree = concat.ConcatTree([[0, 1, 2], [3, 4]])
         per_bit = concat.analytic_per_bit(tree)
         assert per_bit[3] == pytest.approx(0.75, abs=1e-15)
         assert per_bit[2] == pytest.approx(0.5 * (1 + 1 / math.sqrt(6)), abs=1e-15)
@@ -133,7 +196,7 @@ class TestAnalyticPerBit:
         bias2 = 2 * concat.chain_success(1, 0) - 1
         bias3 = 2 * concat.chain_success(0, 1) - 1
         for nested in ([[0, 1], [2, 3]], [[0, 1, 2], [3, 4]], [[[0, 1], [2, 3]], [4, 5]]):
-            tree = concat.ConcatTree.from_nested(nested)
+            tree = concat.ConcatTree(nested)
             for leaf, (k, j) in enumerate(tree.depth_profile()):
                 expected = 0.5 * (1 + bias2**k * bias3**j)
                 assert concat.analytic_per_bit(tree)[leaf] == pytest.approx(expected, abs=1e-12)
@@ -175,7 +238,7 @@ class TestSimulate:
         assert abs(sim.rate - 0.8535534) <= 0.01
 
     def test_rate_close_to_analytic_for_all_leaves(self):
-        tree = concat.ConcatTree.from_nested([[0, 1, 2], [3, 4]])
+        tree = concat.ConcatTree([[0, 1, 2], [3, 4]])
         per_bit = concat.analytic_per_bit(tree)
         shots = 100_000
         sims = concat.simulate(tree, [1, 1, 0, 0, 1], range(5), shots, seed=23)
@@ -224,6 +287,12 @@ class TestPadding:
         [sim] = concat.simulate_padded(code, [1, 0, 1, 1, 0], [2], shots, seed=29)
         leaf = code.leaf_for_bit(2)
         assert abs(sim.rate - per_bit[leaf]) <= 5.0 / math.sqrt(shots)
+
+    def test_padded_simulation_rejects_wrong_bit_count(self):
+        code = concat.build_padded(5)
+        for bits in ([1, 0], [1, 0, 1, 1, 0, 1, 1, 0]):
+            with pytest.raises(ValueError, match=r"^input must be 5 bits$"):
+                concat.simulate_padded(code, bits, [0], 8, seed=1)
 
     def test_smooth_input_unpadded(self):
         code = concat.build_padded(6)

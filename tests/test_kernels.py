@@ -58,9 +58,9 @@ def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, st
 def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
     """Full-array span kernel: one message, Alice bit and class array per subunit."""
     count = hi - lo
-    uids = {id(node): uid for uid, node in enumerate(tree.internal_postorder())}
+    subunits = tree.internal_postorder()
     cond_tables = {}
-    for arity in {node.arity for node in tree.internal_postorder()}:
+    for arity in {len(children) for children in subunits}:
         if engine == "mzi":
             cond_tables[arity] = concat._conditional_table_mzi(arity)
         else:
@@ -71,14 +71,13 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
             cond_tables[arity] = cond
 
     messages, alice_bits, classes = {}, {}, {}
-    for node in tree.internal_postorder():
-        uid = uids[id(node)]
+    for uid, children in enumerate(subunits):
         child_vals = []
-        for child in node.children:
-            if child.is_leaf:
-                child_vals.append(np.full(count, bits[child.leaf], dtype=np.uint8))
+        for is_subunit, i in children:
+            if is_subunit:
+                child_vals.append(messages[i])
             else:
-                child_vals.append(messages[uids[id(child)]])
+                child_vals.append(np.full(count, bits[i], dtype=np.uint8))
         ref = child_vals[0]
         cls = np.zeros(count, dtype=np.intp)
         for value in child_vals[1:]:
@@ -89,22 +88,31 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
         alice_bits[uid] = a
         classes[uid] = cls
 
-    received = messages[uids[id(tree.internal_postorder()[-1])]]
-    for node, pos in tree.paths_to_leaves([query])[0]:
-        uid = uids[id(node)]
-        p_spin0 = cond_tables[node.arity][classes[uid], alice_bits[uid], pos]
+    received = messages[len(subunits) - 1]
+    for uid, pos in tree.paths_to_leaves([query])[0]:
+        p_spin0 = cond_tables[len(subunits[uid])][classes[uid], alice_bits[uid], pos]
         uniforms = mzi.stream(seed, 2 * uid + concat._BOB_STREAM, lo).random(count)
         received = (uniforms >= p_spin0).astype(np.uint8) ^ received
     return int(np.sum(received == bits[query]))
 
 
-def relabeled(tree, order):
+def nested_form(tree):
+    """The nesting ``tree`` was built from, rendered from its subunits' children."""
+    subunits = tree.internal_postorder()
+
+    def render(is_subunit, i):
+        return [render(*child) for child in subunits[i]] if is_subunit else i
+
+    return render(True, len(subunits) - 1)
+
+
+def relabeled(nested, order):
     """The same nesting with leaf ``i`` renamed ``order[i]``."""
 
     def walk(item):
         return order[item] if isinstance(item, int) else [walk(c) for c in item]
 
-    return concat.ConcatTree.from_nested(walk(tree.to_nested()))
+    return concat.ConcatTree(walk(nested))
 
 
 @settings(max_examples=200, deadline=None)
@@ -119,7 +127,7 @@ def relabeled(tree, order):
 )
 def test_concat_kernel_matches_full_array_reference(block, n, engine, data, seed, lo, shots):
     order = data.draw(st.permutations(range(n)))
-    tree = relabeled(concat.build_tree(n), order)
+    tree = relabeled(nested_form(concat.build_tree(n)), order)
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     # repeats and any order: each query's count is that of a run of it alone
     queries = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
@@ -151,19 +159,18 @@ def read_subunits(tree, query) -> set[int]:
     while the climb stays on first children. The decoder reads the root's message
     and the message of every child of an on-path subunit.
     """
-    nodes = tree.internal_postorder()
-    uid = {id(node): k for k, node in enumerate(nodes)}
-    parent = {id(c): node for node in nodes for c in node.children}
-    on_path = {id(node) for node, _ in tree.paths_to_leaves([query])[0]}
+    subunits = tree.internal_postorder()
+    parent = {i: uid for uid, children in enumerate(subunits) for is_subunit, i in children if is_subunit}
+    on_path = {uid for uid, _ in tree.paths_to_leaves([query])[0]}
     read = set()
-    for node in nodes:
-        w = node
+    for uid in range(len(subunits)):
+        w = uid
         while True:
-            up = parent.get(id(w))
-            if up is None or id(up) in on_path:
-                read.add(uid[id(node)])
+            up = parent.get(w)
+            if up is None or up in on_path:
+                read.add(uid)
                 break
-            if up.children[0] is not w:
+            if subunits[up][0] != (True, w):
                 break
             w = up
     return read
@@ -172,7 +179,6 @@ def read_subunits(tree, query) -> set[int]:
 def test_one_query_opens_only_the_streams_it_reads():
     code = concat.build_padded(200, permute_seed=3)
     tree = code.tree
-    uid = {id(node): k for k, node in enumerate(tree.internal_postorder())}
     query = code.leaf_for_bit(17)
     opened = opened_streams(tree, [query])
     alice = sorted(s // 2 for s in opened if s % 2 == concat._ALICE_STREAM)
@@ -180,7 +186,7 @@ def test_one_query_opens_only_the_streams_it_reads():
     assert len(opened) == len(set(opened))
     assert alice == sorted(read_subunits(tree, query)) and len(alice) == 24
     (path,) = tree.paths_to_leaves([query])
-    assert bob == sorted(uid[id(node)] for node, _ in path) and len(bob) == 6
+    assert bob == sorted(uid for uid, _ in path) and len(bob) == 6
 
 
 def test_all_queries_open_each_stream_once():

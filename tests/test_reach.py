@@ -3,8 +3,9 @@
 The commands below (each subcommand and mode, the golden argv lists and two
 bad-input calls) run under ``sys.setprofile``/``threading.setprofile``, which
 records the code object of every Python call, pool threads included. A public
-module-level function that none of them reaches is either dead code or one of
-the few names the benchmark harness under ``perfbench/`` still reads.
+module-level function, or a method or property of a public class, that none of
+them reaches is either dead code or one of the few names the benchmark harness
+under ``perfbench/`` still reads.
 """
 
 import inspect
@@ -25,17 +26,29 @@ BENCHMARK_ONLY = {
     "qcore.expectation_product",
     "qrac.correlator_qm",
     "mzi.counts_from_outcomes",
+    "concat.SimulationResults.shots",
 }
 
 
 def public_functions() -> dict:
-    """Code object -> ``layer.name`` of each public function a module defines."""
+    """Code object -> ``layer.name`` of each public function a module defines.
+
+    A public class contributes its methods, classmethods and property getters,
+    as ``layer.Class.name``; methods a dataclass generates have no code here.
+    """
     found = {}
     for module in MODULES:
         layer = module.__name__.rsplit(".", 1)[1]
         for name, obj in vars(module).items():
-            if inspect.isfunction(obj) and obj.__module__ == module.__name__ and not name.startswith("_"):
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
                 found[obj.__code__] = f"{layer}.{name}"
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    func = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+                    if inspect.isfunction(func) and func.__code__.co_filename == module.__file__:
+                        found[func.__code__] = f"{layer}.{name}.{attr}"
     return found
 
 
