@@ -429,8 +429,7 @@ def cmd_mzi(args) -> list[ReportRow]:
 
 def cmd_concat(args) -> list[ReportRow]:
     n = args.n
-    code = concat.build_padded(n, permute_seed=args.permute_seed)
-    tree = code.tree
+    tree = concat.build_padded(n, permute_seed=args.permute_seed).tree
     padded = tree.n != n
     base_params = {
         "n": n,
@@ -441,13 +440,11 @@ def cmd_concat(args) -> list[ReportRow]:
     rows: list[ReportRow] = []
     per_bit = concat.analytic_per_bit(tree)
     profile = tree.depth_profile()
-    for bit_index in range(n):
-        leaf = code.leaf_for_bit(bit_index)
-        k2, j3 = profile[leaf]
+    for bit in range(n):
         rows.append(
             ReportRow(
-                "concat", "analytic-per-bit", float(per_bit[leaf]),
-                {**base_params, "bit": bit_index, "stages": [k2, j3]},
+                "concat", "analytic-per-bit", float(per_bit[bit]),
+                {**base_params, "bit": bit, "stages": list(profile[bit])},
             )
         )
     rows.append(
@@ -466,24 +463,23 @@ def cmd_concat(args) -> list[ReportRow]:
     text = "0" * n if args.input is None else args.input
     if len(text) != n or set(text) - {"0", "1"}:
         raise UsageError(f"--input must be {n} bits")
-    bits = [int(c) for c in text]
+    bits = [int(c) for c in text] + [0] * (tree.n - n)  # leaves n.. are padding
     if args.query == "all":
         queries = range(n)
     elif 0 <= args.query < n:
         queries = [args.query]
     else:
         raise UsageError(f"query {args.query} out of range for n={n}")
-    sims = concat.simulate_padded(
-        code, bits, queries, args.shots, args.seed, engine=args.engine, workers=args.workers
+    sims = concat.simulate(
+        tree, bits, queries, args.shots, args.seed, engine=args.engine, workers=args.workers
     )
     tol = _sampling_tolerance(0.01, 2e5, args.shots)
     for query, sim in zip(queries, sims):
-        leaf = code.leaf_for_bit(query)
         rows.append(
             ReportRow(
                 "concat", "simulated-per-bit", sim.rate,
                 {**base_params, "bit": query, "shots": args.shots, "seed": args.seed},
-                expected=float(per_bit[leaf]), tolerance=tol, reference="stage-formula",
+                expected=float(per_bit[query]), tolerance=tol, reference="stage-formula",
             )
         )
     return rows

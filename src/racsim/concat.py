@@ -45,6 +45,8 @@ class ConcatTree:
                     paths[leaf].append((uid, slot))
             return (True, uid), [leaf for leaves in groups for leaf in leaves]
 
+        if isinstance(nested, int):
+            raise ValueError("a tree needs at least one subunit, got a bare leaf")
         _, leaves = walk(nested)
         if sorted(leaves) != list(range(len(leaves))):
             raise ValueError("leaf indices must be a permutation of 0..n-1")
@@ -82,24 +84,21 @@ def smooth_ceiling(n: int) -> int:
         raise ValueError(f"need n >= 2, got {n}")
     m = n
     while True:
-        r = m
-        while r % 2 == 0:
-            r //= 2
-        while r % 3 == 0:
-            r //= 3
-        if r == 1:
+        try:
+            smooth_factorization(m)
             return m
-        m += 1
+        except ValueError:
+            m += 1
 
 
 def smooth_factorization(n: int) -> tuple[int, int]:
     """Exponents (k, j) with n = 2^k 3^j, or a ValueError for non-smooth n."""
     k = j = 0
     r = n
-    while r % 2 == 0:
+    while r % 2 == 0 and r:
         r //= 2
         k += 1
-    while r % 3 == 0:
+    while r % 3 == 0 and r:
         r //= 3
         j += 1
     if r != 1 or n < 2:
@@ -107,10 +106,13 @@ def smooth_factorization(n: int) -> tuple[int, int]:
     return k, j
 
 
-def build_tree(n: int) -> ConcatTree:
-    """Balanced tree for 3-smooth n: 3-ary layers nearest the leaves, then 2-ary layers."""
+def build_tree(n: int, labels: Sequence[int] | None = None) -> ConcatTree:
+    """Balanced tree for 3-smooth n: 3-ary layers nearest the leaves, then 2-ary layers.
+
+    ``labels`` names the leaf positions left to right; the default is 0..n-1.
+    """
     k, j = smooth_factorization(n)
-    level: list = list(range(n))
+    level: list = list(range(n) if labels is None else labels)
     for arity in [3] * j + [2] * k:
         level = [level[i : i + arity] for i in range(0, len(level), arity)]
     return ConcatTree(level[0])
@@ -143,29 +145,22 @@ def padded_lower_bound(n: int) -> float:
 
 @dataclass(frozen=True)
 class PaddedCode:
-    """Tree over the padded size plus the leaf slot -> input bit assignment.
+    """Balanced tree over the next 3-smooth size m >= n, for an n-bit input.
 
-    ``slots[leaf]`` is the input-bit index held by that leaf, or None for a
-    constant-0 padding bit. A shared-seed permutation can spread the real bits
-    over slots so every bit sees the same success profile in expectation; this
-    stands in for a shared-randomness equalization step.
+    Leaf ``b`` carries input bit ``b`` for ``b < n``; leaves ``n..m-1`` are
+    constant-0 padding. A shared-seed permutation of the leaf labels can spread
+    the real bits over leaf positions so every bit sees the same success profile
+    in expectation; this stands in for a shared-randomness equalization step.
     """
 
     tree: ConcatTree
-    slots: tuple[int | None, ...]
-
-    def leaf_for_bit(self, bit_index: int) -> int:
-        return self.slots.index(bit_index)
 
 
 def build_padded(n: int, permute_seed: int | None = None) -> PaddedCode:
     m = smooth_ceiling(n)
-    tree = build_tree(m)
-    slots: list[int | None] = list(range(n)) + [None] * (m - n)
-    if permute_seed is not None:
-        order = np.random.default_rng(permute_seed).permutation(m)
-        slots = [slots[i] for i in order]
-    return PaddedCode(tree=tree, slots=tuple(slots))
+    if permute_seed is None:
+        return PaddedCode(build_tree(m))
+    return PaddedCode(build_tree(m, np.random.default_rng(permute_seed).permutation(m).tolist()))
 
 
 def _dot_table(arity: int) -> np.ndarray:
@@ -180,14 +175,10 @@ def _conditional_table_mzi(arity: int) -> np.ndarray:
     """
     bases = default_bases(arity)
     state = mzi.maximally_entangled_state()
-    rows = bases.alice.shape[0]
-    table = np.empty((rows, 2, arity))
-    for i in range(rows):
-        for a in (0, 1):
-            p_path = qcore.projector(-bases.alice[i], a)
-            for j in range(arity):
-                joint = qcore.joint_probability(state, p_path, qcore.projector(bases.bob[j], 0))
-                table[i, a, j] = 2.0 * joint
+    table = np.empty((bases.alice.shape[0], 2, arity))
+    for i, alice in enumerate(bases.alice):
+        for j, bob in enumerate(bases.bob):
+            table[i, :, j] = 2.0 * qcore.joint_table(state, -alice, bob)[:, 0]
     return table
 
 
@@ -346,30 +337,3 @@ def simulate(
     )
     return SimulationResults(SimulationResult(sum(counts), shots) for counts in zip(*parts))
 
-
-def simulate_padded(
-    code: PaddedCode,
-    bits: Sequence[int],
-    bit_indices: Sequence[int],
-    shots: int,
-    seed: int,
-    engine: str = "born",
-    workers: int = 1,
-) -> SimulationResults:
-    """Simulate a padded code: real bits mapped to their slots, padding slots at 0."""
-    real = sum(src is not None for src in code.slots)
-    if len(bits) != real:
-        raise ValueError(f"input must be {real} bits")
-    padded = [0] * code.tree.n
-    for leaf, src in enumerate(code.slots):
-        if src is not None:
-            padded[leaf] = bits[src]
-    return simulate(
-        code.tree,
-        padded,
-        [code.leaf_for_bit(b) for b in bit_indices],
-        shots,
-        seed,
-        engine=engine,
-        workers=workers,
-    )

@@ -115,16 +115,8 @@ def stream(seed: int, stream_id: int, start: int = 0) -> np.random.Generator:
 
 def born_probabilities(state: qcore.PureState, setting: Setting) -> np.ndarray:
     """Joint outcome probabilities [(path+,spin+), (path+,spin-), (path-,spin+), (path-,spin-)]."""
-    direction = path_direction(setting.theta, setting.phi)
-    probs = np.empty(4)
-    for path_bit in (0, 1):
-        for spin_bit in (0, 1):
-            probs[2 * path_bit + spin_bit] = qcore.joint_probability(
-                state,
-                qcore.projector(direction, path_bit),
-                qcore.projector(setting.spin_axis, spin_bit),
-            )
-    probs = np.clip(probs, 0.0, None)
+    table = qcore.joint_table(state, path_direction(setting.theta, setting.phi), setting.spin_axis)
+    probs = np.clip(table.ravel(), 0.0, None)
     return probs / probs.sum()
 
 
@@ -258,15 +250,14 @@ def correlator_product_form(counts: DetectionCounts) -> float:
     return path_asym * spin_asym
 
 
-def steering_bases(bases: MeasurementBases | None = None) -> MeasurementBases:
-    """Analyzer directions that realize a preparation basis on the entangled state.
+def steering_bases() -> MeasurementBases:
+    """Analyzer directions that realize the two-bit protocol bases on the entangled state.
 
     The shared state anti-correlates path and spin, so measuring the path along the
     negated class direction leaves the spin side in the intended preparation for
-    outcome bit 0. Defaults to the two-bit protocol bases.
+    outcome bit 0.
     """
-    if bases is None:
-        bases = default_bases(2)
+    bases = default_bases(2)
     return MeasurementBases(alice=-np.asarray(bases.alice), bob=np.asarray(bases.bob))
 
 

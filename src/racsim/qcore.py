@@ -52,23 +52,19 @@ def require_density(mats: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector of dimension 2 or 4 (path factor first, spin second)."""
+    """Normalized path-spin state vector: 4 amplitudes, path factor first, spin second."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape not in ((2,), (4,)):
-            raise ValueError(f"state dimension must be 2 or 4, got {amps.shape}")
+        if amps.shape != (4,):
+            raise ValueError(f"state dimension must be 4, got {amps.shape}")
         norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= ATOL:  # NaN fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 def outcome_projectors(directions) -> np.ndarray:
@@ -92,25 +88,25 @@ def projector(direction, outcome: int) -> np.ndarray:
 
 
 def joint_probability(state: PureState, path_proj: np.ndarray, spin_proj: np.ndarray) -> float:
-    """Born probability <psi| P_path (x) P_spin |psi> on a 4-dimensional state, path factor first."""
-    if state.dim != 4:
-        raise ValueError("joint_probability requires a 4-dimensional state")
+    """Born probability <psi| P_path (x) P_spin |psi>, path factor first."""
     op = np.kron(path_proj, spin_proj)
     return float(np.vdot(state.amplitudes, op @ state.amplitudes).real)
 
 
+def joint_table(state: PureState, path_direction, spin_direction) -> np.ndarray:
+    """(2, 2) Born table: ``[a, b]`` is P(path outcome a, spin outcome b) on ``state``.
+
+    Outcome bit 0 is the +1 eigenvalue along each direction, as in ``projector``.
+    """
+    paths = [projector(path_direction, a) for a in (0, 1)]
+    spins = [projector(spin_direction, b) for b in (0, 1)]
+    return np.array([[joint_probability(state, p, s) for s in spins] for p in paths])
+
+
 def expectation_product(state: PureState, direction_a, direction_b) -> float:
     """Signed four-outcome sum giving <(a . sigma) (x) (b . sigma)> on ``state``."""
-    vec_a = require_unit(direction_a)
-    vec_b = require_unit(direction_b)
-    total = 0.0
-    for bit_a in (0, 1):
-        for bit_b in (0, 1):
-            sign = 1.0 if bit_a == bit_b else -1.0
-            total += sign * joint_probability(
-                state, projector(vec_a, bit_a), projector(vec_b, bit_b)
-            )
-    return total
+    (p00, p01), (p10, p11) = joint_table(state, direction_a, direction_b)
+    return float(p00 - p01 - p10 + p11)
 
 
 def prepared_state(direction, bit: int) -> np.ndarray:

@@ -329,6 +329,10 @@ BAD_ARGV = {
     "concat-query-not-int": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--query", "x"],
     "concat-query-out-of-range": ["concat", "--n", "5", "--engine", "born", "--seed", "1", "--query", "5"],
     "concat-input-not-bits": ["concat", "--n", "4", "--engine", "born", "--seed", "1", "--input", "01x1"],
+    "concat-input-too-short": ["concat", "--n", "5", "--engine", "born", "--seed", "1", "--input", "10"],
+    "concat-input-too-long": [
+        "concat", "--n", "5", "--engine", "born", "--seed", "1", "--input", "10110110",
+    ],
     "concat-negative-permute-seed": ["concat", "--n", "5", "--permute-seed", "-1"],
     "quantum-negative-seed": ["quantum", "--optimize", "--seed", "-1"],
     "quantum-zero-starts": ["quantum", "--optimize", "--seed", "1", "--starts", "0"],

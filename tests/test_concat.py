@@ -54,8 +54,9 @@ class TestBuildTree:
         assert tree.depth_profile() == [(1, 0)] * 2
 
     def test_rejects_non_smooth(self):
-        with pytest.raises(ValueError):
-            concat.build_tree(5)
+        for n in (5, 1, 0, -6):  # 0 must not loop forever halving itself
+            with pytest.raises(ValueError, match="is not of the form"):
+                concat.build_tree(n)
 
     def test_balanced_profiles_uniform(self):
         for n in (2, 3, 4, 6, 8, 9, 12, 24):
@@ -76,6 +77,10 @@ class TestBuildTree:
     def test_rejects_bad_arity(self):
         with pytest.raises(ValueError, match=r"^subunit arity must be 2 or 3, got 4$"):
             concat.ConcatTree([0, 1, 2, 3])
+
+    def test_rejects_bare_leaf(self):
+        with pytest.raises(ValueError, match=r"^a tree needs at least one subunit, got a bare leaf$"):
+            concat.ConcatTree(0)
 
     def test_rejects_repeated_leaf(self):
         with pytest.raises(ValueError, match="permutation"):
@@ -269,32 +274,36 @@ class TestSimulate:
             concat.simulate(tree, [0, 0], [0], 10, seed=1, engine="exact")
 
 
+def leaf_positions(tree):
+    """Left-to-right position of each leaf label in a balanced tree, read off its path."""
+    subunits = tree.internal_postorder()
+    positions = []
+    for path in tree.paths_to_leaves(range(tree.n)):
+        position = 0
+        for uid, slot in path:
+            position = position * len(subunits[uid]) + slot
+        positions.append(position)
+    return positions
+
+
 class TestPadding:
-    def test_padded_code_slots(self):
-        code = concat.build_padded(5)
-        assert code.tree.n == 6
-        assert code.slots == (0, 1, 2, 3, 4, None)
+    def test_unpermuted_labels_follow_positions(self):
+        tree = concat.build_padded(5).tree
+        assert tree.n == 6
+        assert leaf_positions(tree) == list(range(6))
 
-    def test_permuted_slots_cover_all_bits(self):
-        code = concat.build_padded(5, permute_seed=9)
-        real = [s for s in code.slots if s is not None]
-        assert sorted(real) == [0, 1, 2, 3, 4]
+    def test_permuted_labels_are_the_shared_seed_order(self):
+        # the leaf at position p is labelled order[p]: input bit order[p] if < 5, else padding
+        order = np.random.default_rng(9).permutation(6)
+        positions = leaf_positions(concat.build_padded(5, permute_seed=9).tree)
+        assert [positions[label] for label in order] == list(range(6))
 
-    def test_padded_simulation_matches_slot_profile(self):
-        code = concat.build_padded(5)
-        per_bit = concat.analytic_per_bit(code.tree)
+    def test_padded_simulation_matches_leaf_profile(self):
+        tree = concat.build_padded(5, permute_seed=9).tree
+        per_bit = concat.analytic_per_bit(tree)
         shots = 100_000
-        [sim] = concat.simulate_padded(code, [1, 0, 1, 1, 0], [2], shots, seed=29)
-        leaf = code.leaf_for_bit(2)
-        assert abs(sim.rate - per_bit[leaf]) <= 5.0 / math.sqrt(shots)
-
-    def test_padded_simulation_rejects_wrong_bit_count(self):
-        code = concat.build_padded(5)
-        for bits in ([1, 0], [1, 0, 1, 1, 0, 1, 1, 0]):
-            with pytest.raises(ValueError, match=r"^input must be 5 bits$"):
-                concat.simulate_padded(code, bits, [0], 8, seed=1)
+        [sim] = concat.simulate(tree, [1, 0, 1, 1, 0, 0], [2], shots, seed=29)
+        assert abs(sim.rate - per_bit[2]) <= 5.0 / math.sqrt(shots)
 
     def test_smooth_input_unpadded(self):
-        code = concat.build_padded(6)
-        assert code.tree.n == 6
-        assert all(s is not None for s in code.slots)
+        assert concat.build_padded(6).tree.n == 6

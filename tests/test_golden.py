@@ -53,6 +53,17 @@ GOLDEN = {
          "--workers", "2"],
         "b0d0bc38eae9fe178dca5e499c3e3fbd52369d714fabf24da2f54f3e71ff41bc",
     ),
+    # non-zero input on padded, permuted codes: a bit on the wrong leaf changes the rows
+    "concat-n7-born-permuted-input": (
+        ["concat", "--n", "7", "--engine", "born", "--permute-seed", "3", "--input", "1011001",
+         "--shots", "4001", "--seed", "11", "--workers", "2"],
+        "606364c39dd0cf1ef15210e26600dd76f12fe13f3cfff8c91fd569973d521b95",
+    ),
+    "concat-n10-mzi-permuted-input": (
+        ["concat", "--n", "10", "--engine", "mzi", "--permute-seed", "5", "--input", "1101000111",
+         "--shots", "3001", "--seed", "2", "--workers", "2"],
+        "ddb0132e4949a33d753191a2abb941a9c26c498e390618ea95a5a7dcec2edf8c",
+    ),
     # exact layer: enumeration, Born traces, identity sweep and seesaw
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",

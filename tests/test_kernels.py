@@ -177,9 +177,8 @@ def read_subunits(tree, query) -> set[int]:
 
 
 def test_one_query_opens_only_the_streams_it_reads():
-    code = concat.build_padded(200, permute_seed=3)
-    tree = code.tree
-    query = code.leaf_for_bit(17)
+    tree = concat.build_padded(200, permute_seed=3).tree
+    query = 17  # leaf 17 carries input bit 17
     opened = opened_streams(tree, [query])
     alice = sorted(s // 2 for s in opened if s % 2 == concat._ALICE_STREAM)
     bob = sorted(s // 2 for s in opened if s % 2 == concat._BOB_STREAM)

@@ -140,16 +140,17 @@ class TestTensor:
 
 class TestPureState:
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            qcore.PureState(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            qcore.PureState(np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            qcore.PureState(np.array([1.0, 0.0, 0.0]))
+        for amps in ([1.0, 0.0], [1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match=r"^state dimension must be 4"):
+                qcore.PureState(np.array(amps))
 
     def test_rejects_nan_amplitude(self):
-        with pytest.raises(ValueError):
-            qcore.PureState(np.array([1.0, math.nan]))
+        with pytest.raises(ValueError, match="not normalized"):
+            qcore.PureState(np.array([1.0, math.nan, 0.0, 0.0]))
 
 
 class TestJointProbability:
@@ -174,15 +175,9 @@ class TestJointProbability:
             amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             amps /= np.linalg.norm(amps)
             state = qcore.PureState(amps)
-            d_a, d_b = random_unit(rng), random_unit(rng)
-            total = sum(
-                qcore.joint_probability(
-                    state, qcore.projector(d_a, oa), qcore.projector(d_b, ob)
-                )
-                for oa in (0, 1)
-                for ob in (0, 1)
-            )
-            assert total == pytest.approx(1.0, abs=ATOL)
+            table = qcore.joint_table(state, random_unit(rng), random_unit(rng))
+            assert table.shape == (2, 2)
+            assert table.sum() == pytest.approx(1.0, abs=ATOL)
 
 
 class TestExpectationProduct:
