@@ -10,9 +10,9 @@ from typing import Iterator
 import numpy as np
 
 # Full enumeration is 2^(2^n) * 4^n strategies: the count array scores up to
-# n = 4 (16.7 M), a strategy-by-strategy scan up to n = 3 (16 384).
+# n = 4 (16.7 M); one output row per strategy stops at n = 3 (16 384).
 _SUMMARY_LIMIT = 4
-_SCAN_LIMIT = 3
+_DUMP_LIMIT = 3
 # Bob's per-bit decoders in enumeration order: the output for message 0, then for 1.
 _DECODERS = tuple(product((0, 1), repeat=2))
 
@@ -22,82 +22,28 @@ def bit_strings(n: int) -> Iterator[tuple[int, ...]]:
     return product((0, 1), repeat=n)
 
 
-def string_index(bits: tuple[int, ...]) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
+def string_classes(n: int) -> np.ndarray:
+    """Input class of every n-bit string, in ``bit_strings`` order.
 
-
-def class_index(bits: tuple[int, ...]) -> int:
-    """Index of the input class of ``bits``: the pattern of agreement with the first bit.
-
-    Classes pair each string with its bitwise complement and are ordered to match
-    the rows of bell.sign_matrix.
+    A class is the pattern of agreement with the first bit, read as a binary
+    number, so it pairs each string with its bitwise complement and its rows
+    match those of bell.sign_matrix. The two indices of a pair add up to
+    2^n - 1, and the class is the lower one: the member whose first bit is 0.
     """
-    idx = 0
-    for b in bits[1:]:
-        idx = (idx << 1) | (b ^ bits[0])
-    return idx
+    index = np.arange(1 << n)
+    return np.minimum(index, index[::-1])
 
 
-def class_members(n: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two strings (leading bit 0, leading bit 1) forming class ``index``."""
-    flips = [(index >> (n - 1 - j)) & 1 for j in range(1, n)]
-    base = tuple([0] + flips)
-    return base, tuple(1 - b for b in base)
+def brute_success(n: int, encode, decode) -> float:
+    """Average of the success condition over every (string, bit) cell, uniform weights.
 
-
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Alice's encoding table plus Bob's per-bit decoding tables.
-
-    ``encode`` maps every n-bit string (by index, first bit most significant) to the
-    transmitted message bit; ``decode[k]`` maps the received message to Bob's output
-    when he is asked for bit k.
+    ``encode[s]`` is the message for string index s (first bit most significant)
+    and ``decode[k][m]`` Bob's output for bit k on message m.
     """
-
-    n: int
-    encode: tuple[int, ...]
-    decode: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.encode) != 1 << self.n:
-            raise ValueError(f"encode table must cover all {1 << self.n} strings")
-        if len(self.decode) != self.n:
-            raise ValueError(f"need one decoder per bit, got {len(self.decode)}")
-        for table in (self.encode, *self.decode):
-            if any(b not in (0, 1) for b in table):
-                raise ValueError("encode/decode tables must contain bits")
-
-    def message(self, bits: tuple[int, ...]) -> int:
-        return self.encode[string_index(bits)]
-
-    def output(self, k: int, message: int) -> int:
-        return self.decode[k][message]
-
-    @property
-    def strategy_id(self) -> int:
-        """Stable integer id: encode table bits, then decoder tables, low bits first."""
-        ident = 0
-        shift = 0
-        for b in self.encode:
-            ident |= b << shift
-            shift += 1
-        for table in self.decode:
-            for b in table:
-                ident |= b << shift
-                shift += 1
-        return ident
-
-
-def brute_success(strategy: DeterministicStrategy) -> float:
-    """Average of the success condition over every (string, bit) cell, uniform weights."""
-    hits = 0
-    for bits in bit_strings(strategy.n):
-        message = strategy.message(bits)
-        hits += sum(strategy.output(k, message) == bits[k] for k in range(strategy.n))
-    return hits / (strategy.n << strategy.n)
+    hits = sum(
+        decode[k][encode[s]] == bits[k] for s, bits in enumerate(bit_strings(n)) for k in range(n)
+    )
+    return hits / (n << n)
 
 
 def strategy_count(n: int) -> int:
@@ -111,13 +57,32 @@ def _require_enumerable(n: int, limit: int) -> None:
         )
 
 
-def enumerate_deterministic(n: int) -> Iterator[tuple[DeterministicStrategy, float]]:
-    """Yield every deterministic strategy exactly once, with its average success."""
-    _require_enumerable(n, _SCAN_LIMIT)
-    for encode in product((0, 1), repeat=1 << n):
-        for decode in product(_DECODERS, repeat=n):
-            strategy = DeterministicStrategy(n=n, encode=encode, decode=decode)
-            yield strategy, brute_success(strategy)
+def _encode_tables(n: int) -> np.ndarray:
+    """Every encode table, (2^(2^n), 2^n): row E sends bit 2^n - 1 - x of E for string x."""
+    size = 1 << n
+    return ((np.arange(1 << size)[:, None] >> np.arange(size - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def _hit_totals(n: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's answers and the hit count of every strategy, in enumeration order.
+
+    Strategy s = E 4^n + D pairs encode table E with the decoders that are the
+    base-4 digits of D, bit 0's most significant. ``answers[d, E, x]`` is
+    decoder d's output on the message of string x under table E. Bob's answer
+    to query k depends only on the message and his decoder for bit k, so
+    ``hits[d, E, k]`` (strings whose bit k decoder d recovers) summed over one
+    decoder per bit gives ``totals[E, D]``, the hit count of strategy s.
+    """
+    _require_enumerable(n, limit)
+    tables = 1 << (1 << n)
+    strings = np.array(list(bit_strings(n)), dtype=np.uint8)
+    answers = np.array(_DECODERS, dtype=np.uint8)[:, _encode_tables(n)]
+    # totals reach n 2^n <= 64, so uint8 keeps n = 4 (16.7 M strategies) at ~17 MB
+    hits = (answers[..., None] == strings).sum(axis=2, dtype=np.uint8)
+    totals = np.zeros((tables, 1), dtype=np.uint8)
+    for k in range(n):
+        totals = (totals[:, :, None] + hits[:, :, k].T[:, None, :]).reshape(tables, -1)
+    return answers, totals
 
 
 @dataclass(frozen=True)
@@ -128,25 +93,9 @@ class EnumerationSummary:
 
 
 def enumeration_summary(n: int) -> EnumerationSummary:
-    """Score every deterministic strategy at once, in enumeration order; report the extremes.
-
-    Bob's answer to query k depends only on the message and his decoder for bit k,
-    so ``hits[d, e, k]`` (strings whose bit k decoder d recovers under encode table
-    e) summed over one decoder per bit gives every strategy's hit count, laid out
-    in enumeration order.
-    """
-    _require_enumerable(n, _SUMMARY_LIMIT)
-    size = 1 << n
-    tables = 1 << size
-    strings = np.array(list(bit_strings(n)), dtype=np.uint8)
-    encode = ((np.arange(tables)[:, None] >> np.arange(size - 1, -1, -1)) & 1).astype(np.uint8)
-    answers = np.array(_DECODERS, dtype=np.uint8)[:, encode]
-    # totals reach n 2^n <= 64, so uint8 keeps n = 4 (16.7 M strategies) at ~17 MB
-    hits = (answers[..., None] == strings).sum(axis=2, dtype=np.uint8)
-    totals = np.zeros((tables, 1), dtype=np.uint8)
-    for k in range(n):
-        totals = (totals[:, :, None] + hits[:, :, k].T[:, None, :]).reshape(tables, -1)
-    cells = n * size
+    """Score every deterministic strategy at once, in enumeration order; report the extremes."""
+    _, totals = _hit_totals(n, _SUMMARY_LIMIT)
+    cells = n << n
     return EnumerationSummary(
         count=totals.size,
         max_average=int(totals.max()) / cells,
@@ -154,27 +103,33 @@ def enumeration_summary(n: int) -> EnumerationSummary:
     )
 
 
+def strategy_rows(n: int) -> list[tuple[int, float, list]]:
+    """(strategy id, average success, correlator table) of every strategy, in enumeration order.
+
+    The id holds the encode table's bits, low bit first, then each decoder's
+    output for message 0 and for message 1. Correlator (i, k) averages
+    (-1)^(first bit) * (-1)^(Bob's output for bit k) over the two strings of
+    class i; plugged into the sign matrix these reproduce the exact
+    success/expression identity for every strategy.
+    """
+    answers, totals = _hit_totals(n, _DUMP_LIMIT)
+    size = 1 << n
+    decoders = (np.arange(4**n)[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
+    encode_ids = _encode_tables(n).astype(np.int64) @ (1 << np.arange(size))
+    decoder_ids = (np.array(_DECODERS) @ (1, 2))[decoders] << (size + 2 * np.arange(n))
+    ids = encode_ids[:, None] | decoder_ids.sum(axis=1)
+    # signed answers, times the first bit's sign, summed over each class's two strings
+    first = np.arange(size) >> (n - 1)
+    signed = (1 - 2 * answers.astype(np.int8)) * (1 - 2 * first)
+    members = string_classes(n)[:, None] == np.arange(size >> 1)
+    per_decoder = signed @ members.astype(np.int8) // 2
+    tables = per_decoder[decoders].transpose(2, 0, 3, 1).reshape(-1, size >> 1, n)
+    averages = totals.ravel() / (n << n)
+    return list(zip(ids.ravel().tolist(), averages.tolist(), tables.astype(float).tolist()))
+
+
 def optimal_classical_formula(n: int) -> float:
     """Optimal classical success 1/2 + C(n-1, floor((n-1)/2)) / 2^n."""
     if n < 1:
         raise ValueError(f"bit count must be >= 1, got {n}")
     return 0.5 + comb(n - 1, (n - 1) // 2) / (1 << n)
-
-
-def reference_correlators(strategy: DeterministicStrategy) -> np.ndarray:
-    """Reference-bit correlators per (class, queried bit).
-
-    Entry (i, k) averages (-1)^(first bit) * (-1)^(Bob's output for bit k) over the
-    two strings of class i. Plugged into the sign matrix these reproduce the exact
-    success/expression identity for every deterministic strategy.
-    """
-    n = strategy.n
-    table = np.zeros((1 << (n - 1), n))
-    for i in range(1 << (n - 1)):
-        for bits in class_members(n, i):
-            message = strategy.message(bits)
-            ref_sign = -1.0 if bits[0] else 1.0
-            for k in range(n):
-                out_sign = -1.0 if strategy.output(k, message) else 1.0
-                table[i, k] += 0.5 * ref_sign * out_sign
-    return table

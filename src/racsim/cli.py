@@ -137,22 +137,16 @@ def cmd_classical(args) -> list[ReportRow]:
         return rows
 
     try:
-        # both check n before any work: the scan stops at n = 3, the summary at n = 4
-        strategies = list(classical.enumerate_deterministic(args.n)) if args.dump_strategies else []
+        # both check n before any work: the dump stops at n = 3, the summary at n = 4
+        strategies = classical.strategy_rows(args.n) if args.dump_strategies else []
         summary = classical.enumeration_summary(args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
-    for strategy, average in strategies:
+    for strategy_id, average, correlators in strategies:
         rows.append(
             ReportRow(
-                "classical",
-                "strategy",
-                average,
-                {
-                    **params,
-                    "strategy_id": strategy.strategy_id,
-                    "correlators": classical.reference_correlators(strategy).tolist(),
-                },
+                "classical", "strategy", average,
+                {**params, "strategy_id": strategy_id, "correlators": correlators},
             )
         )
     formula = classical.optimal_classical_formula(args.n)
@@ -235,7 +229,7 @@ def load_bases(path: str) -> qrac.MeasurementBases:
         )
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: {exc}")
 
 
@@ -243,6 +237,8 @@ def cmd_quantum(args) -> list[ReportRow]:
     if args.bases:
         bases = load_bases(args.bases)
         n = bases.n
+        if args.optimize and n not in (2, 3):
+            raise UsageError(f"{args.bases}: seesaw search supports n in {{2, 3}}, got n={n}")
         expected_p = expected_c = None
     else:
         n = args.n
@@ -313,7 +309,8 @@ def load_settings(path: str) -> list[mzi.Setting]:
             )
         except KeyError as exc:
             raise UsageError(f"{path}:{lineno}: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an integer too large for a float, or 1e400 (read as inf) as a label
             raise UsageError(f"{path}:{lineno}: {exc}")
     if not settings:
         raise UsageError(f"{path}: no settings found")
@@ -658,6 +655,9 @@ def _in_range(convert, low, high=math.inf, hint: str = ""):
 
 _count = _in_range(int, 1)
 _n_bits = _in_range(int, 2)
+# The concatenation tree is built before any row is written: about 1 s at
+# n = 10^5, while n = 10^6 takes 44 s and 2.4 GB.
+CONCAT_MAX_N = 10**5
 # streams key on the seed's 64 bits: a wider or negative seed would alias another
 _seed = _in_range(int, 0, 2**64 - 1)
 
@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mzi.set_defaults(func=cmd_mzi)
 
     p_concat = sub.add_parser("concat", help="concatenated n->1 codes")
-    p_concat.add_argument("--n", type=_n_bits, required=True)
+    p_concat.add_argument("--n", type=_in_range(int, 2, CONCAT_MAX_N), required=True)
     p_concat.add_argument("--engine", choices=("analytic", "born", "mzi"), default="analytic")
     p_concat.add_argument("--shots", type=_count, default=200_000)
     p_concat.add_argument("--seed", type=_seed)

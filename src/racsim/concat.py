@@ -9,7 +9,6 @@ from typing import Sequence
 import numpy as np
 
 from . import mzi, qcore
-from .bell import quantum_max
 from .qrac import default_bases
 
 _ALICE_STREAM = 0
@@ -138,9 +137,13 @@ def quantum_bound(n: int) -> float:
 
 
 def padded_lower_bound(n: int) -> float:
-    """Achievable success for any n via the next 3-smooth size m: 1/2 + C_m^qm / (m 2^m)."""
+    """Achievable success for any n via the next 3-smooth size m: 1/2 + C_m^qm / (m 2^m).
+
+    C_m^qm = 2^(m-1) sqrt(m), so the ratio is sqrt(m) / (2 m); dividing out the
+    power of two is exact and keeps 2^m from overflowing a float at m = 1024.
+    """
     m = smooth_ceiling(n)
-    return 0.5 + quantum_max(m) / (m * (1 << m))
+    return 0.5 + math.sqrt(m) / (2 * m)
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,9 @@ class Setting:
     label: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError(f"theta and phi must be finite, got {self.theta}, {self.phi}")
+        # the recombining stage turns by 2 theta, which must stay finite too
+        if not (math.isfinite(2 * self.theta) and math.isfinite(self.phi)):
+            raise ValueError(f"2 theta and phi must be finite, got {self.theta}, {self.phi}")
         object.__setattr__(self, "spin_axis", qcore.require_unit(self.spin_axis))
 
 

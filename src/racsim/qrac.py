@@ -9,7 +9,7 @@ import numpy as np
 
 from . import qcore
 from .bell import bell_value, quantum_max, sign_matrix, success_from_bell
-from .classical import bit_strings, class_index
+from .classical import bit_strings, string_classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +79,7 @@ def _born_traces(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.nda
     qcore.require_density(preps)
     qcore.require_density(projs)
     strings = np.array(list(bit_strings(n)))
-    classes = [class_index(tuple(bits)) for bits in strings]
-    rho = preps[:, classes, strings[:, 0]]
+    rho = preps[:, string_classes(n), strings[:, 0]]
     proj = projs[:, np.arange(n), strings]
     cells = np.trace(rho[:, :, None] @ proj, axis1=-2, axis2=-1).real
     # a running sum, not a pairwise one, so each success equals the cell-by-cell loop

@@ -1,10 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racsim import cli
 
@@ -241,6 +247,21 @@ class TestConcatCommand:
         assert [r["params"]["bit"] for r in sims] == [0, 1, 2, 3]
         assert all(r["pass"] for r in sims)
 
+    def test_padded_to_1024_runs(self, capsys):
+        # smooth_ceiling(973) = 1024, where 2^m overflowed a float in the padded bound
+        code, rows = run(capsys, ["concat", "--n", "973"])
+        assert code == 0
+        assert rows[0]["params"]["padded_to"] == 1024
+        assert by_quantity(rows, "padded-lower-bound")[0]["value"] == 0.5 + 1 / 64
+
+    @pytest.mark.parametrize("n", [cli.CONCAT_MAX_N + 1, 10**18])
+    def test_n_bounded_in_parser(self, capsys, n):
+        # parser level only: a tree this size is never built
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(["concat", "--n", str(n)])
+        assert excinfo.value.code == 2
+        assert f"expected int in [2, {cli.CONCAT_MAX_N}]" in capsys.readouterr().err
+
 
 class TestReportCommand:
     def test_requires_all_flag(self, capsys):
@@ -334,6 +355,10 @@ BAD_ARGV = {
         "concat", "--n", "5", "--engine", "born", "--seed", "1", "--input", "10110110",
     ],
     "concat-negative-permute-seed": ["concat", "--n", "5", "--permute-seed", "-1"],
+    "concat-n-above-bound": ["concat", "--n", str(cli.CONCAT_MAX_N + 1)],
+    "quantum-bases-n4-optimize": ["quantum", "--bases", "{bases_n4}", "--optimize", "--seed", "1"],
+    "mzi-settings-theta-doubles-to-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{theta_huge}"],
+    "mzi-settings-label-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_inf}"],
     "quantum-negative-seed": ["quantum", "--optimize", "--seed", "-1"],
     "quantum-zero-starts": ["quantum", "--optimize", "--seed", "1", "--starts", "0"],
     "quantum-zero-iterations": ["quantum", "--optimize", "--seed", "1", "--iterations", "0"],
@@ -363,11 +388,18 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     theta_nan.write_text('{"theta": NaN, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
     axis_nan = tmp_path / "axis_nan.jsonl"
     axis_nan.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [NaN, 0, 0]}\n')
+    theta_huge = tmp_path / "theta_huge.jsonl"
+    theta_huge.write_text('{"theta": 1e308, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
+    label_inf = tmp_path / "label_inf.jsonl"
+    label_inf.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": 1e400, "j": 1}\n')
+    bases_n4 = tmp_path / "bases_n4.json"
+    bases_n4.write_text(json.dumps({"alice": [[0, 0, 1]] * 8, "bob": [[0, 0, 1]] * 4}))
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes('{"theta": 0.3}\n'.encode("utf-16"))  # starts with the BOM ff fe
     paths = {
         "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
-        "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16,
+        "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16, "theta_huge": theta_huge,
+        "label_inf": label_inf, "bases_n4": bases_n4,
         "unwritable": tmp_path / "no-such-dir" / "out",
     }
     with pytest.raises(SystemExit) as excinfo:
@@ -377,6 +409,113 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "error:" in captured.err
     assert "Traceback" not in captured.err
+
+
+class Raw(str):
+    """A JSON token written as is: ``1e400`` reads as inf, which ``json.dumps`` cannot write."""
+
+
+def render(value) -> str:
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, list):
+        return "[" + ", ".join(render(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {render(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value)  # NaN and Infinity come out as those tokens
+
+
+numbers = st.one_of(
+    st.floats(),  # NaN and +-inf included
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([0, 1, -1, 0.6, 0.8, 1e308, -1e308, 5e-324]),
+    st.sampled_from([Raw("1e400"), Raw("-1e400"), Raw("NaN"), Raw("Infinity")]),
+)
+scalars = st.one_of(numbers, st.none(), st.booleans(), st.text(max_size=4))
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+# well-shaped direction lists with generated entries, or anything at all
+wild = values | st.lists(st.lists(numbers, min_size=3, max_size=3), min_size=1, max_size=8)
+UNIT_ROWS = ([1, 0, 0], [0, 0, 1], [0, 0.6, 0.8], [0, 0, -1])
+angles = st.floats(-4, 4)
+
+
+def unit_rows(count):
+    return st.lists(st.sampled_from(UNIT_ROWS), min_size=count, max_size=count)
+
+
+setting_record = st.fixed_dictionaries(
+    {"theta": angles, "phi": angles, "spin_axis": st.sampled_from(UNIT_ROWS)}
+)
+
+
+@st.composite
+def bases_record(draw):
+    n = draw(st.integers(1, 4))
+    return {"alice": draw(unit_rows(1 << (n - 1))), "bob": draw(unit_rows(n))}
+
+
+@st.composite
+def corrupted(draw, record):
+    """A well-formed record with some fields (none, often) replaced or added."""
+    good = draw(record)
+    for key in draw(st.sets(st.sampled_from(sorted(good) + ["i", "j"]))):
+        good[key] = draw(wild)
+    return good
+
+
+@st.composite
+def input_files(draw, record, max_lines):
+    """File bytes: generated records, one a line, perhaps with bytes spliced in (non-UTF-8 too)."""
+    lines = draw(st.lists(corrupted(record) | values, min_size=1, max_size=max_lines))
+    data = "\n".join(render(line) for line in lines).encode()
+    junk = draw(st.just(b"") | st.binary(min_size=1, max_size=4))
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + junk + data[at:]
+
+
+def run_generated(argv_of, data: bytes):
+    """Run ``cli.main`` on a file holding ``data``: exit code and stderr lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv_of(str(path), str(Path(tmp) / "events.jsonl")))
+            except SystemExit as exc:
+                code = exc.code
+    return code, err.getvalue().splitlines()
+
+
+def assert_clean_exit(code, err_lines):
+    """Exit 0 or 1 (a failed check), or 2 with one ``error:`` line; never an exception."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(err_lines) == 1 and "error:" in err_lines[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=input_files(setting_record, 3), shots=st.integers(1, 8), events=st.booleans())
+def test_generated_settings_files_exit_cleanly(data, shots, events):
+    def argv(path, events_path):
+        extra = ["--events", events_path] if events else []
+        return ["mzi", "--shots", str(shots), "--seed", "1", "--settings", path, *extra]
+
+    assert_clean_exit(*run_generated(argv, data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=input_files(bases_record(), 1), optimize=st.booleans())
+def test_generated_bases_files_exit_cleanly(data, optimize):
+    def argv(path, _):
+        extra = ["--optimize", "--seed", "1", "--starts", "2", "--iterations", "5"] if optimize else []
+        return ["quantum", "--bases", path, *extra]
+
+    assert_clean_exit(*run_generated(argv, data))
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,15 @@ GOLDEN = {
         ["classical", "--n", "3"],
         "5d0c23cf383abe37183c04999f29aa8df6e3af0274e48a7be9e9941913e58135",
     ),
+    # one row per deterministic strategy: id, average and correlator table
+    "classical-n2-dump": (
+        ["classical", "--n", "2", "--dump-strategies"],
+        "8022a7b75d20069e1bbae98aea2b8a830a2f7cc89f5653966ad4d294ec4b76ee",
+    ),
+    "classical-n3-dump": (
+        ["classical", "--n", "3", "--dump-strategies"],
+        "34dec2185df1d772919d7ed2deb938471f4d5ce7ff8c4a9dfeaeaae0086558c0",
+    ),
 }
 
 

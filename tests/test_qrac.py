@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from racsim import qcore, qrac
 from racsim.bell import quantum_max, sign_matrix, success_from_bell
-from racsim.classical import class_index, optimal_classical_formula
+from racsim.classical import optimal_classical_formula, string_classes
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -188,8 +188,9 @@ class TestMeasurementBases:
         # direction, its first bit the sign
         bases = qrac.default_bases(2)
         preps = qcore.outcome_projectors(bases.alice)
-        for bits, sign in (((0, 1), 1.0), ((1, 0), -1.0)):
-            rho = preps[class_index(bits), bits[0]]
+        # strings 01 and 10 (indices 1 and 2) form class 1
+        for index, sign in ((1, 1.0), (2, -1.0)):
+            rho = preps[string_classes(2)[index], index >> 1]
             bloch = [np.trace(rho @ s).real for s in (qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)]
             np.testing.assert_allclose(bloch, sign * bases.alice[1], atol=1e-12)
 

@@ -27,6 +27,7 @@ BENCHMARK_ONLY = {
     "qrac.correlator_qm",
     "mzi.counts_from_outcomes",
     "concat.SimulationResults.shots",
+    "classical.brute_success",
 }
 
 
