@@ -29,17 +29,17 @@ def sign_matrix(n: int) -> np.ndarray:
     return signs
 
 
-def bell_value(table: np.ndarray, signs: np.ndarray) -> float:
-    """Signed sum sum_ij s_ij * t_ij of a correlation table against a sign matrix."""
+def bell_value(table: np.ndarray, signs: np.ndarray) -> float | np.ndarray:
+    """Signed sum sum_ij s_ij * t_ij of a correlation table, or of each table of a (..., rows, n) stack."""
     t = np.asarray(table, dtype=float)
     s = np.asarray(signs)
-    if t.shape != s.shape:
+    if t.shape[-2:] != s.shape:
         raise ValueError(f"correlation table shape {t.shape} does not match signs {s.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("correlation table has missing or non-finite entries")
     if np.max(np.abs(t)) > 1.0 + 1e-12:
         raise ValueError("correlators must lie in [-1, 1]")
-    return float(np.sum(s * t))
+    return np.sum(s * t, axis=(-2, -1))
 
 
 def classical_bound(n: int) -> int:
@@ -85,11 +85,13 @@ def algebraic_max(n: int) -> int:
     return n * (1 << (n - 1))
 
 
-def success_from_bell(n: int, value: float) -> float:
-    """Average success probability (1 + value / (n 2^(n-1))) / 2 of an n->1 code."""
+def success_from_bell(n: int, value: float | np.ndarray) -> float | np.ndarray:
+    """Average success probability (1 + value / (n 2^(n-1))) / 2 of an n->1 code, elementwise."""
     cap = algebraic_max(n)
-    if abs(value) > cap + 1e-9:
-        raise ValueError(f"expression value {value} outside algebraic range [-{cap}, {cap}]")
+    outside = np.abs(value) > cap + 1e-9
+    if np.any(outside):
+        first = np.asarray(value)[outside][0]
+        raise ValueError(f"expression value {first} outside algebraic range [-{cap}, {cap}]")
     return 0.5 * (1.0 + value / cap)
 
 

@@ -52,9 +52,11 @@ def strategy_count(n: int) -> int:
 
 def _require_enumerable(n: int, limit: int) -> None:
     if n < 2 or n > limit:
-        raise ValueError(
-            f"enumeration supports 2 <= n <= {limit}; n={n} would mean {strategy_count(n)} strategies"
-        )
+        # the count is 2^exponent; past 2^64 it is written as that power, since the
+        # integer's digits would soon exceed what str() formats (n = 14) or memory holds
+        exponent = (1 << n) + 2 * n
+        count = strategy_count(n) if exponent <= 64 else f"2^{exponent}"
+        raise ValueError(f"enumeration supports 2 <= n <= {limit}; n={n} would mean {count} strategies")
 
 
 def _encode_tables(n: int) -> np.ndarray:

@@ -37,7 +37,11 @@ def _read_text(path: str) -> str:
 
 @dataclass
 class ReportRow:
-    """One check/result line: computed value, optional reference target and verdict."""
+    """One check/result line: computed value, optional reference target and verdict.
+
+    A row with an ``expected`` value and no ``passed`` verdict compares its
+    numeric value within ``tolerance``.
+    """
 
     cmd: str
     quantity: str
@@ -50,11 +54,7 @@ class ReportRow:
 
     def __post_init__(self):
         if self.passed is None and self.expected is not None:
-            tol = self.tolerance if self.tolerance is not None else 0.0
-            try:
-                self.passed = abs(float(self.value) - float(self.expected)) <= tol
-            except (TypeError, ValueError):
-                self.passed = self.value == self.expected
+            self.passed = abs(float(self.value) - float(self.expected)) <= self.tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -124,8 +124,6 @@ def cmd_classical(args) -> list[ReportRow]:
     params = {"n": args.n, "mode": args.mode}
     rows: list[ReportRow] = []
     if args.mode == "formula":
-        if args.n > 30:
-            raise UsageError(f"formula mode supports n <= 30, got {args.n}")
         rows.append(
             ReportRow(
                 "classical",
@@ -378,6 +376,12 @@ def cmd_mzi(args) -> list[ReportRow]:
     state = mzi.entangled_state(args.a, math.sqrt(max(0.0, 1.0 - args.a**2)), args.delta)
     base_params = {"shots": args.shots, "seed": args.seed, "workers": args.workers}
     settings = load_settings(args.settings) if args.settings else None
+    held = OUTCOME_BYTES * len(settings) * args.shots if settings else 0
+    if held > OUTCOME_BUDGET:
+        raise UsageError(
+            f"{args.settings}: {len(settings)} settings x {args.shots} shots would hold "
+            f"{held} B of outcomes, above {OUTCOME_BUDGET} B"
+        )
     if args.events:
         _open(args.events, "wb").close()  # an unwritable path fails before any sampling
     if settings:
@@ -541,8 +545,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     # structural identity over random bases
     rng = np.random.default_rng(seed)
     for n in (2, 3):
-        stack = [qrac.random_bases(n, rng) for _ in range(1000)]
-        worst = float(np.max(qrac.identity_residuals(stack)))
+        worst = float(np.max(qrac.identity_residuals(*qrac.random_bases(n, rng, 1000))))
         add(f"identity-residual-max-n{n}", worst, 0.0, 1e-12, "success-expression-identity")
 
     # commensurability of violation and success gain
@@ -653,11 +656,29 @@ def _in_range(convert, low, high=math.inf, hint: str = ""):
     return parse
 
 
-_count = _in_range(int, 1)
-_n_bits = _in_range(int, 2)
+# --n of every exact command: formula mode and the bounds table stop here,
+# enumeration (n <= 4) and the single-stage protocols (n <= 3) far below.
+BITS_MAX = 30
+_n_bits = _in_range(int, 2, BITS_MAX)
 # The concatenation tree is built before any row is written: about 1 s at
 # n = 10^5, while n = 10^6 takes 44 s and 2.4 GB.
 CONCAT_MAX_N = 10**5
+# Outcome arrays one run may hold: sampling keeps OUTCOME_BYTES (a path and a spin
+# bit) per shot and setting until the rows are written.
+OUTCOME_BYTES = 2
+OUTCOME_BUDGET = 2**30
+# report --all holds 8 settings' arrays (two 4-setting protocol runs), the most of any
+# command without a settings file, so every shot option shares this bound;
+# mzi --settings checks its own setting count against the budget.
+SHOTS_MAX = OUTCOME_BUDGET // (OUTCOME_BYTES * 8)
+_shots = _in_range(int, 1, SHOTS_MAX)
+# --workers sets only how each setting's shots are cut into spans; threads never
+# outnumber CPUs, so more spans than this only add per-span stream set-up.
+WORKERS_MAX = 256
+# A seesaw start stops once it converges, after about 18 rounds on average at
+# n = 3, so rounds past that are rarely run; 10^4 starts take about 8 s (2-vCPU VM).
+STARTS_MAX = 10**4
+ITERATIONS_MAX = 10**4
 # streams key on the seed's 64 bits: a wider or negative seed would alias another
 _seed = _in_range(int, 0, 2**64 - 1)
 
@@ -693,7 +714,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     # argparse runs string defaults through ``type``, so a bad RACSIM_WORKERS exits 2 too
     workers = os.environ.get("RACSIM_WORKERS") or "1"
-    workers_type = _in_range(int, 1, hint=" (--workers or RACSIM_WORKERS)")
+    workers_type = _in_range(int, 1, WORKERS_MAX, hint=" (--workers or RACSIM_WORKERS)")
     parser = _Parser(
         prog="racsim",
         description="Random access code simulations: classical bounds, quantum protocols, "
@@ -708,20 +729,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_classical.set_defaults(func=cmd_classical)
 
     p_bounds = sub.add_parser("bounds", help="expression bounds and success conversions")
-    p_bounds.add_argument("--n-max", type=_in_range(int, 2, 30), default=10)
+    p_bounds.add_argument("--n-max", type=_n_bits, default=10)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_quantum = sub.add_parser("quantum", help="single-stage quantum protocol values")
     p_quantum.add_argument("--n", type=_n_bits, default=2)
     p_quantum.add_argument("--bases", help="JSON file with alice/bob unit vectors")
     p_quantum.add_argument("--optimize", action="store_true", help="run the seesaw search")
-    p_quantum.add_argument("--starts", type=_count, default=100)
-    p_quantum.add_argument("--iterations", type=_count, default=200)
+    p_quantum.add_argument("--starts", type=_in_range(int, 1, STARTS_MAX), default=100)
+    p_quantum.add_argument("--iterations", type=_in_range(int, 1, ITERATIONS_MAX), default=200)
     p_quantum.add_argument("--seed", type=_seed)
     p_quantum.set_defaults(func=cmd_quantum)
 
     p_mzi = sub.add_parser("mzi", help="interferometer sampling and count estimators")
-    p_mzi.add_argument("--shots", type=_count, required=True)
+    p_mzi.add_argument("--shots", type=_shots, required=True)
     p_mzi.add_argument("--seed", type=_seed, required=True)
     p_mzi.add_argument("--settings", help="JSONL settings file (theta, phi, spin_axis per line)")
     p_mzi.add_argument("--events", help="write per-shot event records to this path")
@@ -733,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_concat = sub.add_parser("concat", help="concatenated n->1 codes")
     p_concat.add_argument("--n", type=_in_range(int, 2, CONCAT_MAX_N), required=True)
     p_concat.add_argument("--engine", choices=("analytic", "born", "mzi"), default="analytic")
-    p_concat.add_argument("--shots", type=_count, default=200_000)
+    p_concat.add_argument("--shots", type=_shots, default=200_000)
     p_concat.add_argument("--seed", type=_seed)
     p_concat.add_argument("--query", type=_query, default="all")
     p_concat.add_argument("--input", help="explicit input bit string")
@@ -744,8 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="consolidated check table")
     p_report.add_argument("--all", action="store_true")
     p_report.add_argument("--seed", type=_seed, required=True)
-    p_report.add_argument("--shots", type=_count, default=1_000_000)
-    p_report.add_argument("--concat-shots", type=_count, default=200_000)
+    p_report.add_argument("--shots", type=_shots, default=1_000_000)
+    p_report.add_argument("--concat-shots", type=_shots, default=200_000)
     p_report.add_argument("--csv", help="also write the rows to a CSV file")
     p_report.add_argument("--workers", type=workers_type, default=workers)
     p_report.set_defaults(func=cmd_report)

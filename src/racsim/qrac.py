@@ -113,24 +113,20 @@ def bell_from_preps(bases: MeasurementBases) -> float:
     return bell_value(correlator_table(bases), sign_matrix(bases.n))
 
 
-def identity_residuals(stack: list[MeasurementBases]) -> np.ndarray:
-    """Residual |success - (1 + value / (n 2^(n-1))) / 2| of each basis; zero up to rounding."""
-    n = stack[0].n
-    signs = sign_matrix(n)
-    residuals = []
-    for lo in range(0, len(stack), _SLICE):
-        part = stack[lo : lo + _SLICE]
-        success, tables = _born_traces(
-            np.stack([bases.alice for bases in part]), np.stack([bases.bob for bases in part])
-        )
-        for p, table in zip(success, tables):
-            residuals.append(abs(p - success_from_bell(n, bell_value(table, signs))))
-    return np.array(residuals)
+def identity_residuals(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Residual |success - (1 + value / (n 2^(n-1))) / 2| of each basis of a stack; zero up to rounding."""
+    parts = [
+        _born_traces(alice[lo : lo + _SLICE], bob[lo : lo + _SLICE])
+        for lo in range(0, len(alice), _SLICE)
+    ]
+    success, tables = map(np.concatenate, zip(*parts))
+    n = bob.shape[1]
+    return np.abs(success - success_from_bell(n, bell_value(tables, sign_matrix(n))))
 
 
 def identity_check(bases: MeasurementBases) -> float:
     """Residual of the success/expression identity for one basis choice."""
-    return float(identity_residuals([bases])[0])
+    return float(identity_residuals(bases.alice[None], bases.bob[None])[0])
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
@@ -142,10 +138,13 @@ def random_direction(rng: np.random.Generator) -> np.ndarray:
             return vec / norm
 
 
-def random_bases(n: int, rng: np.random.Generator) -> MeasurementBases:
-    alice = np.array([random_direction(rng) for _ in range(1 << (n - 1))])
-    bob = np.array([random_direction(rng) for _ in range(n)])
-    return MeasurementBases(alice=alice, bob=bob)
+def random_bases(n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` random bases as (alice, bob) stacks, drawn one direction at a time, Alice's rows first."""
+    rows = 1 << (n - 1)
+    directions = np.array([random_direction(rng) for _ in range(count * (rows + n))])
+    qcore.require_unit_rows(directions)
+    directions = directions.reshape(count, rows + n, 3)
+    return directions[:, :rows], directions[:, rows:]
 
 
 # a seesaw start stops once one round gains less than this
@@ -156,18 +155,23 @@ def _seesaw_value(signs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> floa
     return float(np.sum(signs * (alice @ bob.T)))
 
 
+def _best_response(signs: np.ndarray, partners: np.ndarray) -> np.ndarray | None:
+    """Normalized signed sums ``signs @ partners``, the exact maximizer; None if any sum vanishes."""
+    sums = signs @ partners
+    norms = np.linalg.norm(sums, axis=1)
+    if np.any(norms < 1e-12):
+        return None
+    return sums / norms[:, None]
+
+
 def maximize_bell(
-    n: int,
-    starts: int = 100,
-    iterations: int = 200,
-    seed: int | None = None,
-    initial: MeasurementBases | None = None,
+    n: int, starts: int = 100, iterations: int = 200, seed: int | None = None
 ) -> tuple[float, MeasurementBases]:
     """Alternating (seesaw) maximization of the n-bit expression over unit directions.
 
-    Holding one side fixed, each direction on the other side is replaced by the
-    normalized signed sum of its partners, which is the exact inner maximizer.
-    Degenerate zero-norm updates restart that attempt with fresh random directions.
+    Each round replaces Bob's directions, then Alice's, by their best response.
+    A degenerate (zero-norm) response restarts that attempt with fresh random
+    directions; the first 10 * starts restarts do not use up an attempt.
     """
     if n not in (2, 3):
         raise ValueError(f"seesaw search defined for n in {{2, 3}}, got {n}")
@@ -176,40 +180,26 @@ def maximize_bell(
     best_value = -np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
 
-    pending = initial
     attempts = 0
     reseeds = 0
     while attempts < starts:
         attempts += 1
-        if pending is not None:
-            alice = np.array(pending.alice, dtype=float)
-            bob = np.array(pending.bob, dtype=float)
-            pending = None
-        else:
-            alice = np.array([random_direction(rng) for _ in range(signs.shape[0])])
-            bob = np.array([random_direction(rng) for _ in range(n)])
-        degenerate = False
+        alice = np.array([random_direction(rng) for _ in range(signs.shape[0])])
+        bob = np.array([random_direction(rng) for _ in range(n)])
         value = _seesaw_value(signs, alice, bob)
         for _ in range(iterations):
-            bob_new = signs.T @ alice
-            norms = np.linalg.norm(bob_new, axis=1)
-            if np.any(norms < 1e-12):
-                degenerate = True
+            bob = _best_response(signs.T, alice)
+            if bob is None:
                 break
-            bob = bob_new / norms[:, None]
-            alice_new = signs @ bob
-            norms = np.linalg.norm(alice_new, axis=1)
-            if np.any(norms < 1e-12):
-                degenerate = True
+            alice = _best_response(signs, bob)
+            if alice is None:
                 break
-            alice = alice_new / norms[:, None]
             new_value = _seesaw_value(signs, alice, bob)
             if new_value - value < SEESAW_TOL:
                 value = new_value
                 break
             value = new_value
-        if degenerate:
-            # re-seed this start without consuming the attempt budget
+        if alice is None or bob is None:
             reseeds += 1
             if reseeds <= 10 * starts:
                 attempts -= 1

@@ -65,6 +65,16 @@ class TestClassicalCommand:
         assert excinfo.value.code == 2
         assert "16777216" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,count", [(6, "2^76"), (14, "2^16412"), (cli.BITS_MAX, "2^1073741884")])
+    def test_large_count_written_as_power(self, capsys, n, count):
+        # from n = 14 the integer has more digits than str() formats
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["classical", "--n", str(n)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: enumeration supports 2 <= n <= 4; n={n} would mean {count} strategies\n"
+        )
+
     def test_dump_strategies_records(self, capsys):
         code, rows = run(capsys, ["classical", "--n", "2", "--dump-strategies"])
         assert code == 0
@@ -263,6 +273,46 @@ class TestConcatCommand:
         assert f"expected int in [2, {cli.CONCAT_MAX_N}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (["concat", "--n", "4", "--shots"], cli.SHOTS_MAX),
+        (["report", "--all", "--seed", "1", "--shots"], cli.SHOTS_MAX),
+        (["report", "--all", "--seed", "1", "--concat-shots"], cli.SHOTS_MAX),
+        (["quantum", "--optimize", "--seed", "1", "--starts"], cli.STARTS_MAX),
+        (["quantum", "--optimize", "--seed", "1", "--iterations"], cli.ITERATIONS_MAX),
+    ],
+    ids=["concat-shots", "report-shots", "report-concat-shots", "starts", "iterations"],
+)
+@pytest.mark.parametrize("excess", [1, 10**30])
+def test_counts_bounded_in_parser(capsys, argv, bound, excess):
+    # parser level only: no per-shot arrays stop these counts, so a run would just keep going
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args(argv + [str(bound + excess)])
+    assert excinfo.value.code == 2
+    assert f"in [1, {bound}]" in capsys.readouterr().err
+
+
+def test_settings_over_budget_refused_before_any_work(capsys, monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the outcome budget was checked")
+
+    monkeypatch.setattr(cli.mzi, "sample_events", no_work)
+    settings_path = tmp_path / "settings.jsonl"
+    settings_path.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n' * 9)
+    events_path = tmp_path / "events.jsonl"
+    argv = ["mzi", "--shots", str(cli.SHOTS_MAX), "--seed", "1", "--settings", str(settings_path)]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["--events", str(events_path)])
+    assert excinfo.value.code == 2
+    assert f"9 settings x {cli.SHOTS_MAX} shots would hold {18 * cli.SHOTS_MAX} B" in capsys.readouterr().err
+    assert not events_path.exists()
+    # eight settings at the largest shot count fit the budget exactly
+    settings_path.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n' * 8)
+    with pytest.raises(AssertionError, match="sampling started"):
+        cli.main(argv)
+
+
 class TestReportCommand:
     def test_requires_all_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -315,6 +365,13 @@ class TestWorkersEnvFallback:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "argument --workers" in err and "RACSIM_WORKERS" in err and "'abc'" in err
+
+    def test_env_value_above_bound_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("RACSIM_WORKERS", str(cli.WORKERS_MAX + 1))
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mzi", "--shots", "8", "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert f"expected int in [1, {cli.WORKERS_MAX}] (--workers or RACSIM_WORKERS)" in capsys.readouterr().err
 
 
 class TestWorkersOption:
@@ -371,6 +428,19 @@ BAD_ARGV = {
     "report-negative-seed": ["report", "--all", "--seed", "-1"],
     "bounds-n-max-one": ["bounds", "--n-max", "1"],
     "mzi-events-unwritable": ["mzi", "--shots", "10", "--seed", "1", "--events", "{unwritable}"],
+    "classical-n-40": ["classical", "--n", "40"],
+    "classical-n-huge": ["classical", "--n", str(10**30)],
+    "classical-formula-n-above-bound": ["classical", "--n", str(cli.BITS_MAX + 1), "--mode", "formula"],
+    "mzi-shots-above-bound": ["mzi", "--shots", str(cli.SHOTS_MAX + 1), "--seed", "1"],
+    "mzi-shots-huge": ["mzi", "--shots", str(10**30), "--seed", "1"],
+    "mzi-workers-huge": ["mzi", "--shots", "8", "--seed", "1", "--workers", str(10**30)],
+    "concat-workers-above-bound": [
+        "concat", "--n", "4", "--engine", "born", "--shots", "8", "--seed", "1",
+        "--workers", str(cli.WORKERS_MAX + 1),
+    ],
+    "mzi-settings-over-budget": [
+        "mzi", "--shots", str(cli.SHOTS_MAX), "--seed", "1", "--settings", "{nine_settings}",
+    ],
     "report-csv-unwritable": [
         "report", "--all", "--seed", "1", "--shots", "1000", "--concat-shots", "1000",
         "--csv", "{unwritable}",
@@ -394,12 +464,14 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     label_inf.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": 1e400, "j": 1}\n')
     bases_n4 = tmp_path / "bases_n4.json"
     bases_n4.write_text(json.dumps({"alice": [[0, 0, 1]] * 8, "bob": [[0, 0, 1]] * 4}))
+    nine_settings = tmp_path / "nine_settings.jsonl"
+    nine_settings.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n' * 9)
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes('{"theta": 0.3}\n'.encode("utf-16"))  # starts with the BOM ff fe
     paths = {
         "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
         "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16, "theta_huge": theta_huge,
-        "label_inf": label_inf, "bases_n4": bases_n4,
+        "label_inf": label_inf, "bases_n4": bases_n4, "nine_settings": nine_settings,
         "unwritable": tmp_path / "no-such-dir" / "out",
     }
     with pytest.raises(SystemExit) as excinfo:
@@ -477,18 +549,23 @@ def input_files(draw, record, max_lines):
     return data[:at] + junk + data[at:]
 
 
+def run_argv(argv):
+    """Run ``cli.main`` in-process with its output captured: exit code and stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue().splitlines()
+
+
 def run_generated(argv_of, data: bytes):
     """Run ``cli.main`` on a file holding ``data``: exit code and stderr lines."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv_of(str(path), str(Path(tmp) / "events.jsonl")))
-            except SystemExit as exc:
-                code = exc.code
-    return code, err.getvalue().splitlines()
+        return run_argv(argv_of(str(path), str(Path(tmp) / "events.jsonl")))
 
 
 def assert_clean_exit(code, err_lines):
@@ -516,6 +593,134 @@ def test_generated_bases_files_exit_cleanly(data, optimize):
         return ["quantum", "--bases", path, *extra]
 
     assert_clean_exit(*run_generated(argv, data))
+
+
+MALFORMED = ["-1", "0", "-7", "nan", "inf", "-inf", "1e308", "", "all", "0.5"]
+
+
+def flag_values(valid, bound=None):
+    """(valid, bad) value strategies; an integer flag's bad values include integers far past ``bound``."""
+    bad = st.sampled_from(MALFORMED)
+    if bound is not None:
+        bad |= st.integers(bound + 1, 10**40).map(str)
+    return st.sampled_from(valid), bad
+
+
+def command_flags(paths) -> dict:
+    """Each subcommand's flags, as (valid, bad) value strategies or None for a switch, and its required flags.
+
+    Valid values stay small so that no case starts long work.
+    """
+    seeds = flag_values(["0", "1", "7"], 2**64 - 1)
+    workers = flag_values(["1", "2", "3"], cli.WORKERS_MAX)
+    shots = flag_values(["1", "8", "100"], cli.SHOTS_MAX)
+    reals = flag_values(["0", "0.5", "1", "3.14", "1e-300"])
+    bad_paths = [paths["directory"], paths["missing"], paths["unwritable"]]
+    settings_file = st.just(paths["settings"]), st.sampled_from(bad_paths + [paths["malformed"], paths["bases"]])
+    bases_file = st.just(paths["bases"]), st.sampled_from(bad_paths + [paths["malformed"], paths["settings"]])
+    output = st.just(paths["out"]), st.sampled_from(bad_paths)
+    return {
+        "classical": (
+            {
+                # n = 4 would enumerate 16.7 M strategies; 5 and 30 are refused at once
+                "--n": flag_values(["2", "3", "5", "30"], cli.BITS_MAX),
+                "--mode": flag_values(["enumerate", "formula"]),
+                "--dump-strategies": None,
+            },
+            ["--n"],
+        ),
+        "bounds": ({"--n-max": flag_values(["2", "10", "30"], cli.BITS_MAX)}, []),
+        "quantum": (
+            {
+                "--n": flag_values(["2", "3", "4"], cli.BITS_MAX),
+                "--bases": bases_file,
+                "--optimize": None,
+                "--starts": flag_values(["1", "3"], cli.STARTS_MAX),
+                "--iterations": flag_values(["1", "20"], cli.ITERATIONS_MAX),
+                "--seed": seeds,
+            },
+            ["--optimize", "--seed"],
+        ),
+        "mzi": (
+            {
+                "--shots": shots,
+                "--seed": seeds,
+                "--settings": settings_file,
+                "--events": output,
+                "--a": reals,
+                "--delta": reals,
+                "--workers": workers,
+            },
+            ["--shots", "--seed"],
+        ),
+        "concat": (
+            {
+                "--n": flag_values(["2", "4", "5", "50"], cli.CONCAT_MAX_N),
+                "--engine": flag_values(["analytic", "born", "mzi"]),
+                "--shots": shots,
+                "--seed": seeds,
+                "--query": flag_values(["0", "3", "49", "50", "all"], 10**3),
+                "--input": flag_values(["01", "0101", "01x1", "1" * 50]),
+                "--permute-seed": seeds,
+                "--workers": workers,
+            },
+            ["--n", "--engine", "--seed"],
+        ),
+        "report": (
+            {
+                "--all": None,
+                "--seed": seeds,
+                "--shots": shots,
+                "--concat-shots": shots,
+                "--csv": output,
+                "--workers": workers,
+            },
+            ["--all", "--seed"],
+        ),
+    }
+
+
+@st.composite
+def command_argv(draw, flags, required):
+    """Mostly valid argv: now and then a bad value, a missing value or required flag, an unknown flag."""
+    chosen = set(draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)))
+    if draw(st.integers(0, 9)):
+        chosen |= set(required)
+    argv = []
+    for flag in draw(st.permutations(sorted(chosen))):
+        argv.append(flag)
+        if flags[flag] is not None:
+            valid, bad = flags[flag]
+            pick = draw(st.sampled_from(range(20)))
+            if pick:  # 0: the value is missing
+                argv.append(draw(bad if pick == 1 else valid))
+    if draw(st.integers(0, 9)) == 0:
+        unknown = draw(st.sampled_from(["--bogus", "--shots-per-setting", "-x", "extra", "--n=2=3"]))
+        argv.insert(draw(st.integers(0, len(argv))), unknown)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory) -> dict:
+    """Input and output paths: good, missing, a directory, malformed or unwritable."""
+    root = tmp_path_factory.mktemp("argv")
+    (root / "settings.jsonl").write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
+    (root / "bases.json").write_text(json.dumps({"alice": [[0, 0, 1], [1, 0, 0]], "bob": [[0, 0, 1], [0, 1, 0]]}))
+    (root / "malformed.json").write_text('{"alice": [[0, 0, 1]], "theta": [\n')
+    names = {
+        "settings": "settings.jsonl", "bases": "bases.json", "malformed": "malformed.json",
+        "missing": "missing.json", "out": "out.txt", "unwritable": "no-such-dir/out",
+    }
+    return {"directory": str(root), **{key: str(root / name) for key, name in names.items()}}
+
+
+@pytest.mark.parametrize("command", ["classical", "bounds", "quantum", "mzi", "concat", "report"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_generated_argv_exits_cleanly(argv_paths, command, data):
+    flags, required = command_flags(argv_paths)[command]
+    argv = [command] + data.draw(command_argv(flags, required), label="flags")
+    assert_clean_exit(*run_argv(argv))
 
 
 @pytest.mark.parametrize(
@@ -547,6 +752,10 @@ class TestExitCodes:
         rows = [cli.ReportRow("x", "q", 1.0, expected=2.0, tolerance=0.1)]
         assert rows[0].passed is False
         assert cli.exit_code(rows) == 1
+
+    def test_checked_row_needs_a_numeric_value(self):
+        with pytest.raises(ValueError):
+            cli.ReportRow("x", "q", "a", expected="a", tolerance=0)
 
     def test_unchecked_rows_pass(self):
         rows = [cli.ReportRow("x", "q", 1.0)]

@@ -78,7 +78,8 @@ class TestCorrelators:
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = 2 if rng.random() < 0.5 else 3
-            bases = qrac.random_bases(n, rng)
+            [alice], [bob] = qrac.random_bases(n, rng, 1)
+            bases = qrac.MeasurementBases(alice=alice, bob=bob)
             i = int(rng.integers(2 ** (n - 1)))
             j = int(rng.integers(n))
             dot = float(bases.alice[i] @ bases.bob[j])
@@ -109,7 +110,7 @@ class TestIdentity:
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_sweep(self, n):
         rng = np.random.default_rng(42 + n)
-        worst = max(qrac.identity_check(qrac.random_bases(n, rng)) for _ in range(1000))
+        worst = np.max(qrac.identity_residuals(*qrac.random_bases(n, rng, 1000)))
         assert worst < 1e-12
 
     def test_margin_matches_success_gap(self):
@@ -134,13 +135,21 @@ class TestMaximizeBell:
         assert value >= 4 * math.sqrt(3) - 1e-6
         assert value <= quantum_max(3) + 1e-9
 
-    def test_degenerate_start_reseeded(self):
-        adversarial = qrac.MeasurementBases(
-            alice=np.tile(Z, (2, 1)), bob=np.tile(Z, (2, 1))
-        )
-        value, _ = qrac.maximize_bell(2, starts=5, seed=3, initial=adversarial)
+    def test_degenerate_start_reseeded(self, monkeypatch):
+        # both of Alice's first directions along z: Bob's second signed sum vanishes
+        draw = qrac.random_direction
+        drawn = []
+
+        def first_alice_along_z(rng):
+            drawn.append(draw(rng))
+            return Z if len(drawn) <= 2 else drawn[-1]
+
+        monkeypatch.setattr(qrac, "random_direction", first_alice_along_z)
+        value, _ = qrac.maximize_bell(2, starts=5, seed=3)
         assert value <= quantum_max(2) + 1e-9
         assert value >= 2 * math.sqrt(2) - 1e-6
+        # the restart draws a sixth start of four directions instead of using up one of five
+        assert len(drawn) == 24
 
     def test_rejects_unsupported_n(self):
         with pytest.raises(ValueError):
@@ -159,8 +168,8 @@ class TestProtocolResult:
 
     def test_random_bases_satisfy_identity(self):
         rng = np.random.default_rng(44)
-        for _ in range(50):
-            bases = qrac.random_bases(3, rng)
+        for alice, bob in zip(*qrac.random_bases(3, rng, 50)):
+            bases = qrac.MeasurementBases(alice=alice, bob=bob)
             success = qrac.quantum_success(bases)
             assert abs(success - success_from_bell(3, qrac.bell_from_preps(bases))) <= 1e-12
 
@@ -196,9 +205,9 @@ class TestMeasurementBases:
 
 
 def random_stack(n, size, seed):
-    rng = np.random.default_rng(seed)
-    stack = [qrac.random_bases(n, rng) for _ in range(size)]
-    return stack, np.stack([b.alice for b in stack]), np.stack([b.bob for b in stack])
+    alice, bob = qrac.random_bases(n, np.random.default_rng(seed), size)
+    stack = [qrac.MeasurementBases(alice=a, bob=b) for a, b in zip(alice, bob)]
+    return stack, alice, bob
 
 
 stacks = {
@@ -215,9 +224,7 @@ class TestStackedKernel:
     @given(**stacks)
     def test_stack_matches_one_basis_views_bit_for_bit(self, n, size, seed):
         stack, alice, bob = random_stack(n, size, seed)
-        residuals = qrac.identity_residuals(stack)
         success, tables = qrac._born_traces(alice, bob)
-        assert residuals.tolist() == [qrac.identity_check(b) for b in stack]
         assert success.tolist() == [qrac.quantum_success(b) for b in stack]
         for table, bases in zip(tables, stack):
             assert table.tobytes() == qrac.correlator_table(bases).tobytes()
@@ -233,8 +240,30 @@ class TestStackedKernel:
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
     def test_identity_residuals_vanish(self, n, size, seed):
-        stack, _, _ = random_stack(n, size, seed)
-        assert np.all(qrac.identity_residuals(stack) < 1e-12)
+        _, alice, bob = random_stack(n, size, seed)
+        assert np.all(qrac.identity_residuals(alice, bob) < 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**stacks)
+    def test_identity_residuals_match_per_table_formula(self, n, size, seed):
+        _, alice, bob = random_stack(n, size, seed)
+        success, tables = qrac._born_traces(alice, bob)
+        signs = sign_matrix(n)
+        expected = [
+            abs(p - success_from_bell(n, float(np.sum(signs * table))))
+            for p, table in zip(success, tables)
+        ]
+        assert qrac.identity_residuals(alice, bob).tobytes() == np.array(expected).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**stacks)
+    def test_random_bases_draw_one_direction_at_a_time(self, n, size, seed):
+        alice, bob = qrac.random_bases(n, np.random.default_rng(seed), size)
+        rng = np.random.default_rng(seed)
+        rows = 2 ** (n - 1) + n
+        drawn = np.array([qrac.random_direction(rng) for _ in range(size * rows)])
+        assert alice.shape == (size, 2 ** (n - 1), 3) and bob.shape == (size, n, 3)
+        assert np.concatenate((alice, bob), axis=1).tobytes() == drawn.reshape(size, rows, 3).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks, side=st.sampled_from(["alice", "bob"]), pick=st.integers(0, 2**32))
