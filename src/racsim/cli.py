@@ -69,29 +69,20 @@ class ReportRow:
         }
 
 
-def emit(rows: list[ReportRow], stream=None) -> None:
-    out = stream or sys.stdout
+def emit(rows: list[ReportRow]) -> None:
     for row in rows:
-        out.write(json.dumps(row.to_dict()) + "\n")
+        sys.stdout.write(json.dumps(row.to_dict()) + "\n")
 
 
 def write_csv(rows: list[ReportRow], path: str) -> None:
+    """The rows' ``to_dict`` records as CSV, params JSON-encoded in the last column."""
+    columns = ["cmd", "quantity", "value", "expected", "tolerance", "reference", "pass", "params"]
     with _open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["cmd", "quantity", "value", "expected", "tolerance", "reference", "pass", "params"])
+        writer = csv.DictWriter(handle, columns)
+        writer.writeheader()
         for row in rows:
-            writer.writerow(
-                [
-                    row.cmd,
-                    row.quantity,
-                    row.value,
-                    row.expected,
-                    row.tolerance,
-                    row.reference,
-                    row.passed,
-                    json.dumps(row.params),
-                ]
-            )
+            record = row.to_dict()
+            writer.writerow({**record, "params": json.dumps(record["params"])})
 
 
 def exit_code(rows: list[ReportRow]) -> int:
@@ -221,6 +212,9 @@ def load_bases(path: str) -> qrac.MeasurementBases:
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
     try:
+        n = len(data["bob"])  # Bob has one row per bit; check n before converting Alice's 2^(n-1) rows
+        if n > BASES_MAX_N:
+            raise UsageError(f"{path}: {n} bits, above the bound of {BASES_MAX_N}")
         return qrac.MeasurementBases(
             alice=np.asarray(data["alice"], dtype=float),
             bob=np.asarray(data["bob"], dtype=float),
@@ -375,8 +369,11 @@ def write_events(result: mzi.SamplingResult, path: str) -> None:
 def cmd_mzi(args) -> list[ReportRow]:
     state = mzi.entangled_state(args.a, math.sqrt(max(0.0, 1.0 - args.a**2)), args.delta)
     base_params = {"shots": args.shots, "seed": args.seed, "workers": args.workers}
-    settings = load_settings(args.settings) if args.settings else None
-    held = OUTCOME_BYTES * len(settings) * args.shots if settings else 0
+    if args.settings:
+        settings = load_settings(args.settings)
+    else:
+        settings = mzi.protocol_settings(mzi.steering_bases())
+    held = OUTCOME_BYTES * len(settings) * args.shots
     if held > OUTCOME_BUDGET:
         raise UsageError(
             f"{args.settings}: {len(settings)} settings x {args.shots} shots would hold "
@@ -384,15 +381,9 @@ def cmd_mzi(args) -> list[ReportRow]:
         )
     if args.events:
         _open(args.events, "wb").close()  # an unwritable path fails before any sampling
-    if settings:
-        result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers)
-    else:
-        estimate = mzi.estimate_protocol(
-            state, mzi.steering_bases(), args.shots, args.seed, workers=args.workers
-        )
-        result = estimate.result
+    result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers)
     rows: list[ReportRow] = []
-    for setting, counts in zip(result.settings, result.counts):
+    for setting, counts in zip(settings, result.counts):
         params = {**base_params, **_counts_params(setting, counts)}
         if args.settings:
             rows.append(ReportRow("mzi", "counts", counts.shots, params))
@@ -404,16 +395,17 @@ def cmd_mzi(args) -> list[ReportRow]:
         )
     if not args.settings:
         target_p, target_c = _quantum_optimum(2)
+        value = mzi.protocol_value(result.counts)
         rows.append(
             ReportRow(
-                "mzi", "expression-estimate", estimate.bell, base_params,
+                "mzi", "expression-estimate", value, base_params,
                 expected=target_c, tolerance=_sampling_tolerance(0.01, 1e6, args.shots),
                 reference="quantum-optimum",
             )
         )
         rows.append(
             ReportRow(
-                "mzi", "success-estimate", estimate.success, base_params,
+                "mzi", "success-estimate", bell.success_from_bell(2, value), base_params,
                 expected=target_p, tolerance=_sampling_tolerance(0.002, 1e6, args.shots),
                 reference="quantum-optimum",
             )
@@ -471,14 +463,20 @@ def cmd_concat(args) -> list[ReportRow]:
         queries = [args.query]
     else:
         raise UsageError(f"query {args.query} out of range for n={n}")
+    scratch = len(queries) * min(args.shots, args.workers * mzi.BLOCK)
+    if scratch > QUERY_SCRATCH_BUDGET:
+        raise UsageError(
+            f"{len(queries)} queries would hold {scratch} B of parity scratch, "
+            f"above {QUERY_SCRATCH_BUDGET} B; query fewer bits or use fewer workers"
+        )
     sims = concat.simulate(
         tree, bits, queries, args.shots, args.seed, engine=args.engine, workers=args.workers
     )
     tol = _sampling_tolerance(0.01, 2e5, args.shots)
-    for query, sim in zip(queries, sims):
+    for query, successes in zip(queries, sims.successes):
         rows.append(
             ReportRow(
-                "concat", "simulated-per-bit", sim.rate,
+                "concat", "simulated-per-bit", successes / sims.shots,
                 {**base_params, "bit": query, "shots": args.shots, "seed": args.seed},
                 expected=float(per_bit[query]), tolerance=tol, reference="stage-formula",
             )
@@ -563,24 +561,25 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
 
     # sampled estimator at the protocol settings
     state = mzi.maximally_entangled_state()
-    estimate = mzi.estimate_protocol(state, mzi.steering_bases(), shots, seed, workers=workers)
+    settings = mzi.protocol_settings(mzi.steering_bases())
+    counts = mzi.sample_events(state, settings, shots, seed, workers=workers).counts
+    value = mzi.protocol_value(counts)
     tol_c = _sampling_tolerance(0.01, 1e6, shots)
     tol_p = _sampling_tolerance(0.002, 1e6, shots)
     target_p, target_c = _quantum_optimum(2)
-    add("sampled-expression", estimate.bell, target_c, tol_c, "quantum-optimum")
-    add("sampled-success", estimate.success, target_p, tol_p, "quantum-optimum")
+    add("sampled-expression", value, target_c, tol_c, "quantum-optimum")
+    add("sampled-success", bell.success_from_bell(2, value), target_p, tol_p, "quantum-optimum")
 
     # classical-regime sampling: every direction aligned with z
-    aligned = qrac.MeasurementBases(
-        alice=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
-        bob=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]),
-    )
-    aligned_est = mzi.estimate_protocol(state, aligned, shots, seed, workers=workers)
-    add("aligned-expression", aligned_est.bell, -2.0, tol_c, "pessimal-classical")
-    add("aligned-success", aligned_est.success, 0.25, tol_p, "pessimal-classical")
+    z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    aligned = mzi.protocol_settings(qrac.MeasurementBases(alice=z, bob=z))
+    aligned_counts = mzi.sample_events(state, aligned, shots, seed, workers=workers).counts
+    value = mzi.protocol_value(aligned_counts)
+    add("aligned-expression", value, -2.0, tol_c, "pessimal-classical")
+    add("aligned-success", bell.success_from_bell(2, value), 0.25, tol_p, "pessimal-classical")
 
     # estimator discrepancy on the aligned maximally entangled state
-    counts = aligned_est.result.counts[0]
+    counts = aligned_counts[0]
     add(
         "discrepancy-correlator-joint", mzi.correlator_from_counts(counts), -1.0, 1e-12,
         "anti-correlation",
@@ -599,9 +598,10 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     sim_tol = _sampling_tolerance(0.01, 2e5, concat_shots)
     for n in (4, 6):
         tree = concat.build_tree(n)
-        [sim] = concat.simulate(tree, [0] * n, [0], concat_shots, seed, workers=workers)
+        sim = concat.simulate(tree, [0] * n, [0], concat_shots, seed, workers=workers)
         add(
-            f"concat-simulated-n{n}", sim.rate, float(concat.analytic_per_bit(tree)[0]), sim_tol,
+            f"concat-simulated-n{n}", sim.successes[0] / sim.shots,
+            float(concat.analytic_per_bit(tree)[0]), sim_tol,
             "stage-formula",
         )
     add(
@@ -620,9 +620,8 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     )
 
     # reproducibility: identical counts for any worker count
-    repro_settings = mzi.protocol_settings(mzi.steering_bases())
-    counts_one = mzi.sample_events(state, repro_settings, 4096, seed, workers=1).counts
-    counts_many = mzi.sample_events(state, repro_settings, 4096, seed, workers=3).counts
+    counts_one = mzi.sample_events(state, settings, 4096, seed, workers=1).counts
+    counts_many = mzi.sample_events(state, settings, 4096, seed, workers=3).counts
     mismatches = sum(a != b for a, b in zip(counts_one, counts_many))
     add("worker-count-mismatches", mismatches, 0, 0, "partitioned-streams")
     return rows
@@ -663,12 +662,22 @@ _n_bits = _in_range(int, 2, BITS_MAX)
 # The concatenation tree is built before any row is written: about 1 s at
 # n = 10^5, while n = 10^6 takes 44 s and 2.4 GB.
 CONCAT_MAX_N = 10**5
+# A sampled concat run keeps one block of spin-flip parity per query in each shot
+# span: queries x min(span shots, mzi.BLOCK) bytes (concat.simulate_range), or
+# 3.3 GB per span for --query all at n = 10^5. Spans may all run at once, so their
+# sum, at most queries x min(shots, workers x BLOCK), is held to this budget
+# whatever the CPU count.
+QUERY_SCRATCH_BUDGET = 2**30
+# Exact evaluation of a --bases file holds n 2^n products of 2x2 complex matrices:
+# n = 16 takes about 4.5 s and 208 MB (2-vCPU VM), and every 2 more bits cost about 4x that.
+BASES_MAX_N = 16
 # Outcome arrays one run may hold: sampling keeps OUTCOME_BYTES (a path and a spin
 # bit) per shot and setting until the rows are written.
 OUTCOME_BYTES = 2
 OUTCOME_BUDGET = 2**30
-# report --all holds 8 settings' arrays (two 4-setting protocol runs), the most of any
-# command without a settings file, so every shot option shares this bound;
+# report --all samples 8 settings' arrays (two 4-setting protocol runs), the most of
+# any command without a settings file; even all 8 at once stay within the budget, so
+# every shot option shares this bound;
 # mzi --settings checks its own setting count against the budget.
 SHOTS_MAX = OUTCOME_BUDGET // (OUTCOME_BYTES * 8)
 _shots = _in_range(int, 1, SHOTS_MAX)

@@ -186,22 +186,11 @@ def _conditional_table_mzi(arity: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimulationResult:
-    successes: int
+class SimulationResults:
+    """Successes per query, in query order; one pass draws the same ``shots`` for every query."""
+
+    successes: tuple[int, ...]
     shots: int
-
-    @property
-    def rate(self) -> float:
-        return self.successes / self.shots
-
-
-class SimulationResults(tuple):
-    """One ``SimulationResult`` per query, in query order, all over the same shots."""
-
-    @property
-    def shots(self) -> int:
-        """Shots of every query: the pass draws each shot once for all of them."""
-        return self[0].shots
 
 
 def _spin_tables(arity: int, engine: str) -> list[np.ndarray]:
@@ -338,5 +327,5 @@ def simulate(
     parts = mzi.map_spans(
         lambda lo, hi: simulate_range(tree, bits, queries, seed, lo, hi, engine), shots, workers
     )
-    return SimulationResults(SimulationResult(sum(counts), shots) for counts in zip(*parts))
+    return SimulationResults(tuple(sum(counts) for counts in zip(*parts)), shots)
 

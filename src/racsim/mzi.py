@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import qcore
-from .bell import success_from_bell
+from .bell import bell_value, sign_matrix
 from .qrac import MeasurementBases, default_bases
 
 # Shots drawn per block by the mzi and concat samplers: a block's scratch stays in cache.
@@ -195,7 +195,6 @@ def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> Detect
 class SamplingResult:
     """Per-setting tallies and the (path bits, spin bits) uint8 arrays they came from."""
 
-    settings: tuple[Setting, ...]
     counts: tuple[DetectionCounts, ...]
     outcomes: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -224,7 +223,7 @@ def sample_events(
         )
         counts.append(DetectionCounts(*(int(t) for t in sum(tallies))))
         outcomes.append((path_bits, spin_bits))
-    return SamplingResult(settings=tuple(settings), counts=tuple(counts), outcomes=tuple(outcomes))
+    return SamplingResult(counts=tuple(counts), outcomes=tuple(outcomes))
 
 
 def correlator_from_counts(counts: DetectionCounts) -> float:
@@ -274,39 +273,15 @@ def protocol_settings(bases: MeasurementBases) -> list[Setting]:
     return settings
 
 
-@dataclass(frozen=True)
-class ProtocolEstimate:
-    bell: float
-    success: float
-    result: SamplingResult
+def protocol_value(counts: Sequence[DetectionCounts]) -> float:
+    """Two-bit expression estimate from the counts of the four ``protocol_settings``.
 
-
-def estimate_protocol(
-    state: qcore.PureState,
-    bases: MeasurementBases,
-    shots_per_setting: int,
-    seed: int,
-    workers: int = 1,
-) -> ProtocolEstimate:
-    """Estimate the two-bit expression value and success probability from counts.
-
-    The four settings measure the path along each of Alice's directions and the
-    spin along each of Bob's; the expression estimate is the signed sum of the
-    joint-frequency correlators and the success estimate follows the exact
-    success/expression identity.
+    The settings measure the path along each of Alice's directions and the spin
+    along each of Bob's; the estimate is the signed sum of their joint-frequency
+    correlators, and ``bell.success_from_bell(2, value)`` turns it into a success
+    estimate.
     """
-    if bases.n != 2:
-        raise ValueError("count-based estimation implemented for the 2-bit protocol")
-    if shots_per_setting < 1:
-        raise ValueError("shots must be >= 1")
-    settings = protocol_settings(bases)
-    result = sample_events(state, settings, shots_per_setting, seed, workers=workers)
-    correlators = np.array(
-        [correlator_from_counts(c) for c in result.counts]
-    ).reshape(2, 2)
-    value = correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1]
-    return ProtocolEstimate(
-        bell=value,
-        success=success_from_bell(2, value),
-        result=result,
-    )
+    if len(counts) != 4:
+        raise ValueError(f"the two-bit protocol has 4 settings, got {len(counts)} counts")
+    correlators = np.array([correlator_from_counts(c) for c in counts]).reshape(2, 2)
+    return bell_value(correlators, sign_matrix(2))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import cli
+from racsim import cli, mzi
 
 
 def run(capsys, argv):
@@ -313,6 +313,31 @@ def test_settings_over_budget_refused_before_any_work(capsys, monkeypatch, tmp_p
         cli.main(argv)
 
 
+def test_query_scratch_over_budget_refused_before_any_draw(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the query scratch was checked")
+
+    monkeypatch.setattr(cli.concat, "simulate", no_work)
+    fit = cli.QUERY_SCRATCH_BUDGET // mzi.BLOCK  # queries of one full-block span
+    argv = ["concat", "--engine", "born", "--seed", "1", "--workers", "1", "--n"]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + [str(fit + 1)])
+    assert excinfo.value.code == 2
+    assert f"{fit + 1} queries would hold {(fit + 1) * mzi.BLOCK} B" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="sampling started"):
+        cli.main(argv + [str(fit)])
+
+
+def test_bases_bits_bounded_before_alice_is_read(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"alice": "never read", "bob": [[0, 0, 1]] * (cli.BASES_MAX_N + 1)}))
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["quantum", "--bases", str(path)])
+    assert excinfo.value.code == 2
+    expected = f"error: {path}: {cli.BASES_MAX_N + 1} bits, above the bound of {cli.BASES_MAX_N}\n"
+    assert capsys.readouterr().err == expected
+
+
 class TestReportCommand:
     def test_requires_all_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -413,6 +438,11 @@ BAD_ARGV = {
     ],
     "concat-negative-permute-seed": ["concat", "--n", "5", "--permute-seed", "-1"],
     "concat-n-above-bound": ["concat", "--n", str(cli.CONCAT_MAX_N + 1)],
+    # every query of a full-block span holds one block of parity scratch
+    "concat-query-scratch-above-budget": [
+        "concat", "--n", str(cli.QUERY_SCRATCH_BUDGET // mzi.BLOCK + 1), "--engine", "born",
+        "--seed", "1", "--workers", "1",
+    ],
     "quantum-bases-n4-optimize": ["quantum", "--bases", "{bases_n4}", "--optimize", "--seed", "1"],
     "mzi-settings-theta-doubles-to-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{theta_huge}"],
     "mzi-settings-label-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_inf}"],

@@ -207,6 +207,68 @@ class TestAnalyticPerBit:
                 assert concat.analytic_per_bit(tree)[leaf] == pytest.approx(expected, abs=1e-12)
 
 
+def rates(sims: concat.SimulationResults) -> list[float]:
+    return [successes / sims.shots for successes in sims.successes]
+
+
+def stage_bias(arity, slot, engine):
+    """Mean over class i and Alice bit a of 2 P(spin = a XOR c_slot(i)) - 1, from the sampler's tables.
+
+    Slot j's class bit is bit (arity - 1 - j) of i; slot 0 has class bit 0.
+    """
+    spin_zero = concat._spin_tables(arity, engine)[slot]
+    classes = 1 << (arity - 1)
+    total = 0.0
+    for i in range(classes):
+        class_bit = (i >> (arity - 1 - slot)) & 1
+        for a in (0, 1):
+            p = spin_zero[2 * i + a]
+            total += 2.0 * (p if a == class_bit else 1.0 - p) - 1.0
+    return total / (2 * classes)
+
+
+def oracle_per_bit(tree, engine):
+    """Per leaf: 1/2 + 1/2 times the product of the stage biases on its path from the root."""
+    subunits = tree.internal_postorder()
+    biases = {(a, j): stage_bias(a, j, engine) for a in (2, 3) for j in range(a)}
+    return np.array([
+        0.5 + 0.5 * math.prod(biases[len(subunits[uid]), slot] for uid, slot in path)
+        for path in tree.paths_to_leaves(range(tree.n))
+    ])
+
+
+@pytest.mark.parametrize("engine", ["born", "mzi"])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_stage_bias_is_one_over_root_arity(arity, engine):
+    for slot in range(arity):
+        assert stage_bias(arity, slot, engine) == pytest.approx(1 / math.sqrt(arity), abs=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=shapes, engine=st.sampled_from(["born", "mzi"]), data=st.data())
+def test_stage_oracle_matches_analytic_per_bit(shape, engine, data):
+    n = leaf_count(shape)
+    tree = concat.ConcatTree(label(shape, iter(data.draw(st.permutations(range(n))))))
+    np.testing.assert_allclose(oracle_per_bit(tree, engine), concat.analytic_per_bit(tree), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("engine", ["born", "mzi"])
+@pytest.mark.parametrize(
+    "nested,bits,seed",
+    [
+        ([[0, 1], [2, 3]], [1, 0, 1, 1], 3),
+        ([[4, 0, 2], [1, 3]], [0, 1, 1, 0, 1], 5),
+        ([[[5, 0], [2, 6, 1]], [3, 4]], [1, 1, 0, 1, 0, 0, 1], 8),
+    ],
+)
+def test_sampler_within_five_standard_errors_of_the_oracle(nested, bits, seed, engine):
+    tree = concat.ConcatTree(nested)
+    shots = 40_000
+    sims = concat.simulate(tree, bits, range(tree.n), shots, seed, engine=engine)
+    oracle = oracle_per_bit(tree, engine)
+    assert np.all(np.abs(np.array(rates(sims)) - oracle) <= 5.0 * np.sqrt(oracle * (1 - oracle) / shots))
+
+
 class TestBounds:
     @pytest.mark.parametrize("n,expected", [(4, 0.75), (2, 0.8535533905932737), (9, 2 / 3)])
     def test_quantum_bound(self, n, expected):
@@ -229,39 +291,40 @@ class TestBounds:
 class TestSimulate:
     def test_four_leaf_rate(self):
         tree = concat.build_tree(4)
-        [sim] = concat.simulate(tree, [1, 0, 1, 1], [2], 200_000, seed=17)
-        assert abs(sim.rate - 0.75) <= 0.01
+        [rate] = rates(concat.simulate(tree, [1, 0, 1, 1], [2], 200_000, seed=17))
+        assert abs(rate - 0.75) <= 0.01
 
     def test_six_leaf_rate(self):
         tree = concat.build_tree(6)
-        [sim] = concat.simulate(tree, [0] * 6, [4], 200_000, seed=17)
-        assert abs(sim.rate - 0.7041241) <= 0.01
+        [rate] = rates(concat.simulate(tree, [0] * 6, [4], 200_000, seed=17))
+        assert abs(rate - 0.7041241) <= 0.01
 
     def test_single_pair_rate(self):
         tree = concat.build_tree(2)
-        [sim] = concat.simulate(tree, [1, 0], [0], 200_000, seed=17)
-        assert abs(sim.rate - 0.8535534) <= 0.01
+        [rate] = rates(concat.simulate(tree, [1, 0], [0], 200_000, seed=17))
+        assert abs(rate - 0.8535534) <= 0.01
 
     def test_rate_close_to_analytic_for_all_leaves(self):
         tree = concat.ConcatTree([[0, 1, 2], [3, 4]])
         per_bit = concat.analytic_per_bit(tree)
         shots = 100_000
         sims = concat.simulate(tree, [1, 1, 0, 0, 1], range(5), shots, seed=23)
-        for leaf, sim in enumerate(sims):
-            assert abs(sim.rate - per_bit[leaf]) <= 5.0 / math.sqrt(shots)
+        assert sims.shots == shots
+        for leaf, rate in enumerate(rates(sims)):
+            assert abs(rate - per_bit[leaf]) <= 5.0 / math.sqrt(shots)
 
     def test_engines_agree_statistically(self):
         tree = concat.build_tree(6)
-        [born] = concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="born")
-        [apparatus] = concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="mzi")
-        assert abs(born.rate - apparatus.rate) <= 5.0 / math.sqrt(50_000)
+        [born] = rates(concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="born"))
+        [apparatus] = rates(concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="mzi"))
+        assert abs(born - apparatus) <= 5.0 / math.sqrt(50_000)
 
     def test_reproducible_across_worker_counts(self):
         tree = concat.build_tree(4)
-        [baseline] = concat.simulate(tree, [1, 1, 0, 1], [1], 80_000, seed=5, workers=1)
+        baseline = concat.simulate(tree, [1, 1, 0, 1], [1], 80_000, seed=5, workers=1)
         for workers in (2, 4):
-            [rerun] = concat.simulate(tree, [1, 1, 0, 1], [1], 80_000, seed=5, workers=workers)
-            assert rerun.successes == baseline.successes
+            rerun = concat.simulate(tree, [1, 1, 0, 1], [1], 80_000, seed=5, workers=workers)
+            assert rerun == baseline
 
     def test_rejects_bad_query(self):
         tree = concat.build_tree(4)
@@ -302,8 +365,8 @@ class TestPadding:
         tree = concat.build_padded(5, permute_seed=9).tree
         per_bit = concat.analytic_per_bit(tree)
         shots = 100_000
-        [sim] = concat.simulate(tree, [1, 0, 1, 1, 0, 0], [2], shots, seed=29)
-        assert abs(sim.rate - per_bit[2]) <= 5.0 / math.sqrt(shots)
+        [rate] = rates(concat.simulate(tree, [1, 0, 1, 1, 0, 0], [2], shots, seed=29))
+        assert abs(rate - per_bit[2]) <= 5.0 / math.sqrt(shots)
 
     def test_smooth_input_unpadded(self):
         assert concat.build_padded(6).tree.n == 6

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racsim import cli, concat, mzi, qcore, qrac
+from racsim.bell import success_from_bell
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -133,7 +134,7 @@ class TestSampling:
         settings = mzi.protocol_settings(mzi.steering_bases())
         result = mzi.sample_events(state, settings, shots, seed=2024)
         bound = 5.0 / math.sqrt(shots)
-        for setting, counts in zip(result.settings, result.counts):
+        for setting, counts in zip(settings, result.counts):
             probs = mzi.born_probabilities(state, setting)
             freqs = np.array([counts.n_plus, counts.n_minus, counts.m_plus, counts.m_minus]) / shots
             assert np.max(np.abs(freqs - probs)) <= bound
@@ -317,29 +318,58 @@ class TestCountEstimators:
         assert abs(mzi.correlator_product_form(counts)) < 0.005
 
 
+def protocol_counts(bases, shots, seed):
+    """Counts of ``bases``' protocol settings on the maximally entangled state."""
+    state = mzi.maximally_entangled_state()
+    return mzi.sample_events(state, mzi.protocol_settings(bases), shots, seed).counts
+
+
 class TestEstimateProtocol:
     def test_steering_settings_hit_quantum_values(self):
-        state = mzi.maximally_entangled_state()
-        estimate = mzi.estimate_protocol(state, mzi.steering_bases(), 1_000_000, seed=42)
-        assert abs(estimate.success - 0.8535534) <= 0.002
-        assert abs(estimate.bell - 2 * math.sqrt(2)) <= 0.01
+        value = mzi.protocol_value(protocol_counts(mzi.steering_bases(), 1_000_000, seed=42))
+        assert abs(success_from_bell(2, value) - 0.8535534) <= 0.002
+        assert abs(value - 2 * math.sqrt(2)) <= 0.01
 
     def test_aligned_bases_classical_floor(self):
-        state = mzi.maximally_entangled_state()
         z = np.array([0.0, 0.0, 1.0])
         aligned = qrac.MeasurementBases(alice=np.tile(z, (2, 1)), bob=np.tile(z, (2, 1)))
-        estimate = mzi.estimate_protocol(state, aligned, 200_000, seed=42)
-        assert abs(estimate.bell - (-2.0)) <= 0.01
-        assert abs(estimate.success - 0.25) <= 0.002
+        value = mzi.protocol_value(protocol_counts(aligned, 200_000, seed=42))
+        assert abs(value - (-2.0)) <= 0.01
+        assert abs(success_from_bell(2, value) - 0.25) <= 0.002
 
     def test_rejects_three_bit_bases(self):
+        counts = protocol_counts(qrac.default_bases(3), 10, seed=1)
         with pytest.raises(ValueError):
-            mzi.estimate_protocol(
-                mzi.maximally_entangled_state(), qrac.default_bases(3), 10, seed=1
-            )
+            mzi.protocol_value(counts)
 
     def test_rejects_zero_shots(self):
+        counts = protocol_counts(mzi.steering_bases(), 0, seed=1)
         with pytest.raises(ValueError):
-            mzi.estimate_protocol(
-                mzi.maximally_entangled_state(), mzi.steering_bases(), 0, seed=1
-            )
+            mzi.protocol_value(counts)
+
+
+# one setting's counts: every cell from 1 to 10^7
+quad = st.tuples(*[st.integers(1, 10**7)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(quad, min_size=4, max_size=4))
+def test_protocol_value_is_the_signed_correlator_sum(cells):
+    counts = [mzi.DetectionCounts(*c) for c in cells]
+    c00, c01, c10, c11 = (mzi.correlator_from_counts(c) for c in counts)
+    assert mzi.protocol_value(counts) == c00 + c01 + c10 - c11
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(quad, max_size=12).filter(lambda cells: len(cells) != 4))
+def test_protocol_value_needs_four_counts(cells):
+    with pytest.raises(ValueError):
+        mzi.protocol_value([mzi.DetectionCounts(*c) for c in cells])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(quad, min_size=3, max_size=3), st.integers(0, 3))
+def test_protocol_value_rejects_a_zero_shot_count(cells, position):
+    cells.insert(position, (0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        mzi.protocol_value([mzi.DetectionCounts(*c) for c in cells])

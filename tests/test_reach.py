@@ -26,7 +26,6 @@ BENCHMARK_ONLY = {
     "qcore.expectation_product",
     "qrac.correlator_qm",
     "mzi.counts_from_outcomes",
-    "concat.SimulationResults.shots",
     "classical.brute_success",
 }
 
