@@ -328,6 +328,25 @@ def test_query_scratch_over_budget_refused_before_any_draw(capsys, monkeypatch):
         cli.main(argv + [str(fit)])
 
 
+def test_concat_builds_a_tree_only_to_sample(capsys, monkeypatch):
+    def no_tree(*args, **kwargs):
+        raise AssertionError("the padded tree was built or walked")
+
+    monkeypatch.setattr(cli.concat, "build_padded", no_tree)
+    monkeypatch.setattr(cli.concat, "analytic_per_bit", no_tree)
+    monkeypatch.setattr(cli.concat.ConcatTree, "depth_profile", no_tree)
+    code, rows = run(capsys, ["concat", "--n", "200"])
+    assert code == 0
+    assert len(by_quantity(rows, "analytic-per-bit")) == 200
+    # every refused concat input exits 2 before the tree is built, sampled or not
+    for name, argv in BAD_ARGV.items():
+        if argv[0] == "concat":
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2, name
+            assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bases_bits_bounded_before_alice_is_read(capsys, tmp_path):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"alice": "never read", "bob": [[0, 0, 1]] * (cli.BASES_MAX_N + 1)}))
@@ -436,6 +455,9 @@ BAD_ARGV = {
     "concat-input-too-long": [
         "concat", "--n", "5", "--engine", "born", "--seed", "1", "--input", "10110110",
     ],
+    # the analytic engine checks --input and --query too
+    "concat-analytic-input-not-bits": ["concat", "--n", "4", "--input", "xyz"],
+    "concat-analytic-query-out-of-range": ["concat", "--n", "5", "--query", "5"],
     "concat-negative-permute-seed": ["concat", "--n", "5", "--permute-seed", "-1"],
     "concat-n-above-bound": ["concat", "--n", str(cli.CONCAT_MAX_N + 1)],
     # every query of a full-block span holds one block of parity scratch
@@ -446,6 +468,10 @@ BAD_ARGV = {
     "quantum-bases-n4-optimize": ["quantum", "--bases", "{bases_n4}", "--optimize", "--seed", "1"],
     "mzi-settings-theta-doubles-to-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{theta_huge}"],
     "mzi-settings-label-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_inf}"],
+    "mzi-settings-label-fraction": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_fraction}"],
+    "mzi-settings-label-bool": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_bool}"],
+    "mzi-settings-label-string": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_string}"],
+    "quantum-bases-one-bit": ["quantum", "--bases", "{bases_n1}"],
     "quantum-negative-seed": ["quantum", "--optimize", "--seed", "-1"],
     "quantum-zero-starts": ["quantum", "--optimize", "--seed", "1", "--starts", "0"],
     "quantum-zero-iterations": ["quantum", "--optimize", "--seed", "1", "--iterations", "0"],
@@ -492,6 +518,12 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     theta_huge.write_text('{"theta": 1e308, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
     label_inf = tmp_path / "label_inf.jsonl"
     label_inf.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": 1e400, "j": 1}\n')
+    labels = {}
+    for name, value in (("label_fraction", "1.7"), ("label_bool", "true"), ("label_string", '"2"')):
+        labels[name] = tmp_path / f"{name}.jsonl"
+        labels[name].write_text(f'{{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": {value}, "j": 1}}\n')
+    bases_n1 = tmp_path / "bases_n1.json"
+    bases_n1.write_text(json.dumps({"alice": [[0, 0, 1]], "bob": [[0, 0, 1]]}))
     bases_n4 = tmp_path / "bases_n4.json"
     bases_n4.write_text(json.dumps({"alice": [[0, 0, 1]] * 8, "bob": [[0, 0, 1]] * 4}))
     nine_settings = tmp_path / "nine_settings.jsonl"
@@ -501,8 +533,8 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     paths = {
         "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
         "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16, "theta_huge": theta_huge,
-        "label_inf": label_inf, "bases_n4": bases_n4, "nine_settings": nine_settings,
-        "unwritable": tmp_path / "no-such-dir" / "out",
+        "label_inf": label_inf, "bases_n1": bases_n1, "bases_n4": bases_n4,
+        "nine_settings": nine_settings, "unwritable": tmp_path / "no-such-dir" / "out", **labels,
     }
     with pytest.raises(SystemExit) as excinfo:
         cli.main([arg.format(**paths) for arg in argv])

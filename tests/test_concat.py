@@ -370,3 +370,13 @@ class TestPadding:
 
     def test_smooth_input_unpadded(self):
         assert concat.build_padded(6).tree.n == 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5000), permute_seed=st.sampled_from([None, 0, 3, 9]))
+    def test_every_leaf_has_the_stages_of_the_padded_size(self, n, permute_seed):
+        # the CLI writes each analytic row from m = smooth_ceiling(n) alone
+        m = concat.smooth_ceiling(n)
+        stages = concat.smooth_factorization(m)
+        tree = concat.build_padded(n, permute_seed=permute_seed).tree
+        assert tree.depth_profile() == [stages] * m
+        assert concat.analytic_per_bit(tree).tolist() == [concat.chain_success(*stages)] * m

@@ -64,6 +64,11 @@ GOLDEN = {
          "--shots", "3001", "--seed", "2", "--workers", "2"],
         "ddb0132e4949a33d753191a2abb941a9c26c498e390618ea95a5a7dcec2edf8c",
     ),
+    # analytic engine only: 973 bits padded to 1024 = 2^10, every row from stages [10, 0]
+    "concat-n973-analytic-permuted": (
+        ["concat", "--n", "973", "--permute-seed", "5"],
+        "4a7bb4f00967ab118de457c69f32b35c9180af25052b730aaec94278f679af68",
+    ),
     # exact layer: enumeration, Born traces, identity sweep and seesaw
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",
