@@ -96,9 +96,30 @@ def _quantum_optimum(n: int) -> tuple[float, float]:
     return bell.success_from_bell(n, cap), cap
 
 
-def _sampling_tolerance(base: float, pinned_shots: float, shots: int) -> float:
-    """Tolerance ``base`` at ``pinned_shots`` shots, widened as 1/sqrt(shots) below that."""
-    return base * max(1.0, math.sqrt(pinned_shots / shots))
+# A sampled row passes within Z standard errors of its estimate: a correct estimator
+# misses by 5 SE about once in 1.7 million rows (two-sided normal tail).
+Z = 5
+
+
+def _sampling_tolerance(stderr: float, shots: int) -> float:
+    """Z standard errors with a floor of one count, 1/shots: an exact outcome distribution has SE 0."""
+    return Z * max(stderr, 1.0 / shots)
+
+
+def _rate_stderr(rate: float, shots: int) -> float:
+    """Standard error of a success rate over ``shots`` independent shots."""
+    return math.sqrt(rate * (1.0 - rate) / shots)
+
+
+def _protocol_estimates(counts, shots: int) -> tuple[float, float, float, float]:
+    """Two-bit expression and success estimates from the protocol counts, each with its tolerance.
+
+    Success is the expression mapped by a line of slope 1/(2 algebraic_max(2)) = 1/8,
+    so its tolerance is the expression's, one-count floor included, times that slope.
+    """
+    value, stderr = mzi.protocol_value(counts)
+    tol = _sampling_tolerance(stderr, shots)
+    return value, tol, bell.success_from_bell(2, value), tol / (2 * bell.algebraic_max(2))
 
 
 def _reaches_cap(value: float, cap: float) -> bool:
@@ -301,7 +322,7 @@ def load_settings(path: str) -> list[mzi.Setting]:
             raise UsageError(f"{path}:{lineno}: invalid JSON: {exc.msg}")
         try:
             label = None
-            if "i" in record and "j" in record:
+            if "i" in record or "j" in record:
                 label = (_label_index(record["i"]), _label_index(record["j"]))
             settings.append(
                 mzi.Setting(
@@ -407,19 +428,17 @@ def cmd_mzi(args) -> list[ReportRow]:
         )
     if not args.settings:
         target_p, target_c = _quantum_optimum(2)
-        value = mzi.protocol_value(result.counts)
+        value, tol_c, success, tol_p = _protocol_estimates(result.counts, args.shots)
         rows.append(
             ReportRow(
                 "mzi", "expression-estimate", value, base_params,
-                expected=target_c, tolerance=_sampling_tolerance(0.01, 1e6, args.shots),
-                reference="quantum-optimum",
+                expected=target_c, tolerance=tol_c, reference="quantum-optimum",
             )
         )
         rows.append(
             ReportRow(
-                "mzi", "success-estimate", bell.success_from_bell(2, value), base_params,
-                expected=target_p, tolerance=_sampling_tolerance(0.002, 1e6, args.shots),
-                reference="quantum-optimum",
+                "mzi", "success-estimate", success, base_params,
+                expected=target_p, tolerance=tol_p, reference="quantum-optimum",
             )
         )
     if args.events:
@@ -475,13 +494,15 @@ def cmd_concat(args) -> list[ReportRow]:
     sims = concat.simulate(
         tree, bits, queries, args.shots, args.seed, engine=args.engine, workers=args.workers
     )
-    tol = _sampling_tolerance(0.01, 2e5, args.shots)
     for query, successes in zip(queries, sims.successes):
+        rate = successes / sims.shots
         rows.append(
             ReportRow(
-                "concat", "simulated-per-bit", successes / sims.shots,
+                "concat", "simulated-per-bit", rate,
                 {**base_params, "bit": query, "shots": args.shots, "seed": args.seed},
-                expected=per_bit, tolerance=tol, reference="stage-formula",
+                expected=per_bit,
+                tolerance=_sampling_tolerance(_rate_stderr(rate, sims.shots), sims.shots),
+                reference="stage-formula",
             )
         )
     return rows
@@ -566,20 +587,19 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     state = mzi.maximally_entangled_state()
     settings = mzi.protocol_settings(mzi.steering_bases())
     counts = mzi.sample_events(state, settings, shots, seed, workers=workers).counts
-    value = mzi.protocol_value(counts)
-    tol_c = _sampling_tolerance(0.01, 1e6, shots)
-    tol_p = _sampling_tolerance(0.002, 1e6, shots)
+    value, tol_c, success, tol_p = _protocol_estimates(counts, shots)
     target_p, target_c = _quantum_optimum(2)
     add("sampled-expression", value, target_c, tol_c, "quantum-optimum")
-    add("sampled-success", bell.success_from_bell(2, value), target_p, tol_p, "quantum-optimum")
+    add("sampled-success", success, target_p, tol_p, "quantum-optimum")
 
     # classical-regime sampling: every direction aligned with z
     z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     aligned = mzi.protocol_settings(qrac.MeasurementBases(alice=z, bob=z))
     aligned_counts = mzi.sample_events(state, aligned, shots, seed, workers=workers).counts
-    value = mzi.protocol_value(aligned_counts)
+    # the outcome probabilities are exactly 0, 1/2, 1/2, 0: SE 0, so the one-count floor
+    value, tol_c, success, tol_p = _protocol_estimates(aligned_counts, shots)
     add("aligned-expression", value, -2.0, tol_c, "pessimal-classical")
-    add("aligned-success", bell.success_from_bell(2, value), 0.25, tol_p, "pessimal-classical")
+    add("aligned-success", success, 0.25, tol_p, "pessimal-classical")
 
     # estimator discrepancy on the aligned maximally entangled state
     counts = aligned_counts[0]
@@ -587,9 +607,10 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
         "discrepancy-correlator-joint", mzi.correlator_from_counts(counts), -1.0, 1e-12,
         "anti-correlation",
     )
+    # |product| <= |path asymmetry|, a +-1 average whose SE is at most 1/sqrt(shots)
     add(
         "discrepancy-correlator-product-form", mzi.correlator_product_form(counts), 0.0,
-        5.0 / math.sqrt(shots), "vanishing-port-asymmetry",
+        _sampling_tolerance(1.0 / math.sqrt(shots), shots), "vanishing-port-asymmetry",
     )
 
     # concatenation: analytic values, simulation, and bound consistency
@@ -598,14 +619,13 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
         "chain-success-1-1", concat.chain_success(1, 1), 0.5 * (1.0 + 1.0 / math.sqrt(6.0)),
         1e-15, "stage-formula",
     )
-    sim_tol = _sampling_tolerance(0.01, 2e5, concat_shots)
     for n in (4, 6):
         tree = concat.build_tree(n)
         sim = concat.simulate(tree, [0] * n, [0], concat_shots, seed, workers=workers)
+        rate = sim.successes[0] / sim.shots
         add(
-            f"concat-simulated-n{n}", sim.successes[0] / sim.shots,
-            float(concat.analytic_per_bit(tree)[0]), sim_tol,
-            "stage-formula",
+            f"concat-simulated-n{n}", rate, float(concat.analytic_per_bit(tree)[0]),
+            _sampling_tolerance(_rate_stderr(rate, sim.shots), sim.shots), "stage-formula",
         )
     add(
         "success-at-quantum-max-n4", bell.success_from_bell(4, 16.0), concat.quantum_bound(4),
@@ -641,8 +661,8 @@ def cmd_report(args) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _in_range(convert, low, high=math.inf, hint: str = ""):
-    """argparse type: ``convert(text)`` within [low, high]; ``hint`` names where it came from."""
+def _in_range(convert, low, high=math.inf):
+    """argparse type: ``convert(text)`` within [low, high]."""
 
     def parse(text: str):
         try:
@@ -651,7 +671,7 @@ def _in_range(convert, low, high=math.inf, hint: str = ""):
             value = math.nan
         if not low <= value <= high:
             raise argparse.ArgumentTypeError(
-                f"expected {convert.__name__} in [{low}, {high}]{hint}, got {text!r}"
+                f"expected {convert.__name__} in [{low}, {high}], got {text!r}"
             )
         return value
 
@@ -693,6 +713,7 @@ STARTS_MAX = 10**4
 ITERATIONS_MAX = 10**4
 # streams key on the seed's 64 bits: a wider or negative seed would alias another
 _seed = _in_range(int, 0, 2**64 - 1)
+_workers = _in_range(int, 1, WORKERS_MAX)
 
 
 def _finite_float(text: str) -> float:
@@ -724,9 +745,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse runs string defaults through ``type``, so a bad RACSIM_WORKERS exits 2 too
-    workers = os.environ.get("RACSIM_WORKERS") or "1"
-    workers_type = _in_range(int, 1, WORKERS_MAX, hint=" (--workers or RACSIM_WORKERS)")
     parser = _Parser(
         prog="racsim",
         description="Random access code simulations: classical bounds, quantum protocols, "
@@ -760,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mzi.add_argument("--events", help="write per-shot event records to this path")
     p_mzi.add_argument("--a", type=_in_range(float, 0.0, 1.0), default=1.0 / math.sqrt(2.0), help="first-splitter transmission amplitude")
     p_mzi.add_argument("--delta", type=_finite_float, default=math.pi, help="preparation phase (radians)")
-    p_mzi.add_argument("--workers", type=workers_type, default=workers)
+    p_mzi.add_argument("--workers", type=_workers, default=1)
     p_mzi.set_defaults(func=cmd_mzi)
 
     p_concat = sub.add_parser("concat", help="concatenated n->1 codes")
@@ -771,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_concat.add_argument("--query", type=_query, default="all")
     p_concat.add_argument("--input", help="explicit input bit string")
     p_concat.add_argument("--permute-seed", type=_seed, help="shared seed for the slot permutation stand-in")
-    p_concat.add_argument("--workers", type=workers_type, default=workers)
+    p_concat.add_argument("--workers", type=_workers, default=1)
     p_concat.set_defaults(func=cmd_concat)
 
     p_report = sub.add_parser("report", help="consolidated check table")
@@ -780,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--shots", type=_shots, default=1_000_000)
     p_report.add_argument("--concat-shots", type=_shots, default=200_000)
     p_report.add_argument("--csv", help="also write the rows to a CSV file")
-    p_report.add_argument("--workers", type=workers_type, default=workers)
+    p_report.add_argument("--workers", type=_workers, default=1)
     p_report.set_defaults(func=cmd_report)
 
     return parser
@@ -801,7 +819,14 @@ def main(argv=None) -> int:
             write_csv(rows, args.csv)
     except UsageError as exc:
         parser.exit(2, f"error: {exc}\n")
-    emit(rows)
+    try:
+        emit(rows)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # cannot raise again, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return exit_code(rows)
 
 

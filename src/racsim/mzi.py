@@ -273,15 +273,18 @@ def protocol_settings(bases: MeasurementBases) -> list[Setting]:
     return settings
 
 
-def protocol_value(counts: Sequence[DetectionCounts]) -> float:
-    """Two-bit expression estimate from the counts of the four ``protocol_settings``.
+def protocol_value(counts: Sequence[DetectionCounts]) -> tuple[float, float]:
+    """Two-bit expression estimate and its standard error from the four ``protocol_settings``' counts.
 
     The settings measure the path along each of Alice's directions and the spin
     along each of Bob's; the estimate is the signed sum of their joint-frequency
     correlators, and ``bell.success_from_bell(2, value)`` turns it into a success
-    estimate.
+    estimate. A correlator E over N shots averages N outcomes of +-1, so its
+    variance is (1 - E^2)/N; the settings draw independent streams, so the four
+    variances add.
     """
     if len(counts) != 4:
         raise ValueError(f"the two-bit protocol has 4 settings, got {len(counts)} counts")
-    correlators = np.array([correlator_from_counts(c) for c in counts]).reshape(2, 2)
-    return bell_value(correlators, sign_matrix(2))
+    correlators = np.array([correlator_from_counts(c) for c in counts])
+    variance = sum((1.0 - e * e) / c.shots for e, c in zip(correlators, counts))
+    return bell_value(correlators.reshape(2, 2), sign_matrix(2)), math.sqrt(variance)

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -194,6 +197,18 @@ class TestMziCommand:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert ":1:" in err and "theta" in err
+
+    @pytest.mark.parametrize("present,missing", [("i", "j"), ("j", "i")])
+    def test_half_label_reports_line(self, capsys, tmp_path, present, missing):
+        settings_path = tmp_path / "settings.jsonl"
+        settings_path.write_text(
+            '{"theta": 0.1, "phi": 0.0, "spin_axis": [0,0,1]}\n'
+            f'{{"{present}": 2, "theta": 0.1, "phi": 0.0, "spin_axis": [0,0,1]}}\n'
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["mzi", "--shots", "10", "--seed", "1", "--settings", str(settings_path)])
+        assert excinfo.value.code == 2
+        assert f"{settings_path}:2: missing field '{missing}'" in capsys.readouterr().err
 
     def test_identical_output_across_workers(self, capsys):
         def scrub(rows):
@@ -395,29 +410,6 @@ class TestReportCommand:
         assert rows1 == rows2
 
 
-class TestWorkersEnvFallback:
-    def test_env_var_sets_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("RACSIM_WORKERS", "3")
-        code, rows = run(capsys, ["mzi", "--shots", "4096", "--seed", "5"])
-        assert code == 0
-        assert rows[0]["params"]["workers"] == 3
-
-    def test_bad_env_value_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RACSIM_WORKERS", "abc")
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["mzi", "--shots", "8", "--seed", "1"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "argument --workers" in err and "RACSIM_WORKERS" in err and "'abc'" in err
-
-    def test_env_value_above_bound_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RACSIM_WORKERS", str(cli.WORKERS_MAX + 1))
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["mzi", "--shots", "8", "--seed", "1"])
-        assert excinfo.value.code == 2
-        assert f"expected int in [1, {cli.WORKERS_MAX}] (--workers or RACSIM_WORKERS)" in capsys.readouterr().err
-
-
 class TestWorkersOption:
     @pytest.mark.parametrize(
         "argv",
@@ -433,6 +425,13 @@ class TestWorkersOption:
             cli.main(argv + ["--workers", "0"])
         assert excinfo.value.code == 2
         assert "argument --workers" in capsys.readouterr().err
+
+    def test_environment_does_not_set_workers(self, capsys, monkeypatch):
+        argv = ["mzi", "--shots", "4096", "--seed", "5"]
+        code, rows = run(capsys, argv)
+        monkeypatch.setenv("RACSIM_WORKERS", "abc")
+        assert run(capsys, argv) == (code, rows)
+        assert code == 0 and rows[0]["params"]["workers"] == 1
 
 
 BAD_ARGV = {
@@ -471,6 +470,8 @@ BAD_ARGV = {
     "mzi-settings-label-fraction": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_fraction}"],
     "mzi-settings-label-bool": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_bool}"],
     "mzi-settings-label-string": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_string}"],
+    "mzi-settings-label-i-only": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_i_only}"],
+    "mzi-settings-label-j-only": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_j_only}"],
     "quantum-bases-one-bit": ["quantum", "--bases", "{bases_n1}"],
     "quantum-negative-seed": ["quantum", "--optimize", "--seed", "-1"],
     "quantum-zero-starts": ["quantum", "--optimize", "--seed", "1", "--starts", "0"],
@@ -522,6 +523,9 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     for name, value in (("label_fraction", "1.7"), ("label_bool", "true"), ("label_string", '"2"')):
         labels[name] = tmp_path / f"{name}.jsonl"
         labels[name].write_text(f'{{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": {value}, "j": 1}}\n')
+    for name, half in (("label_i_only", '"i": 7'), ("label_j_only", '"j": 2')):
+        labels[name] = tmp_path / f"{name}.jsonl"
+        labels[name].write_text(f'{{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], {half}}}\n')
     bases_n1 = tmp_path / "bases_n1.json"
     bases_n1.write_text(json.dumps({"alice": [[0, 0, 1]], "bob": [[0, 0, 1]]}))
     bases_n4 = tmp_path / "bases_n4.json"
@@ -807,6 +811,21 @@ def test_unwritable_output_fails_before_any_work(capsys, monkeypatch, tmp_path, 
         cli.main([arg.format(**paths) for arg in argv])
     assert excinfo.value.code == 2
     assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 5000 analytic rows are far more than a pipe buffer holds, so the CLI is
+    # still writing when the reader goes away
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "racsim.cli", "concat", "--n", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["quantity"] == "analytic-per-bit"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 class TestExitCodes:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import concat
+from racsim import cli, concat
 from racsim.bell import quantum_max, success_from_bell
 
 
@@ -266,7 +266,7 @@ def test_sampler_within_five_standard_errors_of_the_oracle(nested, bits, seed, e
     shots = 40_000
     sims = concat.simulate(tree, bits, range(tree.n), shots, seed, engine=engine)
     oracle = oracle_per_bit(tree, engine)
-    assert np.all(np.abs(np.array(rates(sims)) - oracle) <= 5.0 * np.sqrt(oracle * (1 - oracle) / shots))
+    assert np.all(np.abs(np.array(rates(sims)) - oracle) <= cli.Z * np.sqrt(oracle * (1 - oracle) / shots))
 
 
 class TestBounds:

@@ -21,11 +21,11 @@ SETTINGS = (
 GOLDEN = {
     "mzi-counts-workers-1": (
         ["mzi", "--shots", "100000", "--seed", "5", "--workers", "1"],
-        "eb062300f3279ab1d79aa9feb9f2a02a133e58945861a275fcd609912518c744",
+        "04fdbf1ac3cf226b26f370d4933ad23ad87b2ba6891303e6238652ad792c2818",
     ),
     "mzi-counts-workers-2": (
         ["mzi", "--shots", "100000", "--seed", "5", "--workers", "2"],
-        "a5f27d192282ba5b034f51a4cbceb3559ff556c0dff737a906a47524cca08a4e",
+        "1c2d195c3873a496cf0f3141c3e72bf8f17bccae15e44635f39d21438f1f6925",
     ),
     "mzi-settings-events": (
         ["mzi", "--settings", "{settings}", "--shots", "5001", "--seed", "3",
@@ -35,34 +35,34 @@ GOLDEN = {
     "concat-n6-mzi": (
         ["concat", "--n", "6", "--engine", "mzi", "--shots", "5003", "--seed", "7",
          "--workers", "2"],
-        "bc5907bb56190d85a07f3b78115e707a35234edc402790215c91d78aea791feb",
+        "91a9913261074d3bb2dc58dec68f1e4a08b6614d0c9737fc3e162c9210818733",
     ),
     "concat-n200-born-permuted": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--query", "17",
          "--seed", "7", "--workers", "2"],
-        "1248cb254da3d840c03c1ad82d5668fe11c610aec0b40bfa2322656d0efcc3f5",
+        "5387f9d3a70c31a74a25fdef7b2598427bafb2cb743c4c4d44620c0bfe992f9d",
     ),
     # --query all: every simulated-per-bit row of one shared multi-query pass
     "concat-n200-born-permuted-all": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--seed", "7",
          "--shots", "2000", "--workers", "2"],
-        "7aa6fad58a357e382b5c2c5672aa5a84c7b79d54a6e92e9a01cbe61b28f2cf7b",
+        "845d71b61cb9c62a753a1dea1a0ebdefdc83a3d58b6f9ef3c6157b5ae7095bd9",
     ),
     "concat-n12-mzi-all": (
         ["concat", "--n", "12", "--engine", "mzi", "--seed", "7", "--shots", "3001",
          "--workers", "2"],
-        "b0d0bc38eae9fe178dca5e499c3e3fbd52369d714fabf24da2f54f3e71ff41bc",
+        "675d1e93c4077777ac9aba5cfa72576c847255fec2d870ffe2a48b429c48bd23",
     ),
     # non-zero input on padded, permuted codes: a bit on the wrong leaf changes the rows
     "concat-n7-born-permuted-input": (
         ["concat", "--n", "7", "--engine", "born", "--permute-seed", "3", "--input", "1011001",
          "--shots", "4001", "--seed", "11", "--workers", "2"],
-        "606364c39dd0cf1ef15210e26600dd76f12fe13f3cfff8c91fd569973d521b95",
+        "e3d48f882f54123f066497da139f12630c701241d555e4b9d8259369f5e7c0c0",
     ),
     "concat-n10-mzi-permuted-input": (
         ["concat", "--n", "10", "--engine", "mzi", "--permute-seed", "5", "--input", "1101000111",
          "--shots", "3001", "--seed", "2", "--workers", "2"],
-        "ddb0132e4949a33d753191a2abb941a9c26c498e390618ea95a5a7dcec2edf8c",
+        "91a40a1c6e20602b9598074a0fe2ae0524517151eb2dc8c78186c2c688335cba",
     ),
     # analytic engine only: 973 bits padded to 1024 = 2^10, every row from stages [10, 0]
     "concat-n973-analytic-permuted": (
@@ -73,7 +73,7 @@ GOLDEN = {
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",
          "--workers", "1"],
-        "7e516a2d93e3d92d16634c4c5e2399cc515917d8cba3817db20df35f5821b73b",
+        "e0cf993ae4ffa9401ffca92dfe56ac594b58e15873f3ed35a12fde43397035e2",
     ),
     "quantum-n3-optimize": (
         ["quantum", "--n", "3", "--optimize", "--seed", "7"],

@@ -326,14 +326,15 @@ def protocol_counts(bases, shots, seed):
 
 class TestEstimateProtocol:
     def test_steering_settings_hit_quantum_values(self):
-        value = mzi.protocol_value(protocol_counts(mzi.steering_bases(), 1_000_000, seed=42))
+        value, _ = mzi.protocol_value(protocol_counts(mzi.steering_bases(), 1_000_000, seed=42))
         assert abs(success_from_bell(2, value) - 0.8535534) <= 0.002
         assert abs(value - 2 * math.sqrt(2)) <= 0.01
 
     def test_aligned_bases_classical_floor(self):
         z = np.array([0.0, 0.0, 1.0])
         aligned = qrac.MeasurementBases(alice=np.tile(z, (2, 1)), bob=np.tile(z, (2, 1)))
-        value = mzi.protocol_value(protocol_counts(aligned, 200_000, seed=42))
+        value, stderr = mzi.protocol_value(protocol_counts(aligned, 200_000, seed=42))
+        assert stderr == 0.0  # every shot is perfectly anti-correlated
         assert abs(value - (-2.0)) <= 0.01
         assert abs(success_from_bell(2, value) - 0.25) <= 0.002
 
@@ -357,7 +358,10 @@ quad = st.tuples(*[st.integers(1, 10**7)] * 4)
 def test_protocol_value_is_the_signed_correlator_sum(cells):
     counts = [mzi.DetectionCounts(*c) for c in cells]
     c00, c01, c10, c11 = (mzi.correlator_from_counts(c) for c in counts)
-    assert mzi.protocol_value(counts) == c00 + c01 + c10 - c11
+    value, stderr = mzi.protocol_value(counts)
+    assert value == c00 + c01 + c10 - c11
+    variances = [(1 - c * c) / q.shots for c, q in zip((c00, c01, c10, c11), counts)]
+    assert stderr == pytest.approx(math.sqrt(sum(variances)))
 
 
 @settings(max_examples=50, deadline=None)
