@@ -232,7 +232,11 @@ def load_bases(path: str) -> qrac.MeasurementBases:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: a bases file must be a JSON object")
     try:
+        if not isinstance(data["bob"], list):
+            raise UsageError(f'{path}: "bob" must be a list of directions')
         n = len(data["bob"])  # Bob has one row per bit; check n before converting Alice's 2^(n-1) rows
         if n < 2:
             raise UsageError(f"{path}: {n} bits, below the least of 2")
@@ -320,6 +324,8 @@ def load_settings(path: str) -> list[mzi.Setting]:
             record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}:{lineno}: invalid JSON: {exc.msg}")
+        if not isinstance(record, dict):
+            raise UsageError(f"{path}:{lineno}: a settings line must be a JSON object")
         try:
             label = None
             if "i" in record or "j" in record:

@@ -9,7 +9,6 @@ from typing import Sequence
 import numpy as np
 
 from . import mzi, qcore
-from .qrac import default_bases
 
 _ALICE_STREAM = 0
 _BOB_STREAM = 1
@@ -166,25 +165,6 @@ def build_padded(n: int, permute_seed: int | None = None) -> PaddedCode:
     return PaddedCode(build_tree(m, np.random.default_rng(permute_seed).permutation(m).tolist()))
 
 
-def _dot_table(arity: int) -> np.ndarray:
-    bases = default_bases(arity)
-    return np.asarray(bases.alice) @ np.asarray(bases.bob).T
-
-
-def _conditional_table_mzi(arity: int) -> np.ndarray:
-    """P(spin outcome 0 | path outcome a along the negated class direction), per (class, a, bit).
-
-    Runs through the 4-dimensional apparatus model instead of the Bloch closed form.
-    """
-    bases = default_bases(arity)
-    state = mzi.maximally_entangled_state()
-    table = np.empty((bases.alice.shape[0], 2, arity))
-    for i, alice in enumerate(bases.alice):
-        for j, bob in enumerate(bases.bob):
-            table[i, :, j] = 2.0 * qcore.joint_table(state, -alice, bob)[:, 0]
-    return table
-
-
 @dataclass(frozen=True)
 class SimulationResults:
     """Successes per query, in query order; one pass draws the same ``shots`` for every query."""
@@ -194,16 +174,21 @@ class SimulationResults:
 
 
 def _spin_tables(arity: int, engine: str) -> list[np.ndarray]:
-    """Per child slot j: P(spin outcome 0 | class i, Alice bit a) at flat index 2 i + a."""
+    """Per child slot j: P(spin outcome 0 | class i, Alice bit a) at flat index 2 i + a.
+
+    Alice measures the path along the negated class direction -A_i of
+    ``mzi.steering_bases``. The ``born`` engine reads the closed form
+    (1 + (-1)^a A_i . B_j) / 2; the ``mzi`` engine reads twice the Born table of
+    the 4-dimensional apparatus model, whose path marginal is 1/2.
+    """
+    bases = mzi.steering_bases(arity)
     if engine == "mzi":
-        cond = _conditional_table_mzi(arity)
+        table = qcore.joint_table(mzi.maximally_entangled_state(), bases.alice[:, None], bases.bob)
+        cond = 2.0 * table[..., 0]
     else:
-        dots = _dot_table(arity)
-        # P(spin=0 | a) = (1 + (-1)^a A_i . B_j) / 2 under the steering convention
-        cond = np.empty((dots.shape[0], 2, arity))
-        cond[:, 0, :] = 0.5 * (1.0 + dots)
-        cond[:, 1, :] = 0.5 * (1.0 - dots)
-    return [np.ascontiguousarray(cond[:, :, j]).ravel() for j in range(arity)]
+        dots = -bases.alice @ bases.bob.T
+        cond = 0.5 * (1.0 + np.stack([dots, -dots], axis=-1))
+    return [cond[:, j].ravel() for j in range(arity)]
 
 
 def simulate_range(

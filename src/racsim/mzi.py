@@ -114,16 +114,16 @@ def stream(seed: int, stream_id: int, start: int = 0) -> np.random.Generator:
     return gen
 
 
-def born_probabilities(state: qcore.PureState, setting: Setting) -> np.ndarray:
-    """Joint outcome probabilities [(path+,spin+), (path+,spin-), (path-,spin+), (path-,spin-)]."""
-    table = qcore.joint_table(state, path_direction(setting.theta, setting.phi), setting.spin_axis)
-    probs = np.clip(table.ravel(), 0.0, None)
-    return probs / probs.sum()
+def born_probabilities(state: qcore.PureState, settings: Sequence[Setting]) -> np.ndarray:
+    """One Born table row per setting: P(path+,spin+), P(path+,spin-), P(path-,spin+), P(path-,spin-)."""
+    paths = np.array([path_direction(s.theta, s.phi) for s in settings]).reshape(-1, 3)
+    spins = np.array([s.spin_axis for s in settings]).reshape(-1, 3)
+    probs = np.clip(qcore.joint_table(state, paths, spins).reshape(-1, 4), 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def sample_setting(
-    state: qcore.PureState,
-    setting: Setting,
+    probs: np.ndarray,
     shots: int,
     seed: int,
     setting_index: int,
@@ -131,14 +131,14 @@ def sample_setting(
     path_bits: np.ndarray,
     spin_bits: np.ndarray,
 ) -> np.ndarray:
-    """Draw ``shots`` i.i.d. joint outcomes for one setting, starting at shot ``start``.
+    """Draw ``shots`` i.i.d. joint outcomes of one setting, starting at shot ``start``.
 
-    Writes each shot's outcome bits into ``path_bits`` and ``spin_bits`` (length
-    ``shots``) and returns the 4 tallies in ``born_probabilities`` order. Uniforms
-    are drawn ``BLOCK`` at a time into one reused buffer, so scratch memory does
-    not grow with ``shots``.
+    ``probs`` is that setting's row of ``born_probabilities``. Writes each
+    shot's outcome bits into ``path_bits`` and ``spin_bits`` (length ``shots``)
+    and returns the 4 tallies in the same order. Uniforms are drawn ``BLOCK`` at
+    a time into one reused buffer, so scratch memory does not grow with ``shots``.
     """
-    cum = np.cumsum(born_probabilities(state, setting))
+    cum = np.cumsum(probs)
     cum[-1] = 1.0
     gen = stream(seed, setting_index, start)
     uniforms = np.empty(min(shots, BLOCK))
@@ -171,14 +171,17 @@ def _partition(shots: int, workers: int) -> list[tuple[int, int]]:
 def map_spans(task: Callable[[int, int], object], shots: int, workers: int) -> list:
     """``[task(lo, hi) for lo, hi in _partition(shots, workers)]``, in span order.
 
-    One span runs inline. Several run on one pool of min(spans, CPU count)
-    threads, so ``workers`` sets the partition but not the thread count.
+    min(spans, CPU count) threads run them: the caller runs the first span after
+    submitting the rest to a pool of the others. Submitted in turn, every span
+    could go to the first pool thread while the caller waits for the interpreter lock.
     """
     spans = _partition(shots, workers)
-    if len(spans) == 1:
-        return [task(*spans[0])]
-    with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-        return list(pool.map(lambda span: task(*span), spans))
+    threads = min(len(spans), os.cpu_count() or 1)
+    if threads == 1:
+        return [task(*span) for span in spans]
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        rest = pool.map(lambda span: task(*span), spans[1:])
+        return [task(*spans[0]), *rest]
 
 
 def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> DetectionCounts:
@@ -206,24 +209,23 @@ def sample_events(
     seed: int,
     workers: int = 1,
 ) -> SamplingResult:
-    """Sample every setting independently; results are identical for any worker count."""
+    """Sample every setting independently, all settings per shot span; identical for any worker count."""
     if shots_per_setting < 0:
         raise ValueError("shots must be nonnegative")
 
-    counts, outcomes = [], []
-    for s_idx, setting in enumerate(settings):
-        path_bits = np.empty(shots_per_setting, dtype=np.uint8)
-        spin_bits = np.empty(shots_per_setting, dtype=np.uint8)
-        tallies = map_spans(
-            lambda lo, hi: sample_setting(
-                state, setting, hi - lo, seed, s_idx, lo, path_bits[lo:hi], spin_bits[lo:hi]
-            ),
-            shots_per_setting,
-            workers,
-        )
-        counts.append(DetectionCounts(*(int(t) for t in sum(tallies))))
-        outcomes.append((path_bits, spin_bits))
-    return SamplingResult(counts=tuple(counts), outcomes=tuple(outcomes))
+    probs = born_probabilities(state, settings)
+    path_bits = np.empty((len(probs), shots_per_setting), dtype=np.uint8)
+    spin_bits = np.empty_like(path_bits)
+
+    def span(lo: int, hi: int) -> list[np.ndarray]:
+        return [
+            sample_setting(row, hi - lo, seed, s_idx, lo, path_bits[s_idx, lo:hi], spin_bits[s_idx, lo:hi])
+            for s_idx, row in enumerate(probs)
+        ]
+
+    tallies = np.sum(map_spans(span, shots_per_setting, workers), axis=0, dtype=np.int64)
+    counts = tuple(DetectionCounts(*(int(t) for t in row)) for row in tallies)
+    return SamplingResult(counts=counts, outcomes=tuple(zip(path_bits, spin_bits)))
 
 
 def correlator_from_counts(counts: DetectionCounts) -> float:
@@ -250,15 +252,15 @@ def correlator_product_form(counts: DetectionCounts) -> float:
     return path_asym * spin_asym
 
 
-def steering_bases() -> MeasurementBases:
-    """Analyzer directions that realize the two-bit protocol bases on the entangled state.
+def steering_bases(n: int = 2) -> MeasurementBases:
+    """Analyzer directions that realize the n-bit protocol bases (n in {2, 3}) on the entangled state.
 
     The shared state anti-correlates path and spin, so measuring the path along the
     negated class direction leaves the spin side in the intended preparation for
     outcome bit 0.
     """
-    bases = default_bases(2)
-    return MeasurementBases(alice=-np.asarray(bases.alice), bob=np.asarray(bases.bob))
+    bases = default_bases(n)
+    return MeasurementBases(alice=-bases.alice, bob=bases.bob)
 
 
 def protocol_settings(bases: MeasurementBases) -> list[Setting]:

@@ -24,17 +24,19 @@ def require_unit(direction) -> np.ndarray:
     vec = np.asarray(direction, dtype=float)
     if vec.shape != (3,):
         raise ValueError(f"direction must be a 3-vector, got shape {vec.shape}")
-    require_unit_rows(vec[None])
+    require_unit_rows(vec)
     return vec
 
 
 def require_unit_rows(rows: np.ndarray) -> None:
-    """Reject a (k, 3) stack of directions unless every row has unit norm.
+    """Reject an array unless it is a (..., 3) stack of directions and every row has unit norm.
 
     ``sqrt(vecdot)`` equals ``np.linalg.norm`` of each 3-vector bit for bit; the
-    message names the norm of the first bad row.
+    message names the norm of the first bad row in C order.
     """
-    norms = np.sqrt(np.vecdot(rows, rows))
+    if rows.ndim == 0 or rows.shape[-1] != 3:
+        raise ValueError(f"directions must be 3-vectors, got shape {rows.shape}")
+    norms = np.sqrt(np.vecdot(rows, rows)).ravel()
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL))  # NaN fails too
     if bad.size:
         raise ValueError(f"direction must have unit norm, got {float(norms[bad[0]])}")
@@ -67,40 +69,40 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def outcome_projectors(directions) -> np.ndarray:
-    """(I + (-1)^outcome d . sigma) / 2 for stacked directions (..., 3): shape (..., 2, 2, 2).
+def projector(directions) -> np.ndarray:
+    """(I + (-1)^outcome d . sigma) / 2 for a stack of unit directions (..., 3): shape (..., 2, 2, 2).
 
     Index ``[..., outcome, :, :]``; outcome bit 0 selects the +1 eigenvalue of
     d . sigma, bit 1 the -1 eigenvalue, and the pair sums to the identity.
-    Directions are not checked here; callers check unit norms.
     """
-    d = np.asarray(directions, dtype=float)[..., None, None]
+    d = np.asarray(directions, dtype=float)
+    require_unit_rows(d)
+    d = d[..., None, None]
     obs = d[..., 0, :, :] * SIGMA_X + d[..., 1, :, :] * SIGMA_Y + d[..., 2, :, :] * SIGMA_Z
     signs = np.array([1.0, -1.0])[:, None, None]
     return 0.5 * (IDENTITY + signs * obs[..., None, :, :])
 
 
-def projector(direction, outcome: int) -> np.ndarray:
-    """Projector (I + (-1)^outcome n . sigma) / 2 for a unit direction n, as a 2x2 matrix."""
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    return outcome_projectors(require_unit(direction))[outcome]
+def joint_probability(state: PureState, path_projs: np.ndarray, spin_projs: np.ndarray) -> np.ndarray:
+    """Born probabilities <psi| P_path (x) P_spin |psi> of stacked 2x2 projector pairs, path factor first.
 
-
-def joint_probability(state: PureState, path_proj: np.ndarray, spin_proj: np.ndarray) -> float:
-    """Born probability <psi| P_path (x) P_spin |psi>, path factor first."""
-    op = np.kron(path_proj, spin_proj)
-    return float(np.vdot(state.amplitudes, op @ state.amplitudes).real)
-
-
-def joint_table(state: PureState, path_direction, spin_direction) -> np.ndarray:
-    """(2, 2) Born table: ``[a, b]`` is P(path outcome a, spin outcome b) on ``state``.
-
-    Outcome bit 0 is the +1 eigenvalue along each direction, as in ``projector``.
+    The (..., 4, 4) operators hold ``kron``'s products entry by entry, so each
+    value equals ``vdot(psi, kron(P, S) @ psi).real`` bit for bit.
     """
-    paths = [projector(path_direction, a) for a in (0, 1)]
-    spins = [projector(spin_direction, b) for b in (0, 1)]
-    return np.array([[joint_probability(state, p, s) for s in spins] for p in paths])
+    ops = path_projs[..., :, None, :, None] * spin_projs[..., None, :, None, :]
+    amps = state.amplitudes
+    return np.vecdot(amps, np.matmul(ops.reshape(ops.shape[:-4] + (4, 4)), amps)).real
+
+
+def joint_table(state: PureState, path_directions, spin_directions) -> np.ndarray:
+    """Born tables of broadcast direction stacks (..., 3): shape (..., 2, 2).
+
+    ``[..., a, b]`` is P(path outcome a, spin outcome b) on ``state``; outcome
+    bit 0 is the +1 eigenvalue along each direction, as in ``projector``.
+    """
+    paths = projector(path_directions)[..., :, None, :, :]
+    spins = projector(spin_directions)[..., None, :, :, :]
+    return joint_probability(state, paths, spins)
 
 
 def expectation_product(state: PureState, direction_a, direction_b) -> float:
@@ -111,6 +113,8 @@ def expectation_product(state: PureState, direction_a, direction_b) -> float:
 
 def prepared_state(direction, bit: int) -> np.ndarray:
     """Pure qubit preparation with Bloch vector (-1)^bit along ``direction``, checked as a density operator."""
-    rho = projector(direction, bit)
+    if bit not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {bit}")
+    rho = projector(require_unit(direction))[bit]
     require_density(rho)
     return rho

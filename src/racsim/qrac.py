@@ -74,8 +74,8 @@ def _born_traces(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.nda
     the dot product alice[i] . bob[j].
     """
     n = bob.shape[1]
-    preps = qcore.outcome_projectors(alice)
-    projs = qcore.outcome_projectors(bob)
+    preps = qcore.projector(alice)
+    projs = qcore.projector(bob)
     qcore.require_density(preps)
     qcore.require_density(projs)
     strings = np.array(list(bit_strings(n)))

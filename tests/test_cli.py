@@ -502,15 +502,29 @@ BAD_ARGV = {
         "report", "--all", "--seed", "1", "--shots", "1000", "--concat-shots", "1000",
         "--csv", "{unwritable}",
     ],
+    "mzi-settings-line-array": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{array}"],
+    "mzi-settings-line-number": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{number}"],
+    "quantum-bases-bob-number": ["quantum", "--bases", "{bob_number}"],
+}
+# the whole stderr of a BAD_ARGV entry whose file has the wrong JSON shape
+BAD_ARGV_MESSAGES = {
+    "quantum-bases-not-object": "error: {array}: a bases file must be a JSON object",
+    "quantum-bases-bob-number": 'error: {bob_number}: "bob" must be a list of directions',
+    "mzi-settings-line-array": "error: {array}:1: a settings line must be a JSON object",
+    "mzi-settings-line-number": "error: {number}:1: a settings line must be a JSON object",
 }
 
 
-@pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV.keys())
-def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+@pytest.mark.parametrize("case, argv", BAD_ARGV.items(), ids=BAD_ARGV.keys())
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case, argv):
     settings_path = tmp_path / "settings.jsonl"
     settings_path.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
     array_path = tmp_path / "array.json"
     array_path.write_text("[1, 2]\n")
+    number_path = tmp_path / "number.jsonl"
+    number_path.write_text("7\n")
+    bob_number = tmp_path / "bob_number.json"
+    bob_number.write_text('{"bob": 3}\n')
     theta_nan = tmp_path / "theta_nan.jsonl"
     theta_nan.write_text('{"theta": NaN, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
     axis_nan = tmp_path / "axis_nan.jsonl"
@@ -536,6 +550,7 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     utf16.write_bytes('{"theta": 0.3}\n'.encode("utf-16"))  # starts with the BOM ff fe
     paths = {
         "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
+        "number": number_path, "bob_number": bob_number,
         "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16, "theta_huge": theta_huge,
         "label_inf": label_inf, "bases_n1": bases_n1, "bases_n4": bases_n4,
         "nine_settings": nine_settings, "unwritable": tmp_path / "no-such-dir" / "out", **labels,
@@ -547,6 +562,8 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "error:" in captured.err
     assert "Traceback" not in captured.err
+    if case in BAD_ARGV_MESSAGES:
+        assert captured.err == BAD_ARGV_MESSAGES[case].format(**paths) + "\n"
 
 
 class Raw(str):

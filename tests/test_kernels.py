@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import cli, concat, mzi
+from racsim import cli, concat, mzi, qcore, qrac
 
 STATE = mzi.maximally_entangled_state()
 SETTING = mzi.protocol_settings(mzi.steering_bases())[0]
@@ -42,12 +42,8 @@ def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, st
     outcomes = np.searchsorted(cum, uniforms, side="right")
     path_bits = np.empty(shots, dtype=np.uint8)
     spin_bits = np.empty(shots, dtype=np.uint8)
-    with mock.patch.object(mzi, "BLOCK", block), mock.patch.object(
-        mzi, "born_probabilities", lambda state, setting: probs
-    ):
-        tallies = mzi.sample_setting(
-            STATE, SETTING, shots, seed, setting_index, start, path_bits, spin_bits
-        )
+    with mock.patch.object(mzi, "BLOCK", block):
+        tallies = mzi.sample_setting(probs, shots, seed, setting_index, start, path_bits, spin_bits)
     assert tallies.tolist() == np.bincount(outcomes, minlength=4).tolist()
     assert path_bits.tolist() == (outcomes >> 1).tolist()
     assert spin_bits.tolist() == (outcomes & 1).tolist()
@@ -59,16 +55,16 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
     """Full-array span kernel: one message, Alice bit and class array per subunit."""
     count = hi - lo
     subunits = tree.internal_postorder()
+    # P(spin outcome 0 | class, Alice bit, slot), one (class, slot) pair at a time
     cond_tables = {}
     for arity in {len(children) for children in subunits}:
+        bases = qrac.default_bases(arity)
         if engine == "mzi":
-            cond_tables[arity] = concat._conditional_table_mzi(arity)
+            pairs = [[2.0 * qcore.joint_table(STATE, -a, b)[:, 0] for b in bases.bob] for a in bases.alice]
+            cond_tables[arity] = np.array(pairs).transpose(0, 2, 1)
         else:
-            dots = concat._dot_table(arity)
-            cond = np.empty((dots.shape[0], 2, arity))
-            cond[:, 0, :] = 0.5 * (1.0 + dots)
-            cond[:, 1, :] = 0.5 * (1.0 - dots)
-            cond_tables[arity] = cond
+            dots = bases.alice @ bases.bob.T
+            cond_tables[arity] = np.stack([0.5 * (1.0 + dots), 0.5 * (1.0 - dots)], axis=1)
 
     messages, alice_bits, classes = {}, {}, {}
     for uid, children in enumerate(subunits):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racsim import cli, concat, mzi, qcore, qrac
-from racsim.bell import success_from_bell
+from racsim.bell import bell_value, classical_bound, sign_matrix, success_from_bell
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -61,7 +61,8 @@ class TestEntangledState:
 def path_observable(theta, phi):
     """Which-port observable of the recombining stage: the projector pair along its direction."""
     direction = mzi.path_direction(theta, phi)
-    return qcore.projector(direction, 0) - qcore.projector(direction, 1)
+    plus, minus = qcore.projector(direction)
+    return plus - minus
 
 
 class TestPathObservable:
@@ -103,7 +104,7 @@ class TestPathObservable:
         theta, phi = 0.4, 1.1
         direction = mzi.path_direction(theta, phi)
         obs = path_observable(theta, phi)
-        plus = qcore.projector(direction, 0)
+        plus = qcore.projector(direction)[0]
         np.testing.assert_allclose(obs @ plus, plus, atol=1e-12)
 
 
@@ -134,8 +135,7 @@ class TestSampling:
         settings = mzi.protocol_settings(mzi.steering_bases())
         result = mzi.sample_events(state, settings, shots, seed=2024)
         bound = 5.0 / math.sqrt(shots)
-        for setting, counts in zip(settings, result.counts):
-            probs = mzi.born_probabilities(state, setting)
+        for probs, counts in zip(mzi.born_probabilities(state, settings), result.counts):
             freqs = np.array([counts.n_plus, counts.n_minus, counts.m_plus, counts.m_minus]) / shots
             assert np.max(np.abs(freqs - probs)) <= bound
 
@@ -154,6 +154,12 @@ class TestSampling:
             estimate = mzi.correlator_from_counts(result.counts[0])
             exact = qcore.expectation_product(state, direction, spin)
             assert abs(estimate - exact) <= 5.0 / math.sqrt(shots)
+
+    def test_born_rows_computed_once_per_run(self):
+        settings = mzi.protocol_settings(mzi.steering_bases())
+        with mock.patch.object(mzi, "born_probabilities", wraps=mzi.born_probabilities) as born:
+            mzi.sample_events(mzi.maximally_entangled_state(), settings, 1000, seed=3, workers=2)
+        born.assert_called_once()
 
     def test_reproducible_across_worker_counts(self):
         state = mzi.maximally_entangled_state()
@@ -266,17 +272,19 @@ class TestSpanRunner:
         monkeypatch.setattr(mzi.os, "cpu_count", lambda: cpus)
         shots, workers = 1000, 64
         cap = min(len(mzi._partition(shots, workers)), cpus or 1)
+        # the caller is one of the cap threads; a cap of one builds no pool
+        pools = [cap - 1] if cap > 1 else []
         state = mzi.maximally_entangled_state()
         setting = mzi.Setting(theta=0.3, phi=0.4, spin_axis=qcore.X_AXIS)
         many = mzi.sample_events(state, [setting], shots, seed=4, workers=workers)
-        assert built == [cap]
+        assert built == pools
         tree = concat.build_tree(4)
         sim = concat.simulate(tree, [0, 1, 1, 0], [2], shots, seed=4, workers=workers)
-        assert built == [cap, cap]
+        assert built == pools * 2
         # one span runs inline: no pool
         one = mzi.sample_events(state, [setting], shots, seed=4, workers=1)
         assert concat.simulate(tree, [0, 1, 1, 0], [2], shots, seed=4, workers=1) == sim
-        assert built == [cap, cap]
+        assert built == pools * 2
         assert many.counts == one.counts
 
 
@@ -347,6 +355,35 @@ class TestEstimateProtocol:
         counts = protocol_counts(mzi.steering_bases(), 0, seed=1)
         with pytest.raises(ValueError):
             mzi.protocol_value(counts)
+
+
+def exact_protocol_value(state):
+    """Two-bit expression at the steering bases, from the exact Born rows of the four settings."""
+    probs = mzi.born_probabilities(state, mzi.protocol_settings(mzi.steering_bases()))
+    correlators = probs @ np.array([1.0, -1.0, -1.0, 1.0])
+    return bell_value(correlators.reshape(2, 2), sign_matrix(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0, 1), delta=st.floats(-2 * math.pi, 2 * math.pi))
+def test_expression_grows_with_the_concurrence(a, delta):
+    """The paper's correspondence: at the steering bases the expression is sqrt(2) (1 - C cos delta)."""
+    b = math.sqrt(1.0 - a * a)  # as ``racsim mzi --a`` sets the reflection amplitude
+    c = 2.0 * a * b
+    value = exact_protocol_value(mzi.entangled_state(a, b, delta))
+    assert value == pytest.approx(math.sqrt(2.0) * (1.0 - c * math.cos(delta)), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0, 1))
+def test_violation_at_pi_exactly_when_concurrence_exceeds_root_two_minus_one(a):
+    b = math.sqrt(1.0 - a * a)
+    margin = 2.0 * a * b - (math.sqrt(2.0) - 1.0)
+    excess = exact_protocol_value(mzi.entangled_state(a, b, math.pi)) - classical_bound(2)
+    # sqrt(2) (1 + C) - 2 = sqrt(2) (C - (sqrt(2) - 1))
+    assert excess == pytest.approx(math.sqrt(2.0) * margin, abs=1e-12)
+    if abs(margin) > 1e-12:
+        assert (excess > 0) == (margin > 0)
 
 
 # one setting's counts: every cell from 1 to 10^7

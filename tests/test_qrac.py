@@ -196,7 +196,7 @@ class TestMeasurementBases:
         # as the Born-trace kernel indexes them: the string's class picks Alice's
         # direction, its first bit the sign
         bases = qrac.default_bases(2)
-        preps = qcore.outcome_projectors(bases.alice)
+        preps = qcore.projector(bases.alice)
         # strings 01 and 10 (indices 1 and 2) form class 1
         for index, sign in ((1, 1.0), (2, -1.0)):
             rho = preps[string_classes(2)[index], index >> 1]
@@ -272,5 +272,5 @@ class TestStackedKernel:
         directions = {"alice": alice, "bob": bob}[side]
         basis, row = divmod(pick % (size * directions.shape[1]), directions.shape[1])
         directions[basis, row] *= 1.001
-        with pytest.raises(ValueError, match="positive semidefinite"):
+        with pytest.raises(ValueError, match="unit norm"):
             qrac._born_traces(alice, bob)
