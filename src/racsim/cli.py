@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bell, classical, concat, mzi, qrac
+from . import bell, classical, concat, mzi, qcore, qrac
 
 class UsageError(Exception):
     pass
@@ -33,6 +33,21 @@ def _read_text(path: str) -> str:
             return handle.read()
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path}: {exc}")
+
+
+def _numeric_field(record: dict, name: str, depth: int):
+    """``record[name]`` as a float (depth 0) or float array ``depth`` lists deep; else a TypeError naming both."""
+    value = record[name]
+    leaves = [value]
+    for _ in range(depth):  # a non-list where a list belongs becomes None, which is no number
+        leaves = [v for row in leaves for v in (row if isinstance(row, list) else [None])]
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in leaves):
+        try:
+            return float(value) if depth == 0 else np.asarray(value, dtype=float)
+        except ValueError:  # rows of unequal length
+            pass
+    kind = ("a number", "a list of numbers", "a list of directions")[depth]
+    raise TypeError(f'"{name}" must be {kind}')
 
 
 @dataclass
@@ -227,7 +242,8 @@ def cmd_bounds(args) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def load_bases(path: str) -> qrac.MeasurementBases:
+def load_bases(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (alice, bob) directions of a bases file: shapes checked, n bounded before Alice is read."""
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -235,27 +251,29 @@ def load_bases(path: str) -> qrac.MeasurementBases:
     if not isinstance(data, dict):
         raise UsageError(f"{path}: a bases file must be a JSON object")
     try:
-        if not isinstance(data["bob"], list):
-            raise UsageError(f'{path}: "bob" must be a list of directions')
-        n = len(data["bob"])  # Bob has one row per bit; check n before converting Alice's 2^(n-1) rows
+        bob = _numeric_field(data, "bob", 2)
+        n = len(bob)
         if n < 2:
             raise UsageError(f"{path}: {n} bits, below the least of 2")
         if n > BASES_MAX_N:
             raise UsageError(f"{path}: {n} bits, above the bound of {BASES_MAX_N}")
-        return qrac.MeasurementBases(
-            alice=np.asarray(data["alice"], dtype=float),
-            bob=np.asarray(data["bob"], dtype=float),
-        )
+        if bob.shape[1] != 3:  # the reader gives a (n, k) array once n >= 2
+            raise ValueError(f"bob directions must be (n, 3), got {bob.shape}")
+        alice = _numeric_field(data, "alice", 2)
+        if alice.shape != (1 << (n - 1), 3):
+            raise ValueError(f"alice directions must be ({1 << (n - 1)}, 3) for n={n}, got {alice.shape}")
+        qcore.require_unit_rows(np.vstack((alice, bob)))
     except KeyError as exc:
         raise UsageError(f"{path}: missing field {exc}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: {exc}")
+    return alice, bob
 
 
 def cmd_quantum(args) -> list[ReportRow]:
     if args.bases:
-        bases = load_bases(args.bases)
-        n = bases.n
+        alice, bob = load_bases(args.bases)
+        n = len(bob)
         if args.optimize and n not in (2, 3):
             raise UsageError(f"{args.bases}: seesaw search supports n in {{2, 3}}, got n={n}")
         expected_p = expected_c = None
@@ -263,17 +281,17 @@ def cmd_quantum(args) -> list[ReportRow]:
         n = args.n
         if n not in (2, 3):
             raise UsageError(f"single-stage protocol supports n in {{2, 3}}, got {n}")
-        bases = qrac.default_bases(n)
+        alice, bob = qrac.default_bases(n)
         expected_p, expected_c = _quantum_optimum(n)
     params = {"n": n, "bases": args.bases or "default"}
-    success = qrac.quantum_success(bases)
+    success = qrac.quantum_success(alice, bob)
     rows = [
         ReportRow(
             "quantum", "success", success, params,
             expected=expected_p, tolerance=1e-9, reference="quantum-optimum",
         ),
         ReportRow(
-            "quantum", "expression-value", qrac.bell_from_preps(bases), params,
+            "quantum", "expression-value", qrac.bell_from_preps(alice, bob), params,
             expected=expected_c, tolerance=1e-9, reference="quantum-optimum",
         ),
         ReportRow(
@@ -281,12 +299,12 @@ def cmd_quantum(args) -> list[ReportRow]:
             success - classical.optimal_classical_formula(n), params,
         ),
         ReportRow(
-            "quantum", "identity-residual", qrac.identity_check(bases), params,
+            "quantum", "identity-residual", qrac.identity_check(alice, bob), params,
             expected=0.0, tolerance=1e-12, reference="success-expression-identity",
         ),
     ]
     if args.optimize:
-        best, _ = qrac.maximize_bell(n, starts=args.starts, iterations=args.iterations, seed=args.seed)
+        best, _, _ = qrac.maximize_bell(n, starts=args.starts, iterations=args.iterations, seed=args.seed)
         cap = bell.quantum_max(n)
         rows.append(
             ReportRow(
@@ -330,14 +348,8 @@ def load_settings(path: str) -> list[mzi.Setting]:
             label = None
             if "i" in record or "j" in record:
                 label = (_label_index(record["i"]), _label_index(record["j"]))
-            settings.append(
-                mzi.Setting(
-                    theta=float(record["theta"]),
-                    phi=float(record["phi"]),
-                    spin_axis=np.asarray(record["spin_axis"], dtype=float),
-                    label=label,
-                )
-            )
+            theta, phi = _numeric_field(record, "theta", 0), _numeric_field(record, "phi", 0)
+            settings.append(mzi.Setting(theta, phi, _numeric_field(record, "spin_axis", 1), label))
         except KeyError as exc:
             raise UsageError(f"{path}:{lineno}: missing field {exc}")
         except (TypeError, ValueError, OverflowError) as exc:
@@ -411,7 +423,7 @@ def cmd_mzi(args) -> list[ReportRow]:
     if args.settings:
         settings = load_settings(args.settings)
     else:
-        settings = mzi.protocol_settings(mzi.steering_bases())
+        settings = mzi.protocol_settings(*mzi.steering_bases())
     held = OUTCOME_BYTES * len(settings) * args.shots
     if held > OUTCOME_BUDGET:
         raise UsageError(
@@ -563,10 +575,10 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     # headline quantum numbers
     for n in (2, 3):
         target_p, target_c = _quantum_optimum(n)
-        bases = qrac.default_bases(n)
-        add(f"quantum-success-n{n}", qrac.quantum_success(bases), target_p, 1e-9, "quantum-optimum")
+        alice, bob = qrac.default_bases(n)
+        add(f"quantum-success-n{n}", qrac.quantum_success(alice, bob), target_p, 1e-9, "quantum-optimum")
         add(
-            f"quantum-expression-n{n}", qrac.bell_from_preps(bases), target_c, 1e-9,
+            f"quantum-expression-n{n}", qrac.bell_from_preps(alice, bob), target_c, 1e-9,
             "quantum-optimum",
         )
 
@@ -578,20 +590,20 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
 
     # commensurability of violation and success gain
     for n, denom in ((2, 8.0), (3, 24.0)):
-        bases = qrac.default_bases(n)
-        gain = qrac.quantum_success(bases) - classical.optimal_classical_formula(n)
-        beta, _ = bell.violation_margin(n, qrac.bell_from_preps(bases), bell.classical_bound(n))
+        alice, bob = qrac.default_bases(n)
+        gain = qrac.quantum_success(alice, bob) - classical.optimal_classical_formula(n)
+        beta, _ = bell.violation_margin(n, qrac.bell_from_preps(alice, bob), bell.classical_bound(n))
         add(f"success-gain-vs-violation-n{n}", gain, beta / denom, 1e-9, "margin-identity")
 
     # seesaw search against the quantum cap
     for n in (2, 3):
         cap = bell.quantum_max(n)
-        best, _ = qrac.maximize_bell(n, starts=100, seed=seed)
+        best, _, _ = qrac.maximize_bell(n, starts=100, seed=seed)
         add(f"seesaw-max-n{n}", best, cap, None, "quantum-cap", passed=_reaches_cap(best, cap))
 
     # sampled estimator at the protocol settings
     state = mzi.maximally_entangled_state()
-    settings = mzi.protocol_settings(mzi.steering_bases())
+    settings = mzi.protocol_settings(*mzi.steering_bases())
     counts = mzi.sample_events(state, settings, shots, seed, workers=workers).counts
     value, tol_c, success, tol_p = _protocol_estimates(counts, shots)
     target_p, target_c = _quantum_optimum(2)
@@ -600,7 +612,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
 
     # classical-regime sampling: every direction aligned with z
     z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    aligned = mzi.protocol_settings(qrac.MeasurementBases(alice=z, bob=z))
+    aligned = mzi.protocol_settings(z, z)
     aligned_counts = mzi.sample_events(state, aligned, shots, seed, workers=workers).counts
     # the outcome probabilities are exactly 0, 1/2, 1/2, 0: SE 0, so the one-count floor
     value, tol_c, success, tol_p = _protocol_estimates(aligned_counts, shots)

@@ -181,12 +181,12 @@ def _spin_tables(arity: int, engine: str) -> list[np.ndarray]:
     (1 + (-1)^a A_i . B_j) / 2; the ``mzi`` engine reads twice the Born table of
     the 4-dimensional apparatus model, whose path marginal is 1/2.
     """
-    bases = mzi.steering_bases(arity)
+    alice, bob = mzi.steering_bases(arity)
     if engine == "mzi":
-        table = qcore.joint_table(mzi.maximally_entangled_state(), bases.alice[:, None], bases.bob)
+        table = qcore.joint_table(mzi.maximally_entangled_state(), alice[:, None], bob)
         cond = 2.0 * table[..., 0]
     else:
-        dots = -bases.alice @ bases.bob.T
+        dots = -alice @ bob.T
         cond = 0.5 * (1.0 + np.stack([dots, -dots], axis=-1))
     return [cond[:, j].ravel() for j in range(arity)]
 

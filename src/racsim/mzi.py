@@ -12,7 +12,7 @@ import numpy as np
 
 from . import qcore
 from .bell import bell_value, sign_matrix
-from .qrac import MeasurementBases, default_bases
+from .qrac import default_bases
 
 # Shots drawn per block by the mzi and concat samplers: a block's scratch stays in cache.
 BLOCK = 1 << 15
@@ -252,23 +252,23 @@ def correlator_product_form(counts: DetectionCounts) -> float:
     return path_asym * spin_asym
 
 
-def steering_bases(n: int = 2) -> MeasurementBases:
-    """Analyzer directions that realize the n-bit protocol bases (n in {2, 3}) on the entangled state.
+def steering_bases(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Analyzer (alice, bob) directions realizing the n-bit protocol bases (n in {2, 3}) on the entangled state.
 
     The shared state anti-correlates path and spin, so measuring the path along the
-    negated class direction leaves the spin side in the intended preparation for
-    outcome bit 0.
+    negated class direction of ``default_bases`` leaves the spin side in the
+    intended preparation for outcome bit 0; Bob's spin axes are unchanged.
     """
-    bases = default_bases(n)
-    return MeasurementBases(alice=-bases.alice, bob=bases.bob)
+    alice, bob = default_bases(n)
+    return -alice, bob
 
 
-def protocol_settings(bases: MeasurementBases) -> list[Setting]:
+def protocol_settings(alice: np.ndarray, bob: np.ndarray) -> list[Setting]:
     """All (class, bit) setting pairs in row-major order, labeled 1-based."""
     settings = []
-    for i, alice_dir in enumerate(bases.alice):
+    for i, alice_dir in enumerate(alice):
         theta, phi = angles_for_direction(alice_dir)
-        for j, spin_axis in enumerate(bases.bob):
+        for j, spin_axis in enumerate(bob):
             settings.append(
                 Setting(theta=theta, phi=phi, spin_axis=spin_axis, label=(i + 1, j + 1))
             )

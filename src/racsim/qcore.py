@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance for algebraic identities (normalization, idempotence, Hermiticity).
+# Tolerance for normalization: unit directions, state vectors, splitter amplitudes.
 ATOL = 1e-12
 
 IDENTITY = np.eye(2, dtype=complex)
@@ -40,16 +40,6 @@ def require_unit_rows(rows: np.ndarray) -> None:
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL))  # NaN fails too
     if bad.size:
         raise ValueError(f"direction must have unit norm, got {float(norms[bad[0]])}")
-
-
-def require_density(mats: np.ndarray) -> None:
-    """Reject a stack (..., 2, 2) unless every matrix is Hermitian, unit-trace and PSD."""
-    if not np.max(np.abs(mats - np.conj(mats).swapaxes(-1, -2))) <= ATOL:  # NaN fails too
-        raise ValueError("density operator must be Hermitian")
-    if not np.max(np.abs(np.trace(mats, axis1=-2, axis2=-1).real - 1.0)) <= ATOL:
-        raise ValueError("density operator must have unit trace")
-    if not np.min(np.linalg.eigvalsh(mats)) >= -ATOL:
-        raise ValueError("density operator must be positive semidefinite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +102,7 @@ def expectation_product(state: PureState, direction_a, direction_b) -> float:
 
 
 def prepared_state(direction, bit: int) -> np.ndarray:
-    """Pure qubit preparation with Bloch vector (-1)^bit along ``direction``, checked as a density operator."""
+    """Pure qubit preparation with Bloch vector (-1)^bit along ``direction``; ``projector`` checks its norm."""
     if bit not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {bit}")
-    rho = projector(require_unit(direction))[bit]
-    require_density(rho)
-    return rho
+    return projector(require_unit(direction))[bit]

@@ -3,45 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
-from .bell import bell_value, quantum_max, sign_matrix, success_from_bell
+from .bell import bell_value, sign_matrix, success_from_bell
 from .classical import bit_strings, string_classes
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBases:
-    """Alice's per-class directions (2^(n-1) rows) and Bob's per-bit directions (n rows)."""
-
-    alice: np.ndarray
-    bob: np.ndarray
-
-    def __post_init__(self):
-        alice = np.asarray(self.alice, dtype=float)
-        bob = np.asarray(self.bob, dtype=float)
-        if bob.ndim != 2 or bob.shape[1] != 3:
-            raise ValueError(f"bob directions must be (n, 3), got {bob.shape}")
-        n = bob.shape[0]
-        if alice.shape != (1 << (n - 1), 3):
-            raise ValueError(
-                f"alice directions must be ({1 << (n - 1)}, 3) for n={n}, got {alice.shape}"
-            )
-        qcore.require_unit_rows(np.vstack((alice, bob)))
-        alice.setflags(write=False)
-        bob.setflags(write=False)
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
-
-    @property
-    def n(self) -> int:
-        return self.bob.shape[0]
-
-
-def default_bases(n: int) -> MeasurementBases:
-    """Protocol-optimal directions: square diagonals for n=2, cube vertices for n=3.
+def default_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Protocol-optimal (alice, bob) directions: square diagonals for n=2, cube vertices for n=3.
 
     Chosen so that every correlator equals s_ij / sqrt(n), which saturates the
     quantum maximum of the n-bit expression.
@@ -57,7 +28,7 @@ def default_bases(n: int) -> MeasurementBases:
         bob = np.array([qcore.X_AXIS, qcore.Y_AXIS, qcore.Z_AXIS])
     else:
         raise ValueError(f"single-stage protocol defined for n in {{2, 3}}, got {n}")
-    return MeasurementBases(alice=alice, bob=bob)
+    return alice, bob
 
 
 # Bases per kernel call in identity_residuals: about 1.4 MB of temporaries at n = 3.
@@ -68,16 +39,14 @@ def _born_traces(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.nda
     """Success and trace-form correlator table of every basis in a stack.
 
     ``alice`` is (m, 2^(n-1), 3) and ``bob`` (m, n, 3). All preparations and
-    projectors are built at once and checked as density operators in one call.
+    projectors are built at once by ``qcore.projector``, which checks every norm.
     Each basis's success sums its (string, queried bit) cells in ``bit_strings``
     order; correlator (i, j) is Tr[rho_i^0 B_j^0 + rho_i^1 B_j^1] - 1, analytically
-    the dot product alice[i] . bob[j].
+    the dot product alice[i] . bob[j]. The one-basis views pass a stack of one.
     """
     n = bob.shape[1]
     preps = qcore.projector(alice)
     projs = qcore.projector(bob)
-    qcore.require_density(preps)
-    qcore.require_density(projs)
     strings = np.array(list(bit_strings(n)))
     rho = preps[:, string_classes(n), strings[:, 0]]
     proj = projs[:, np.arange(n), strings]
@@ -91,26 +60,21 @@ def _born_traces(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.nda
     return success, table
 
 
-def quantum_success(bases: MeasurementBases) -> float:
+def quantum_success(alice: np.ndarray, bob: np.ndarray) -> float:
     """Average success over all (string, queried bit) cells via Born-rule traces."""
-    success, _ = _born_traces(bases.alice[None], bases.bob[None])
+    success, _ = _born_traces(alice[None], bob[None])
     return float(success[0])
 
 
-def correlator_table(bases: MeasurementBases) -> np.ndarray:
-    """Trace-form correlators, one row per Alice class, one column per queried bit."""
-    _, table = _born_traces(bases.alice[None], bases.bob[None])
-    return table[0]
-
-
-def correlator_qm(bases: MeasurementBases, i: int, j: int) -> float:
+def correlator_qm(alice: np.ndarray, bob: np.ndarray, i: int, j: int) -> float:
     """Trace form Tr[rho_i^0 B_j^0 + rho_i^1 B_j^1] - 1; analytically the dot product."""
-    return float(correlator_table(bases)[i, j])
+    return float(_born_traces(alice[None], bob[None])[1][0, i, j])
 
 
-def bell_from_preps(bases: MeasurementBases) -> float:
+def bell_from_preps(alice: np.ndarray, bob: np.ndarray) -> float:
     """Value of the n-bit expression over the preparation correlators."""
-    return bell_value(correlator_table(bases), sign_matrix(bases.n))
+    _, tables = _born_traces(alice[None], bob[None])
+    return bell_value(tables[0], sign_matrix(len(bob)))
 
 
 def identity_residuals(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -124,9 +88,9 @@ def identity_residuals(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     return np.abs(success - success_from_bell(n, bell_value(tables, sign_matrix(n))))
 
 
-def identity_check(bases: MeasurementBases) -> float:
+def identity_check(alice: np.ndarray, bob: np.ndarray) -> float:
     """Residual of the success/expression identity for one basis choice."""
-    return float(identity_residuals(bases.alice[None], bases.bob[None])[0])
+    return float(identity_residuals(alice[None], bob[None])[0])
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:
@@ -139,10 +103,9 @@ def random_direction(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_bases(n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` random bases as (alice, bob) stacks, drawn one direction at a time, Alice's rows first."""
+    """``count`` random (alice, bob) stacks, drawn one direction at a time, Alice's rows first; ``projector`` checks them."""
     rows = 1 << (n - 1)
     directions = np.array([random_direction(rng) for _ in range(count * (rows + n))])
-    qcore.require_unit_rows(directions)
     directions = directions.reshape(count, rows + n, 3)
     return directions[:, :rows], directions[:, rows:]
 
@@ -166,8 +129,8 @@ def _best_response(signs: np.ndarray, partners: np.ndarray) -> np.ndarray | None
 
 def maximize_bell(
     n: int, starts: int = 100, iterations: int = 200, seed: int | None = None
-) -> tuple[float, MeasurementBases]:
-    """Alternating (seesaw) maximization of the n-bit expression over unit directions.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Alternating (seesaw) maximization of the n-bit expression over unit directions: (value, alice, bob).
 
     Each round replaces Bob's directions, then Alice's, by their best response.
     A degenerate (zero-norm) response restarts that attempt with fresh random
@@ -209,7 +172,4 @@ def maximize_bell(
             best = (alice.copy(), bob.copy())
 
     assert best is not None
-    cap = quantum_max(n)
-    if best_value > cap + 1e-9:
-        raise AssertionError(f"seesaw value {best_value} exceeds quantum cap {cap}")
-    return best_value, MeasurementBases(alice=best[0], bob=best[1])
+    return best_value, *best

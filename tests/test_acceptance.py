@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from racsim import classical, cli, concat, mzi, qrac
+from racsim import classical, cli, concat, mzi
 from racsim.cli import report_rows
 
 SEED, SHOTS, CONCAT_SHOTS = 42, 1_000_000, 200_000
@@ -86,9 +86,9 @@ def report():
     return report_rows(seed=SEED, shots=SHOTS, concat_shots=CONCAT_SHOTS, workers=1)
 
 
-def protocol_stderr(bases: qrac.MeasurementBases) -> float:
-    """Standard error of the two-bit expression on the report's own draw of ``bases``' settings."""
-    state, settings = mzi.maximally_entangled_state(), mzi.protocol_settings(bases)
+def protocol_stderr(alice: np.ndarray, bob: np.ndarray) -> float:
+    """Standard error of the two-bit expression on the report's own draw of the pair's settings."""
+    state, settings = mzi.maximally_entangled_state(), mzi.protocol_settings(alice, bob)
     counts = mzi.sample_events(state, settings, SHOTS, SEED).counts
     return math.sqrt(sum((1 - mzi.correlator_from_counts(c) ** 2) / c.shots for c in counts))
 
@@ -106,8 +106,8 @@ def sampled(report):
         return rule(math.sqrt(rate * (1 - rate) / CONCAT_SHOTS), CONCAT_SHOTS)
 
     z = np.array([[0.0, 0.0, 1.0]] * 2)
-    expression = rule(protocol_stderr(mzi.steering_bases()), SHOTS)
-    aligned = rule(protocol_stderr(qrac.MeasurementBases(alice=z, bob=z)), SHOTS)
+    expression = rule(protocol_stderr(*mzi.steering_bases()), SHOTS)
+    aligned = rule(protocol_stderr(z, z), SHOTS)
     return {
         # success = 1/2 + C/8, so its tolerance is the expression's over 8
         "sampled-expression": expression,
@@ -190,7 +190,7 @@ def test_criterion_08_seesaw_reaches_caps(report):
 
 def test_criterion_09_monte_carlo_estimator(report, sampled):
     assert_criterion(report, 9, sampled)
-    state, settings = mzi.maximally_entangled_state(), mzi.protocol_settings(mzi.steering_bases())
+    state, settings = mzi.maximally_entangled_state(), mzi.protocol_settings(*mzi.steering_bases())
     estimate = lambda: mzi.protocol_value(mzi.sample_events(state, settings, SHOTS, seed=SEED).counts)
     assert seconds(estimate) < 30.0
 
@@ -214,7 +214,7 @@ def test_criterion_12_padding_bounds(report):
 def test_criterion_13_reproducibility(report):
     assert_criterion(report, 13)
     state = mzi.maximally_entangled_state()
-    settings = mzi.protocol_settings(mzi.steering_bases())
+    settings = mzi.protocol_settings(*mzi.steering_bases())
     base = mzi.sample_events(state, settings, 50_000, seed=11, workers=1)
     for workers in (2, 4):
         rerun = mzi.sample_events(state, settings, 50_000, seed=11, workers=workers)

@@ -505,13 +505,32 @@ BAD_ARGV = {
     "mzi-settings-line-array": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{array}"],
     "mzi-settings-line-number": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{number}"],
     "quantum-bases-bob-number": ["quantum", "--bases", "{bob_number}"],
+    "mzi-settings-axis-string": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{axis_string}"],
+    "mzi-settings-theta-list": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{theta_list}"],
+    "quantum-bases-bob-row-string": ["quantum", "--bases", "{bob_row_string}"],
+    "quantum-bases-alice-string": ["quantum", "--bases", "{alice_string}"],
+    "quantum-bases-alice-rows": ["quantum", "--bases", "{alice_rows}"],
+    "quantum-bases-bob-shape": ["quantum", "--bases", "{bob_shape}"],
+    "quantum-bases-alice-not-unit": ["quantum", "--bases", "{alice_not_unit}"],
+    "quantum-bases-first-bad-row": ["quantum", "--bases", "{first_bad_row}"],
+    "quantum-bases-nan-row": ["quantum", "--bases", "{nan_row}"],
 }
-# the whole stderr of a BAD_ARGV entry whose file has the wrong JSON shape
+# the whole stderr of a BAD_ARGV entry whose file has the wrong JSON shape, type or values
 BAD_ARGV_MESSAGES = {
     "quantum-bases-not-object": "error: {array}: a bases file must be a JSON object",
     "quantum-bases-bob-number": 'error: {bob_number}: "bob" must be a list of directions',
     "mzi-settings-line-array": "error: {array}:1: a settings line must be a JSON object",
     "mzi-settings-line-number": "error: {number}:1: a settings line must be a JSON object",
+    "mzi-settings-axis-string": 'error: {axis_string}:1: "spin_axis" must be a list of numbers',
+    "mzi-settings-theta-list": 'error: {theta_list}:1: "theta" must be a number',
+    "quantum-bases-bob-row-string": 'error: {bob_row_string}: "bob" must be a list of directions',
+    "quantum-bases-alice-string": 'error: {alice_string}: "alice" must be a list of directions',
+    "quantum-bases-alice-rows": "error: {alice_rows}: alice directions must be (2, 3) for n=2, got (3, 3)",
+    "quantum-bases-bob-shape": "error: {bob_shape}: bob directions must be (n, 3), got (2, 4)",
+    "quantum-bases-alice-not-unit": "error: {alice_not_unit}: direction must have unit norm, got 2.0",
+    # Alice's rows are read before Bob's: her 2.0 row is named, not Bob's 3.0 row
+    "quantum-bases-first-bad-row": "error: {first_bad_row}: direction must have unit norm, got 2.0",
+    "quantum-bases-nan-row": "error: {nan_row}: direction must have unit norm, got nan",
 }
 
 
@@ -548,12 +567,30 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case, argv):
     nine_settings.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n' * 9)
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes('{"theta": 0.3}\n'.encode("utf-16"))  # starts with the BOM ff fe
+    typed = {
+        "axis_string": '{"theta": 0.3, "phi": 0.4, "spin_axis": "abc"}',
+        "theta_list": '{"theta": [1], "phi": 0.4, "spin_axis": [1, 0, 0]}',
+        "bob_row_string": json.dumps({"alice": [[0, 0, 1]] * 2, "bob": [[0, 0, 1], "ab"]}),
+        "alice_string": json.dumps({"alice": "x", "bob": [[0, 0, 1]] * 2}),
+        "alice_rows": json.dumps({"alice": [[0, 0, 1]] * 3, "bob": [[0, 0, 1]] * 2}),
+        "bob_shape": json.dumps({"alice": [[0, 0, 1]] * 2, "bob": [[0, 0, 1, 0]] * 2}),
+        "alice_not_unit": json.dumps({"alice": [[0, 0, 2], [0, 0, 1]], "bob": [[0, 0, 1]] * 2}),
+        "first_bad_row": json.dumps(
+            {"alice": [[0, 0, 1], [0, 0, 1], [0, 0, 2], [0, 0, 1]], "bob": [[0, 0, 1], [0, 0, 3], [0, 0, 1]]}
+        ),
+        "nan_row": json.dumps(
+            {"alice": [[0, 0, 1], [0, 0, 1], [0, 0, math.nan], [0, 0, 1]], "bob": [[0, 0, 1], [0, 0, 3], [0, 0, 1]]}
+        ),
+    }
+    for name, text in typed.items():
+        typed[name] = tmp_path / f"{name}.json"
+        typed[name].write_text(text + "\n")
     paths = {
         "settings": settings_path, "array": array_path, "missing": tmp_path / "missing.json",
         "number": number_path, "bob_number": bob_number,
         "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16, "theta_huge": theta_huge,
         "label_inf": label_inf, "bases_n1": bases_n1, "bases_n4": bases_n4,
-        "nine_settings": nine_settings, "unwritable": tmp_path / "no-such-dir" / "out", **labels,
+        "nine_settings": nine_settings, "unwritable": tmp_path / "no-such-dir" / "out", **labels, **typed,
     }
     with pytest.raises(SystemExit) as excinfo:
         cli.main([arg.format(**paths) for arg in argv])
@@ -834,14 +871,14 @@ def test_closed_stdout_exits_1_without_a_traceback():
     # 5000 analytic rows are far more than a pipe buffer holds, so the CLI is
     # still writing when the reader goes away
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "racsim.cli", "concat", "--n", "5000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert json.loads(proc.stdout.readline())["quantity"] == "analytic-per-bit"
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["quantity"] == "analytic-per-bit"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert stderr == b""
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from racsim import cli, concat, mzi, qcore, qrac
 
 STATE = mzi.maximally_entangled_state()
-SETTING = mzi.protocol_settings(mzi.steering_bases())[0]
+SETTING = mzi.protocol_settings(*mzi.steering_bases())[0]
 SMOOTH = [2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36]
 
 blocks = st.sampled_from([1, 3, 8])
@@ -58,12 +58,12 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
     # P(spin outcome 0 | class, Alice bit, slot), one (class, slot) pair at a time
     cond_tables = {}
     for arity in {len(children) for children in subunits}:
-        bases = qrac.default_bases(arity)
+        alice, bob = qrac.default_bases(arity)
         if engine == "mzi":
-            pairs = [[2.0 * qcore.joint_table(STATE, -a, b)[:, 0] for b in bases.bob] for a in bases.alice]
+            pairs = [[2.0 * qcore.joint_table(STATE, -a, b)[:, 0] for b in bob] for a in alice]
             cond_tables[arity] = np.array(pairs).transpose(0, 2, 1)
         else:
-            dots = bases.alice @ bases.bob.T
+            dots = alice @ bob.T
             cond_tables[arity] = np.stack([0.5 * (1.0 + dots), 0.5 * (1.0 - dots)], axis=1)
 
     messages, alice_bits, classes = {}, {}, {}

@@ -132,7 +132,7 @@ class TestSampling:
     @pytest.mark.parametrize("shots", [10_000, 1_000_000])
     def test_frequencies_approach_born_probabilities(self, shots):
         state = mzi.maximally_entangled_state()
-        settings = mzi.protocol_settings(mzi.steering_bases())
+        settings = mzi.protocol_settings(*mzi.steering_bases())
         result = mzi.sample_events(state, settings, shots, seed=2024)
         bound = 5.0 / math.sqrt(shots)
         for probs, counts in zip(mzi.born_probabilities(state, settings), result.counts):
@@ -156,14 +156,14 @@ class TestSampling:
             assert abs(estimate - exact) <= 5.0 / math.sqrt(shots)
 
     def test_born_rows_computed_once_per_run(self):
-        settings = mzi.protocol_settings(mzi.steering_bases())
+        settings = mzi.protocol_settings(*mzi.steering_bases())
         with mock.patch.object(mzi, "born_probabilities", wraps=mzi.born_probabilities) as born:
             mzi.sample_events(mzi.maximally_entangled_state(), settings, 1000, seed=3, workers=2)
         born.assert_called_once()
 
     def test_reproducible_across_worker_counts(self):
         state = mzi.maximally_entangled_state()
-        settings = mzi.protocol_settings(mzi.steering_bases())
+        settings = mzi.protocol_settings(*mzi.steering_bases())
         baseline = mzi.sample_events(state, settings, 30_000, seed=5, workers=1)
         for workers in (2, 3, 5):
             rerun = mzi.sample_events(state, settings, 30_000, seed=5, workers=workers)
@@ -211,7 +211,7 @@ EVENT_SHOTS += [cli.EVENT_CHUNK + d for d in (-1, 0, 1)] + [mzi.BLOCK + d for d 
 
 
 def assert_writes_reference_bytes(shots, n_settings, workers, seed):
-    base = mzi.protocol_settings(mzi.steering_bases())
+    base = mzi.protocol_settings(*mzi.steering_bases())
     chosen = [base[k % len(base)] for k in range(n_settings)]
     result = mzi.sample_events(mzi.maximally_entangled_state(), chosen, shots, seed, workers)
     with tempfile.TemporaryDirectory() as tmp:
@@ -327,9 +327,9 @@ class TestCountEstimators:
 
 
 def protocol_counts(bases, shots, seed):
-    """Counts of ``bases``' protocol settings on the maximally entangled state."""
+    """Counts of the protocol settings of an (alice, bob) pair on the maximally entangled state."""
     state = mzi.maximally_entangled_state()
-    return mzi.sample_events(state, mzi.protocol_settings(bases), shots, seed).counts
+    return mzi.sample_events(state, mzi.protocol_settings(*bases), shots, seed).counts
 
 
 class TestEstimateProtocol:
@@ -340,7 +340,7 @@ class TestEstimateProtocol:
 
     def test_aligned_bases_classical_floor(self):
         z = np.array([0.0, 0.0, 1.0])
-        aligned = qrac.MeasurementBases(alice=np.tile(z, (2, 1)), bob=np.tile(z, (2, 1)))
+        aligned = np.tile(z, (2, 1)), np.tile(z, (2, 1))
         value, stderr = mzi.protocol_value(protocol_counts(aligned, 200_000, seed=42))
         assert stderr == 0.0  # every shot is perfectly anti-correlated
         assert abs(value - (-2.0)) <= 0.01
@@ -359,7 +359,7 @@ class TestEstimateProtocol:
 
 def exact_protocol_value(state):
     """Two-bit expression at the steering bases, from the exact Born rows of the four settings."""
-    probs = mzi.born_probabilities(state, mzi.protocol_settings(mzi.steering_bases()))
+    probs = mzi.born_probabilities(state, mzi.protocol_settings(*mzi.steering_bases()))
     correlators = probs @ np.array([1.0, -1.0, -1.0, 1.0])
     return bell_value(correlators.reshape(2, 2), sign_matrix(2))
 

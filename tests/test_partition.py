@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from racsim import concat, mzi
 
 STATE = mzi.maximally_entangled_state()
-SETTINGS = mzi.protocol_settings(mzi.steering_bases())
+SETTINGS = mzi.protocol_settings(*mzi.steering_bases())
 TREE = concat.build_tree(6)
 
 shot_counts = st.integers(min_value=1, max_value=2000)

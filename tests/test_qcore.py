@@ -111,6 +111,18 @@ class TestProjector:
         for direction, pair in zip(directions[:200], stack):
             assert qcore.projector(direction).tobytes() == pair.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), stretch=st.floats(-0.999, 0.999))
+    def test_every_accepted_direction_gives_density_operators(self, seed, stretch):
+        # the norm check admits norms within ATOL of 1; every projector it lets
+        # through is Hermitian, of unit trace and has no eigenvalue below -ATOL
+        directions = np.array([random_unit(np.random.default_rng(seed)), qcore.X_AXIS, qcore.Z_AXIS])
+        directions *= 1.0 + stretch * ATOL
+        stack = qcore.projector(directions)
+        assert np.array_equal(stack, np.conj(stack).swapaxes(-1, -2))
+        assert np.max(np.abs(np.trace(stack, axis1=-2, axis2=-1).real - 1.0)) <= ATOL
+        assert np.min(np.linalg.eigvalsh(stack)) >= -ATOL
+
 
 class TestTensor:
     """The path-first tensor product inside ``joint_probability``, on basis states."""
@@ -297,30 +309,3 @@ class TestPreparedState:
             direction = random_unit(rng)
             rho = qcore.prepared_state(direction, 1)
             np.testing.assert_allclose(bloch_vector(rho), -direction, atol=1e-10)
-
-
-class TestDensityOperator:
-    """``require_density``, the one density-operator check, on single matrices and stacks."""
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            qcore.require_density(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="unit trace"):
-            qcore.require_density(np.eye(2, dtype=complex))
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            qcore.require_density(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_rejects_nan_entries(self):
-        with pytest.raises(ValueError):
-            qcore.require_density(np.full((2, 2), np.nan, dtype=complex))
-
-    def test_stack_check_rejects_one_bad_matrix(self):
-        stack = np.stack([qcore.projector(qcore.Z_AXIS)[0]] * 5)
-        qcore.require_density(stack)
-        stack[3] = np.diag([1.5, -0.5])
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            qcore.require_density(stack)

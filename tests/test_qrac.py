@@ -8,30 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racsim import qcore, qrac
-from racsim.bell import quantum_max, sign_matrix, success_from_bell
+from racsim.bell import bell_value, quantum_max, sign_matrix, success_from_bell
 from racsim.classical import optimal_classical_formula, string_classes
 
 Z = np.array([0.0, 0.0, 1.0])
 
 
 def all_z_bases(n):
-    return qrac.MeasurementBases(
-        alice=np.tile(Z, (2 ** (n - 1), 1)), bob=np.tile(Z, (n, 1))
-    )
+    return np.tile(Z, (2 ** (n - 1), 1)), np.tile(Z, (n, 1))
 
 
 class TestDefaultBases:
     def test_two_bit_dot_products(self):
-        bases = qrac.default_bases(2)
-        assert float(bases.alice[0] @ bases.bob[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert float(bases.alice[0] @ bases.alice[1]) == pytest.approx(0.0, abs=1e-12)
+        alice, bob = qrac.default_bases(2)
+        assert float(alice[0] @ bob[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert float(alice[0] @ alice[1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_bit_dot_products_follow_signs(self):
-        bases = qrac.default_bases(3)
+        alice, bob = qrac.default_bases(3)
         signs = sign_matrix(3)
         for i in range(4):
             for j in range(3):
-                assert float(bases.alice[i] @ bases.bob[j]) == pytest.approx(
+                assert float(alice[i] @ bob[j]) == pytest.approx(
                     signs[i, j] / math.sqrt(3), abs=1e-12
                 )
 
@@ -42,70 +40,67 @@ class TestDefaultBases:
 
 class TestQuantumSuccess:
     def test_two_bit_optimum(self):
-        assert qrac.quantum_success(qrac.default_bases(2)) == pytest.approx(
+        assert qrac.quantum_success(*qrac.default_bases(2)) == pytest.approx(
             0.5 * (1 + 1 / math.sqrt(2)), abs=1e-12
         )
 
     def test_three_bit_optimum(self):
-        assert qrac.quantum_success(qrac.default_bases(3)) == pytest.approx(
+        assert qrac.quantum_success(*qrac.default_bases(3)) == pytest.approx(
             0.5 * (1 + 1 / math.sqrt(3)), abs=1e-12
         )
 
     def test_aligned_bases_recover_first_bit_strategy(self):
         # every direction along z: first bit retrieved perfectly, second is a coin flip
-        assert qrac.quantum_success(all_z_bases(2)) == pytest.approx(0.75, abs=1e-12)
+        assert qrac.quantum_success(*all_z_bases(2)) == pytest.approx(0.75, abs=1e-12)
 
     def test_alice_z_bob_default(self):
-        bases = qrac.MeasurementBases(alice=np.tile(Z, (2, 1)), bob=qrac.default_bases(2).bob)
-        assert qrac.quantum_success(bases) == pytest.approx(0.75, abs=1e-12)
+        _, bob = qrac.default_bases(2)
+        assert qrac.quantum_success(np.tile(Z, (2, 1)), bob) == pytest.approx(0.75, abs=1e-12)
 
 
 class TestCorrelators:
     def test_diagonal_entries(self):
         bases = qrac.default_bases(2)
-        assert qrac.correlator_qm(bases, 0, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert qrac.correlator_qm(bases, 1, 1) == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
+        assert qrac.correlator_qm(*bases, 0, 0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert qrac.correlator_qm(*bases, 1, 1) == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
 
     def test_orthogonal_directions_vanish(self):
-        bases = qrac.MeasurementBases(
-            alice=np.array([[1.0, 0, 0], [0, 1.0, 0]]), bob=np.array([[0, 0, 1.0], [0, 0, 1.0]])
-        )
+        alice, bob = np.array([[1.0, 0, 0], [0, 1.0, 0]]), np.array([[0, 0, 1.0], [0, 0, 1.0]])
         for i in range(2):
             for j in range(2):
-                assert qrac.correlator_qm(bases, i, j) == pytest.approx(0.0, abs=1e-12)
+                assert qrac.correlator_qm(alice, bob, i, j) == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_form_equals_dot_product_random_sweep(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
             n = 2 if rng.random() < 0.5 else 3
             [alice], [bob] = qrac.random_bases(n, rng, 1)
-            bases = qrac.MeasurementBases(alice=alice, bob=bob)
             i = int(rng.integers(2 ** (n - 1)))
             j = int(rng.integers(n))
-            dot = float(bases.alice[i] @ bases.bob[j])
-            assert qrac.correlator_qm(bases, i, j) == pytest.approx(dot, abs=1e-12)
+            dot = float(alice[i] @ bob[j])
+            assert qrac.correlator_qm(alice, bob, i, j) == pytest.approx(dot, abs=1e-12)
 
 
 class TestBellFromPreps:
     def test_two_bit_value(self):
-        assert qrac.bell_from_preps(qrac.default_bases(2)) == pytest.approx(
+        assert qrac.bell_from_preps(*qrac.default_bases(2)) == pytest.approx(
             2 * math.sqrt(2), abs=1e-12
         )
 
     def test_three_bit_value(self):
-        assert qrac.bell_from_preps(qrac.default_bases(3)) == pytest.approx(
+        assert qrac.bell_from_preps(*qrac.default_bases(3)) == pytest.approx(
             4 * math.sqrt(3), abs=1e-12
         )
 
     def test_aligned_bases_reach_classical_bound(self):
-        assert qrac.bell_from_preps(all_z_bases(2)) == pytest.approx(2.0, abs=1e-12)
-        bases = qrac.MeasurementBases(alice=np.tile(Z, (2, 1)), bob=qrac.default_bases(2).bob)
-        assert qrac.bell_from_preps(bases) == pytest.approx(2.0, abs=1e-12)
+        assert qrac.bell_from_preps(*all_z_bases(2)) == pytest.approx(2.0, abs=1e-12)
+        _, bob = qrac.default_bases(2)
+        assert qrac.bell_from_preps(np.tile(Z, (2, 1)), bob) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestIdentity:
     def test_default_bases(self):
-        assert qrac.identity_check(qrac.default_bases(2)) < 1e-12
+        assert qrac.identity_check(*qrac.default_bases(2)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_sweep(self, n):
@@ -118,20 +113,21 @@ class TestIdentity:
 
         for n, denom in ((2, 8.0), (3, 24.0)):
             bases = qrac.default_bases(n)
-            gap = qrac.quantum_success(bases) - optimal_classical_formula(n)
-            beta = qrac.bell_from_preps(bases) - classical_bound(n)
+            gap = qrac.quantum_success(*bases) - optimal_classical_formula(n)
+            beta = qrac.bell_from_preps(*bases) - classical_bound(n)
             assert gap == pytest.approx(beta / denom, abs=1e-12)
 
 
 class TestMaximizeBell:
     def test_two_bit_reaches_optimum(self):
-        value, bases = qrac.maximize_bell(2, starts=50, seed=7)
+        value, alice, bob = qrac.maximize_bell(2, starts=50, seed=7)
         assert value >= 2 * math.sqrt(2) - 1e-6
         assert value <= quantum_max(2) + 1e-9
-        assert qrac.identity_check(bases) < 1e-12
+        assert alice.shape == (2, 3) and bob.shape == (2, 3)
+        assert qrac.identity_check(alice, bob) < 1e-12
 
     def test_three_bit_reaches_optimum(self):
-        value, _ = qrac.maximize_bell(3, starts=50, seed=7)
+        value, _, _ = qrac.maximize_bell(3, starts=50, seed=7)
         assert value >= 4 * math.sqrt(3) - 1e-6
         assert value <= quantum_max(3) + 1e-9
 
@@ -145,7 +141,7 @@ class TestMaximizeBell:
             return Z if len(drawn) <= 2 else drawn[-1]
 
         monkeypatch.setattr(qrac, "random_direction", first_alice_along_z)
-        value, _ = qrac.maximize_bell(2, starts=5, seed=3)
+        value, _, _ = qrac.maximize_bell(2, starts=5, seed=3)
         assert value <= quantum_max(2) + 1e-9
         assert value >= 2 * math.sqrt(2) - 1e-6
         # the restart draws a sixth start of four directions instead of using up one of five
@@ -161,53 +157,20 @@ class TestProtocolResult:
 
     def test_default_bases_bundle(self):
         bases = qrac.default_bases(2)
-        success = qrac.quantum_success(bases)
+        success = qrac.quantum_success(*bases)
         assert success == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-12)
-        assert qrac.bell_from_preps(bases) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert qrac.bell_from_preps(*bases) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
         assert success - optimal_classical_formula(2) == pytest.approx(success - 0.75, abs=1e-12)
 
     def test_random_bases_satisfy_identity(self):
         rng = np.random.default_rng(44)
         for alice, bob in zip(*qrac.random_bases(3, rng, 50)):
-            bases = qrac.MeasurementBases(alice=alice, bob=bob)
-            success = qrac.quantum_success(bases)
-            assert abs(success - success_from_bell(3, qrac.bell_from_preps(bases))) <= 1e-12
-
-
-class TestMeasurementBases:
-    def test_rejects_non_unit_rows(self):
-        with pytest.raises(ValueError):
-            qrac.MeasurementBases(alice=np.array([[0, 0, 2.0], [0, 0, 1.0]]), bob=np.tile(Z, (2, 1)))
-
-    @pytest.mark.parametrize("scale,message", [(2.0, "got 2.0"), (math.nan, "got nan")])
-    def test_names_the_first_bad_row_of_the_stack(self, scale, message):
-        alice = np.tile(Z, (4, 1))
-        alice[2] *= scale
-        bob = np.tile(Z, (3, 1))
-        bob[1] *= 3.0
-        with pytest.raises(ValueError, match=f"^direction must have unit norm, {message}$"):
-            qrac.MeasurementBases(alice=alice, bob=bob)
-
-    def test_rejects_wrong_alice_count(self):
-        with pytest.raises(ValueError):
-            qrac.MeasurementBases(alice=np.tile(Z, (3, 1)), bob=np.tile(Z, (2, 1)))
-
-    def test_preparation_bloch_vectors(self):
-        # as the Born-trace kernel indexes them: the string's class picks Alice's
-        # direction, its first bit the sign
-        bases = qrac.default_bases(2)
-        preps = qcore.projector(bases.alice)
-        # strings 01 and 10 (indices 1 and 2) form class 1
-        for index, sign in ((1, 1.0), (2, -1.0)):
-            rho = preps[string_classes(2)[index], index >> 1]
-            bloch = [np.trace(rho @ s).real for s in (qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)]
-            np.testing.assert_allclose(bloch, sign * bases.alice[1], atol=1e-12)
+            success = qrac.quantum_success(alice, bob)
+            assert abs(success - success_from_bell(3, qrac.bell_from_preps(alice, bob))) <= 1e-12
 
 
 def random_stack(n, size, seed):
-    alice, bob = qrac.random_bases(n, np.random.default_rng(seed), size)
-    stack = [qrac.MeasurementBases(alice=a, bob=b) for a, b in zip(alice, bob)]
-    return stack, alice, bob
+    return qrac.random_bases(n, np.random.default_rng(seed), size)
 
 
 stacks = {
@@ -220,19 +183,33 @@ stacks = {
 class TestStackedKernel:
     """The stacked Born-trace kernel against its one-basis views and the dot form."""
 
+    def test_preparation_bloch_vectors(self):
+        # as the kernel indexes them: the string's class picks Alice's
+        # direction, its first bit the sign
+        alice, _ = qrac.default_bases(2)
+        preps = qcore.projector(alice)
+        # strings 01 and 10 (indices 1 and 2) form class 1
+        for index, sign in ((1, 1.0), (2, -1.0)):
+            rho = preps[string_classes(2)[index], index >> 1]
+            bloch = [np.trace(rho @ s).real for s in (qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)]
+            np.testing.assert_allclose(bloch, sign * alice[1], atol=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
     def test_stack_matches_one_basis_views_bit_for_bit(self, n, size, seed):
-        stack, alice, bob = random_stack(n, size, seed)
+        alice, bob = random_stack(n, size, seed)
         success, tables = qrac._born_traces(alice, bob)
-        assert success.tolist() == [qrac.quantum_success(b) for b in stack]
-        for table, bases in zip(tables, stack):
-            assert table.tobytes() == qrac.correlator_table(bases).tobytes()
+        assert success.tolist() == [qrac.quantum_success(a, b) for a, b in zip(alice, bob)]
+        for table, a, b in zip(tables, alice, bob):
+            rows, cols = table.shape
+            views = [[qrac.correlator_qm(a, b, i, j) for j in range(cols)] for i in range(rows)]
+            assert table.tobytes() == np.array(views).tobytes()
+            assert qrac.bell_from_preps(a, b) == bell_value(table, sign_matrix(n))
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
     def test_trace_form_agrees_with_dot_form(self, n, size, seed):
-        stack, alice, bob = random_stack(n, size, seed)
+        alice, bob = random_stack(n, size, seed)
         _, tables = qrac._born_traces(alice, bob)
         for table, a, b in zip(tables, alice, bob):
             np.testing.assert_allclose(table, a @ b.T, rtol=0, atol=1e-12)
@@ -240,13 +217,13 @@ class TestStackedKernel:
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
     def test_identity_residuals_vanish(self, n, size, seed):
-        _, alice, bob = random_stack(n, size, seed)
+        alice, bob = random_stack(n, size, seed)
         assert np.all(qrac.identity_residuals(alice, bob) < 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
     def test_identity_residuals_match_per_table_formula(self, n, size, seed):
-        _, alice, bob = random_stack(n, size, seed)
+        alice, bob = random_stack(n, size, seed)
         success, tables = qrac._born_traces(alice, bob)
         signs = sign_matrix(n)
         expected = [
@@ -268,7 +245,7 @@ class TestStackedKernel:
     @settings(max_examples=60, deadline=None)
     @given(**stacks, side=st.sampled_from(["alice", "bob"]), pick=st.integers(0, 2**32))
     def test_non_unit_direction_rejected_by_batched_check(self, n, size, seed, side, pick):
-        _, alice, bob = random_stack(n, size, seed)
+        alice, bob = random_stack(n, size, seed)
         directions = {"alice": alice, "bob": bob}[side]
         basis, row = divmod(pick % (size * directions.shape[1]), directions.shape[1])
         directions[basis, row] *= 1.001

@@ -31,7 +31,7 @@ def assert_standard_normal(z: np.ndarray) -> None:
 
 
 def test_protocol_stderr_is_calibrated():
-    state, settings_ = mzi.maximally_entangled_state(), mzi.protocol_settings(mzi.steering_bases())
+    state, settings_ = mzi.maximally_entangled_state(), mzi.protocol_settings(*mzi.steering_bases())
     exact = bell.quantum_max(2)
     z = []
     for seed in SEEDS:
