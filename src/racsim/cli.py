@@ -111,8 +111,9 @@ def _quantum_optimum(n: int) -> tuple[float, float]:
     return bell.success_from_bell(n, cap), cap
 
 
-# A sampled row passes within Z standard errors of its estimate: a correct estimator
-# misses by 5 SE about once in 1.7 million rows (two-sided normal tail).
+# A sampled row passes within Z standard errors of its target, each SE that of the
+# distribution sampled: a correct sampler misses by 5 SE about once in 1.7 million
+# rows (two-sided normal tail).
 Z = 5
 
 
@@ -126,14 +127,21 @@ def _rate_stderr(rate: float, shots: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / shots)
 
 
-def _protocol_estimates(counts, shots: int) -> tuple[float, float, float, float]:
-    """Two-bit expression and success estimates from the protocol counts, each with its tolerance.
+def _correlator_variances(probs: np.ndarray, shots: int) -> np.ndarray:
+    """Each Born row's joint-frequency variance: ``shots`` outcomes of +-1 with mean E give (1 - E^2)/shots."""
+    exact = mzi.correlators(probs)
+    return np.maximum(0.0, 1.0 - exact * exact) / shots
 
-    Success is the expression mapped by a line of slope 1/(2 algebraic_max(2)) = 1/8,
-    so its tolerance is the expression's, one-count floor included, times that slope.
+
+def _protocol_estimates(result: mzi.SamplingResult, shots: int) -> tuple[float, float, float, float]:
+    """Two-bit expression and success estimates of a protocol run, each with its tolerance.
+
+    The four settings draw independent streams, so their correlator variances
+    add. Success is the expression mapped by a line of slope 1/(2 algebraic_max(2))
+    = 1/8, so its tolerance is the expression's, one-count floor included, times that slope.
     """
-    value, stderr = mzi.protocol_value(counts)
-    tol = _sampling_tolerance(stderr, shots)
+    value = mzi.protocol_value(result.counts)
+    tol = _sampling_tolerance(math.sqrt(np.sum(_correlator_variances(result.probs, shots))), shots)
     return value, tol, bell.success_from_bell(2, value), tol / (2 * bell.algebraic_max(2))
 
 
@@ -248,6 +256,8 @@ def load_bases(path: str) -> tuple[np.ndarray, np.ndarray]:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    except ValueError:
+        raise UsageError(f"{path}: invalid JSON: {_LONG_INTEGER}")
     if not isinstance(data, dict):
         raise UsageError(f"{path}: a bases file must be a JSON object")
     try:
@@ -322,14 +332,14 @@ def cmd_quantum(args) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
-def _label_index(value) -> int:
-    """A setting label's ``i`` or ``j``: an integral JSON number, never a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"label index must be an integer, got {json.dumps(value)}")
-    index = int(value)
-    if index != value:
-        raise ValueError(f"label index must be an integer, got {json.dumps(value)}")
-    return index
+def _label_index(record: dict, name: str) -> int:
+    """``record[name]`` as a label index: an integral JSON number within LABEL_MAX of 0, no boolean or string."""
+    value = record[name]
+    # NaN fails the bound, so int() never sees it or an infinity
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= LABEL_MAX:
+        if value == int(value):
+            return int(value)
+    raise ValueError(f'"{name}" must be an integer of magnitude at most {LABEL_MAX}')
 
 
 def load_settings(path: str) -> list[mzi.Setting]:
@@ -342,36 +352,40 @@ def load_settings(path: str) -> list[mzi.Setting]:
             record = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}:{lineno}: invalid JSON: {exc.msg}")
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: invalid JSON: {_LONG_INTEGER}")
         if not isinstance(record, dict):
             raise UsageError(f"{path}:{lineno}: a settings line must be a JSON object")
         try:
             label = None
             if "i" in record or "j" in record:
-                label = (_label_index(record["i"]), _label_index(record["j"]))
+                label = (_label_index(record, "i"), _label_index(record, "j"))
             theta, phi = _numeric_field(record, "theta", 0), _numeric_field(record, "phi", 0)
             settings.append(mzi.Setting(theta, phi, _numeric_field(record, "spin_axis", 1), label))
         except KeyError as exc:
             raise UsageError(f"{path}:{lineno}: missing field {exc}")
         except (TypeError, ValueError, OverflowError) as exc:
-            # OverflowError: an integer too large for a float, or 1e400 (read as inf) as a label
+            # OverflowError: an integer too large for a float
             raise UsageError(f"{path}:{lineno}: {exc}")
     if not settings:
         raise UsageError(f"{path}: no settings found")
     return settings
 
 
-def _counts_params(setting: mzi.Setting, counts: mzi.DetectionCounts) -> dict:
+def _counts_params(setting: mzi.Setting, counts: np.ndarray) -> dict:
+    """The setting and its tally row: n_* behind the positive path port, m_* behind the negative one."""
+    n_plus, n_minus, m_plus, m_minus = counts.tolist()
     return {
         "label": list(setting.label) if setting.label else None,
         "theta": setting.theta,
         "phi": setting.phi,
         "spin_axis": np.asarray(setting.spin_axis).tolist(),
-        "n_total": counts.path_plus,
-        "n_spin_plus": counts.n_plus,
-        "n_spin_minus": counts.n_minus,
-        "m_total": counts.path_minus,
-        "m_spin_plus": counts.m_plus,
-        "m_spin_minus": counts.m_minus,
+        "n_total": n_plus + n_minus,
+        "n_spin_plus": n_plus,
+        "n_spin_minus": n_minus,
+        "m_total": m_plus + m_minus,
+        "m_spin_plus": m_plus,
+        "m_spin_minus": m_minus,
     }
 
 
@@ -433,32 +447,23 @@ def cmd_mzi(args) -> list[ReportRow]:
     if args.events:
         _open(args.events, "wb").close()  # an unwritable path fails before any sampling
     result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers)
+    # every estimate is checked against the Born rows it was drawn from
+    joint, exact = mzi.correlators(result.counts).tolist(), mzi.correlators(result.probs).tolist()
+    stderrs = np.sqrt(_correlator_variances(result.probs, args.shots)).tolist()
     rows: list[ReportRow] = []
-    for setting, counts in zip(settings, result.counts):
+    for setting, counts, value, target, stderr in zip(settings, result.counts, joint, exact, stderrs):
         params = {**base_params, **_counts_params(setting, counts)}
         if args.settings:
-            rows.append(ReportRow("mzi", "counts", counts.shots, params))
-        rows.append(
-            ReportRow("mzi", "correlator-joint", mzi.correlator_from_counts(counts), params)
-        )
-        rows.append(
-            ReportRow("mzi", "correlator-product-form", mzi.correlator_product_form(counts), params)
-        )
+            rows.append(ReportRow("mzi", "counts", int(counts.sum()), params))
+        tol = _sampling_tolerance(stderr, args.shots)
+        rows.append(ReportRow("mzi", "correlator-joint", value, params, target, tol, "born-table"))
+        rows.append(ReportRow("mzi", "correlator-product-form", mzi.correlator_product_form(counts), params))
     if not args.settings:
-        target_p, target_c = _quantum_optimum(2)
-        value, tol_c, success, tol_p = _protocol_estimates(result.counts, args.shots)
-        rows.append(
-            ReportRow(
-                "mzi", "expression-estimate", value, base_params,
-                expected=target_c, tolerance=tol_c, reference="quantum-optimum",
-            )
-        )
-        rows.append(
-            ReportRow(
-                "mzi", "success-estimate", success, base_params,
-                expected=target_p, tolerance=tol_p, reference="quantum-optimum",
-            )
-        )
+        value, tol_c, success, tol_p = _protocol_estimates(result, args.shots)
+        target = mzi.protocol_value(result.probs)
+        rows.append(ReportRow("mzi", "expression-estimate", value, base_params, target, tol_c, "born-table"))
+        target_p = bell.success_from_bell(2, target)
+        rows.append(ReportRow("mzi", "success-estimate", success, base_params, target_p, tol_p, "born-table"))
     if args.events:
         write_events(result, args.events)
     return rows
@@ -513,13 +518,12 @@ def cmd_concat(args) -> list[ReportRow]:
         tree, bits, queries, args.shots, args.seed, engine=args.engine, workers=args.workers
     )
     for query, successes in zip(queries, sims.successes):
-        rate = successes / sims.shots
         rows.append(
             ReportRow(
-                "concat", "simulated-per-bit", rate,
+                "concat", "simulated-per-bit", successes / sims.shots,
                 {**base_params, "bit": query, "shots": args.shots, "seed": args.seed},
                 expected=per_bit,
-                tolerance=_sampling_tolerance(_rate_stderr(rate, sims.shots), sims.shots),
+                tolerance=_sampling_tolerance(_rate_stderr(per_bit, sims.shots), sims.shots),
                 reference="stage-formula",
             )
         )
@@ -604,27 +608,26 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     # sampled estimator at the protocol settings
     state = mzi.maximally_entangled_state()
     settings = mzi.protocol_settings(*mzi.steering_bases())
-    counts = mzi.sample_events(state, settings, shots, seed, workers=workers).counts
-    value, tol_c, success, tol_p = _protocol_estimates(counts, shots)
+
+    def protocol_run(run_settings):
+        """A run's protocol estimates and first tally row; its outcome bits are freed on return."""
+        result = mzi.sample_events(state, run_settings, shots, seed, workers=workers)
+        return _protocol_estimates(result, shots), result.counts[0]
+
+    (value, tol_c, success, tol_p), _ = protocol_run(settings)
     target_p, target_c = _quantum_optimum(2)
     add("sampled-expression", value, target_c, tol_c, "quantum-optimum")
     add("sampled-success", success, target_p, tol_p, "quantum-optimum")
 
     # classical-regime sampling: every direction aligned with z
     z = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    aligned = mzi.protocol_settings(z, z)
-    aligned_counts = mzi.sample_events(state, aligned, shots, seed, workers=workers).counts
     # the outcome probabilities are exactly 0, 1/2, 1/2, 0: SE 0, so the one-count floor
-    value, tol_c, success, tol_p = _protocol_estimates(aligned_counts, shots)
+    (value, tol_c, success, tol_p), counts = protocol_run(mzi.protocol_settings(z, z))
     add("aligned-expression", value, -2.0, tol_c, "pessimal-classical")
     add("aligned-success", success, 0.25, tol_p, "pessimal-classical")
 
     # estimator discrepancy on the aligned maximally entangled state
-    counts = aligned_counts[0]
-    add(
-        "discrepancy-correlator-joint", mzi.correlator_from_counts(counts), -1.0, 1e-12,
-        "anti-correlation",
-    )
+    add("discrepancy-correlator-joint", float(mzi.correlators(counts)), -1.0, 1e-12, "anti-correlation")
     # |product| <= |path asymmetry|, a +-1 average whose SE is at most 1/sqrt(shots)
     add(
         "discrepancy-correlator-product-form", mzi.correlator_product_form(counts), 0.0,
@@ -640,10 +643,10 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     for n in (4, 6):
         tree = concat.build_tree(n)
         sim = concat.simulate(tree, [0] * n, [0], concat_shots, seed, workers=workers)
-        rate = sim.successes[0] / sim.shots
+        exact = float(concat.analytic_per_bit(tree)[0])
         add(
-            f"concat-simulated-n{n}", rate, float(concat.analytic_per_bit(tree)[0]),
-            _sampling_tolerance(_rate_stderr(rate, sim.shots), sim.shots), "stage-formula",
+            f"concat-simulated-n{n}", sim.successes[0] / sim.shots, exact,
+            _sampling_tolerance(_rate_stderr(exact, sim.shots), sim.shots), "stage-formula",
         )
     add(
         "success-at-quantum-max-n4", bell.success_from_bell(4, 16.0), concat.quantum_bound(4),
@@ -663,7 +666,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     # reproducibility: identical counts for any worker count
     counts_one = mzi.sample_events(state, settings, 4096, seed, workers=1).counts
     counts_many = mzi.sample_events(state, settings, 4096, seed, workers=3).counts
-    mismatches = sum(a != b for a, b in zip(counts_one, counts_many))
+    mismatches = int(np.sum(np.any(counts_one != counts_many, axis=1)))
     add("worker-count-mismatches", mismatches, 0, 0, "partitioned-streams")
     return rows
 
@@ -712,6 +715,10 @@ QUERY_SCRATCH_BUDGET = 2**30
 # Exact evaluation of a --bases file holds n 2^n products of 2x2 complex matrices:
 # n = 16 takes about 4.5 s and 208 MB (2-vCPU VM), and every 2 more bits cost about 4x that.
 BASES_MAX_N = 16
+# |i|, |j| of a settings line's label: a reader parsing JSON numbers as doubles gets it intact
+LABEL_MAX = 2**53
+# json.loads refuses an integer literal past Python's digit limit (4300) with a plain ValueError
+_LONG_INTEGER = "integer literal too long"
 # Outcome arrays one run may hold: sampling keeps OUTCOME_BYTES (a path and a spin
 # bit) per shot and setting until the rows are written.
 OUTCOME_BYTES = 2

@@ -71,32 +71,6 @@ class Setting:
         object.__setattr__(self, "spin_axis", qcore.require_unit(self.spin_axis))
 
 
-@dataclass(frozen=True)
-class DetectionCounts:
-    """Spin +/- tallies behind the two path output ports for one setting.
-
-    ``n_*`` counts sit behind the positive path port, ``m_*`` behind the negative
-    one; ``*_plus``/``*_minus`` split each port by spin outcome.
-    """
-
-    n_plus: int
-    n_minus: int
-    m_plus: int
-    m_minus: int
-
-    @property
-    def path_plus(self) -> int:
-        return self.n_plus + self.n_minus
-
-    @property
-    def path_minus(self) -> int:
-        return self.m_plus + self.m_minus
-
-    @property
-    def shots(self) -> int:
-        return self.path_plus + self.path_minus
-
-
 def stream(seed: int, stream_id: int, start: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream_id), positioned at draw ``start``.
 
@@ -184,21 +158,20 @@ def map_spans(task: Callable[[int, int], object], shots: int, workers: int) -> l
         return [task(*spans[0]), *rest]
 
 
-def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> DetectionCounts:
-    tallies = np.bincount(2 * path_bits + spin_bits, minlength=4)
-    return DetectionCounts(
-        n_plus=int(tallies[0]),
-        n_minus=int(tallies[1]),
-        m_plus=int(tallies[2]),
-        m_minus=int(tallies[3]),
-    )
+def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> np.ndarray:
+    """The 4 tallies of one setting's outcome bits, in ``born_probabilities`` order."""
+    return np.bincount(2 * path_bits + spin_bits, minlength=4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingResult:
-    """Per-setting tallies and the (path bits, spin bits) uint8 arrays they came from."""
+    """Per setting, in the same outcome order: the Born row drawn from, its int64 tallies, and its bits.
 
-    counts: tuple[DetectionCounts, ...]
+    ``outcomes`` holds each setting's (path bits, spin bits) uint8 arrays.
+    """
+
+    probs: np.ndarray
+    counts: np.ndarray
     outcomes: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -223,33 +196,37 @@ def sample_events(
             for s_idx, row in enumerate(probs)
         ]
 
-    tallies = np.sum(map_spans(span, shots_per_setting, workers), axis=0, dtype=np.int64)
-    counts = tuple(DetectionCounts(*(int(t) for t in row)) for row in tallies)
-    return SamplingResult(counts=counts, outcomes=tuple(zip(path_bits, spin_bits)))
+    counts = np.sum(map_spans(span, shots_per_setting, workers), axis=0, dtype=np.int64)
+    return SamplingResult(probs, counts, tuple(zip(path_bits, spin_bits)))
 
 
-def correlator_from_counts(counts: DetectionCounts) -> float:
-    """Joint-frequency correlator: signed outcome products averaged over shots."""
-    if counts.shots < 1:
+# each outcome's product of the path and spin signs, in ``born_probabilities`` order
+OUTCOME_SIGNS = np.array([1, -1, -1, 1])
+
+
+def correlators(table: np.ndarray) -> np.ndarray:
+    """Signed outcome sum over the row total of each ``(..., 4)`` row.
+
+    On tallies this is the joint-frequency estimate; on Born rows, the exact correlator.
+    """
+    totals = np.sum(table, axis=-1)
+    if np.any(totals <= 0):
         raise ValueError("correlator undefined for zero shots")
-    return (counts.n_plus - counts.n_minus - counts.m_plus + counts.m_minus) / counts.shots
+    return table @ OUTCOME_SIGNS / totals
 
 
-def correlator_product_form(counts: DetectionCounts) -> float:
-    """Product of the path-port asymmetry and the summed per-port spin asymmetries.
+def correlator_product_form(counts: np.ndarray) -> float:
+    """Product of the path-port asymmetry and the summed per-port spin asymmetries of one tally row.
 
     Evaluated on count fractions. On maximally entangled states the path factor
     vanishes, so this can disagree with the joint-frequency correlator; it is kept
     for side-by-side reporting, not for the estimation pipeline.
     """
-    if counts.shots < 1:
+    n_plus, n_minus, m_plus, m_minus = (int(c) for c in counts)
+    total = n_plus + n_minus + m_plus + m_minus
+    if total < 1:
         raise ValueError("correlator undefined for zero shots")
-    total = counts.shots
-    path_asym = (counts.path_plus - counts.path_minus) / total
-    spin_asym = (
-        (counts.n_plus - counts.n_minus) + (counts.m_plus - counts.m_minus)
-    ) / total
-    return path_asym * spin_asym
+    return (n_plus + n_minus - m_plus - m_minus) / total * ((n_plus - n_minus + m_plus - m_minus) / total)
 
 
 def steering_bases(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -275,18 +252,14 @@ def protocol_settings(alice: np.ndarray, bob: np.ndarray) -> list[Setting]:
     return settings
 
 
-def protocol_value(counts: Sequence[DetectionCounts]) -> tuple[float, float]:
-    """Two-bit expression estimate and its standard error from the four ``protocol_settings``' counts.
+def protocol_value(table: np.ndarray) -> float:
+    """Two-bit expression from the four ``protocol_settings``' rows of tallies or Born rows.
 
     The settings measure the path along each of Alice's directions and the spin
-    along each of Bob's; the estimate is the signed sum of their joint-frequency
-    correlators, and ``bell.success_from_bell(2, value)`` turns it into a success
-    estimate. A correlator E over N shots averages N outcomes of +-1, so its
-    variance is (1 - E^2)/N; the settings draw independent streams, so the four
-    variances add.
+    along each of Bob's; the expression is the signed sum of their correlators,
+    and ``bell.success_from_bell(2, value)`` turns it into a success rate. On
+    tallies this is the estimate, on the Born rows the exact value.
     """
-    if len(counts) != 4:
-        raise ValueError(f"the two-bit protocol has 4 settings, got {len(counts)} counts")
-    correlators = np.array([correlator_from_counts(c) for c in counts])
-    variance = sum((1.0 - e * e) / c.shots for e, c in zip(correlators, counts))
-    return bell_value(correlators.reshape(2, 2), sign_matrix(2)), math.sqrt(variance)
+    if len(table) != 4:
+        raise ValueError(f"the two-bit protocol has 4 settings, got {len(table)} rows")
+    return float(bell_value(correlators(table).reshape(2, 2), sign_matrix(2)))

@@ -86,36 +86,36 @@ def report():
     return report_rows(seed=SEED, shots=SHOTS, concat_shots=CONCAT_SHOTS, workers=1)
 
 
-def protocol_stderr(alice: np.ndarray, bob: np.ndarray) -> float:
-    """Standard error of the two-bit expression on the report's own draw of the pair's settings."""
-    state, settings = mzi.maximally_entangled_state(), mzi.protocol_settings(alice, bob)
-    counts = mzi.sample_events(state, settings, SHOTS, SEED).counts
-    return math.sqrt(sum((1 - mzi.correlator_from_counts(c) ** 2) / c.shots for c in counts))
+def protocol_stderr(correlator: float) -> float:
+    """Standard error of the two-bit expression when every Born correlator is +-``correlator``.
+
+    Each of the four adds (1 - E^2)/SHOTS: sqrt(2/SHOTS) at the steering settings,
+    where |E| = 1/sqrt(2), and 0 when aligned, where |E| = 1.
+    """
+    return math.sqrt(4 * (1 - correlator**2) / SHOTS)
 
 
 @pytest.fixture(scope="module")
-def sampled(report):
+def sampled():
     """The tolerance each sampled row must carry: Z standard errors, at least Z counts."""
-    value = {row.quantity: row.value for row in report}
 
     def rule(stderr, shots):
         return cli.Z * max(stderr, 1 / shots)
 
-    def rate_tolerance(quantity):
-        rate = value[quantity]
+    def rate_tolerance(rate):
+        """The rule at the analytic rate: the SE of the distribution sampled."""
         return rule(math.sqrt(rate * (1 - rate) / CONCAT_SHOTS), CONCAT_SHOTS)
 
-    z = np.array([[0.0, 0.0, 1.0]] * 2)
-    expression = rule(protocol_stderr(*mzi.steering_bases()), SHOTS)
-    aligned = rule(protocol_stderr(z, z), SHOTS)
+    expression = rule(protocol_stderr(1 / math.sqrt(2)), SHOTS)
+    aligned = rule(protocol_stderr(1.0), SHOTS)
     return {
         # success = 1/2 + C/8, so its tolerance is the expression's over 8
         "sampled-expression": expression,
         "sampled-success": expression / 8,
         "aligned-expression": aligned,
         "aligned-success": aligned / 8,
-        "concat-simulated-n4": rate_tolerance("concat-simulated-n4"),
-        "concat-simulated-n6": rate_tolerance("concat-simulated-n6"),
+        "concat-simulated-n4": rate_tolerance(0.75),
+        "concat-simulated-n6": rate_tolerance(0.5 * (1 + 1 / math.sqrt(6))),
         # |product form| <= |path asymmetry|, whose SE is at most 1/sqrt(shots)
         "discrepancy-correlator-product-form": rule(1 / math.sqrt(SHOTS), SHOTS),
     }
@@ -218,7 +218,7 @@ def test_criterion_13_reproducibility(report):
     base = mzi.sample_events(state, settings, 50_000, seed=11, workers=1)
     for workers in (2, 4):
         rerun = mzi.sample_events(state, settings, 50_000, seed=11, workers=workers)
-        assert rerun.counts == base.counts
+        assert np.array_equal(rerun.counts, base.counts)
     tree = concat.build_tree(6)
     base_sim = concat.simulate(tree, [0] * 6, [2], 50_000, seed=11, workers=1)
     for workers in (2, 3):

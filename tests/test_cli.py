@@ -141,6 +141,14 @@ class TestQuantumCommand:
         assert row["pass"] is True
 
 
+# (a, delta) of generated states, drawn once from a fixed generator, plus the run
+# seeds and edge states: fixed in advance, never chosen after looking at the result
+GENERATED_STATES = [
+    (float(a), float(delta), seed)
+    for seed, (a, delta) in enumerate(np.random.default_rng(18).uniform((0, -2 * math.pi), (1, 2 * math.pi), (24, 2)))
+] + [(0.9, math.pi, 24), (0.9, 0.0, 25), (0.9, 3.0, 26), (1.0, 0.0, 27), (0.0, math.pi, 28), (1 / math.sqrt(2), 0.0, 29)]
+
+
 class TestMziCommand:
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -210,6 +218,44 @@ class TestMziCommand:
         assert excinfo.value.code == 2
         assert f"{settings_path}:2: missing field '{missing}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a, delta, seed", GENERATED_STATES)
+    def test_state_runs_are_checked_against_their_own_state(self, capsys, a, delta, seed):
+        argv = ["mzi", "--shots", "20000", "--seed", str(seed), "--a", repr(a), "--delta", repr(delta)]
+        code, rows = run(capsys, argv)
+        assert code == 0
+        expression = by_quantity(rows, "expression-estimate")[0]
+        concurrence = 2 * a * math.sqrt(1 - a * a)
+        assert expression["expected"] == pytest.approx(math.sqrt(2) * (1 - concurrence * math.cos(delta)), abs=1e-12)
+        assert all(row["reference"] == "born-table" for row in rows if row["pass"] is not None)
+
+    def test_settings_rows_are_checked_against_their_born_rows(self, capsys, tmp_path):
+        # exact correlator 0.994: a run may see no minority outcome, so the SE is read at the target
+        settings_path = tmp_path / "settings.jsonl"
+        theta = 0.5 * math.acos(0.994)
+        settings_path.write_text(json.dumps({"theta": theta, "phi": 0.0, "spin_axis": [0, 0, 1]}) + "\n")
+        failed = []
+        for seed in range(400):  # fixed in advance
+            code, rows = run(capsys, ["mzi", "--shots", "1000", "--seed", str(seed), "--settings", str(settings_path)])
+            joints = by_quantity(rows, "correlator-joint")
+            assert all(row["pass"] is not None for row in joints)
+            assert joints[0]["expected"] == pytest.approx(0.994, abs=1e-12)
+            if code != 0:
+                failed.append(seed)
+        assert failed == []
+
+    @pytest.mark.parametrize("label", [cli.LABEL_MAX, -cli.LABEL_MAX, cli.LABEL_MAX + 1, -cli.LABEL_MAX - 1])
+    def test_labels_bounded_at_label_max(self, capsys, tmp_path, label):
+        settings_path = tmp_path / "settings.jsonl"
+        settings_path.write_text(json.dumps({"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": label, "j": 1}))
+        argv = ["mzi", "--shots", "8", "--seed", "1", "--settings", str(settings_path)]
+        if abs(label) <= cli.LABEL_MAX:
+            code, rows = run(capsys, argv)
+            assert code == 0 and rows[0]["params"]["label"] == [label, 1]
+        else:
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2
+
     def test_identical_output_across_workers(self, capsys):
         def scrub(rows):
             for row in rows:
@@ -260,6 +306,13 @@ class TestConcatCommand:
             cli.main(["concat", "--n", "4", "--engine", "born", "--shots", "100",
                       "--seed", "1", "--input", "01"])
         assert excinfo.value.code == 2
+
+    def test_few_shot_runs_are_checked_at_the_target_rate(self, capsys):
+        # 35 shots may all succeed: the SE read at that estimate would be 0
+        argv = ["concat", "--n", "2", "--engine", "born", "--shots", "35", "--query", "0", "--seed"]
+        failed = [seed for seed in range(400) if cli.main(argv + [str(seed)]) != 0]  # seeds fixed in advance
+        capsys.readouterr()
+        assert failed == []
 
     def test_query_all_simulates_every_bit(self, capsys):
         code, rows = run(
@@ -467,6 +520,10 @@ BAD_ARGV = {
     "quantum-bases-n4-optimize": ["quantum", "--bases", "{bases_n4}", "--optimize", "--seed", "1"],
     "mzi-settings-theta-doubles-to-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{theta_huge}"],
     "mzi-settings-label-inf": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_inf}"],
+    "mzi-settings-label-nan": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_nan}"],
+    "mzi-settings-label-huge": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_huge}"],
+    "mzi-settings-huge-integer": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{settings_huge_integer}"],
+    "quantum-bases-huge-integer": ["quantum", "--bases", "{bases_huge_integer}"],
     "mzi-settings-label-fraction": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_fraction}"],
     "mzi-settings-label-bool": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_bool}"],
     "mzi-settings-label-string": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_string}"],
@@ -531,6 +588,12 @@ BAD_ARGV_MESSAGES = {
     # Alice's rows are read before Bob's: her 2.0 row is named, not Bob's 3.0 row
     "quantum-bases-first-bad-row": "error: {first_bad_row}: direction must have unit norm, got 2.0",
     "quantum-bases-nan-row": "error: {nan_row}: direction must have unit norm, got nan",
+    # past Python's int-to-str digit limit json.loads raises a plain ValueError
+    "mzi-settings-huge-integer": "error: {settings_huge_integer}:1: invalid JSON: integer literal too long",
+    "quantum-bases-huge-integer": "error: {bases_huge_integer}: invalid JSON: integer literal too long",
+    "mzi-settings-label-nan": f'error: {{label_nan}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
+    "mzi-settings-label-inf": f'error: {{label_inf}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
+    "mzi-settings-label-huge": f'error: {{label_huge}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
 }
 
 
@@ -553,7 +616,11 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case, argv):
     label_inf = tmp_path / "label_inf.jsonl"
     label_inf.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": 1e400, "j": 1}\n')
     labels = {}
-    for name, value in (("label_fraction", "1.7"), ("label_bool", "true"), ("label_string", '"2"')):
+    label_values = (
+        ("label_fraction", "1.7"), ("label_bool", "true"), ("label_string", '"2"'),
+        ("label_nan", "NaN"), ("label_huge", "9" * 300),
+    )
+    for name, value in label_values:
         labels[name] = tmp_path / f"{name}.jsonl"
         labels[name].write_text(f'{{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0], "i": {value}, "j": 1}}\n')
     for name, half in (("label_i_only", '"i": 7'), ("label_j_only", '"j": 2')):
@@ -578,6 +645,8 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case, argv):
         "first_bad_row": json.dumps(
             {"alice": [[0, 0, 1], [0, 0, 1], [0, 0, 2], [0, 0, 1]], "bob": [[0, 0, 1], [0, 0, 3], [0, 0, 1]]}
         ),
+        "settings_huge_integer": '{"theta": 1' + "0" * 5000 + ', "phi": 0.4, "spin_axis": [1, 0, 0]}',
+        "bases_huge_integer": '{"alice": [[0, 0, 1' + "0" * 5000 + ']], "bob": [[0, 0, 1], [1, 0, 0]]}',
         "nan_row": json.dumps(
             {"alice": [[0, 0, 1], [0, 0, 1], [0, 0, math.nan], [0, 0, 1]], "bob": [[0, 0, 1], [0, 0, 3], [0, 0, 1]]}
         ),

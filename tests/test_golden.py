@@ -21,48 +21,48 @@ SETTINGS = (
 GOLDEN = {
     "mzi-counts-workers-1": (
         ["mzi", "--shots", "100000", "--seed", "5", "--workers", "1"],
-        "04fdbf1ac3cf226b26f370d4933ad23ad87b2ba6891303e6238652ad792c2818",
+        "b2184227b6cd958c6c5e4e0e98a053f9e57176324d252013c9539e428b60e240",
     ),
     "mzi-counts-workers-2": (
         ["mzi", "--shots", "100000", "--seed", "5", "--workers", "2"],
-        "1c2d195c3873a496cf0f3141c3e72bf8f17bccae15e44635f39d21438f1f6925",
+        "810a314ac9a355f2dbead3c570455bc4f857b0081d68760ae31856bb501c3446",
     ),
     "mzi-settings-events": (
         ["mzi", "--settings", "{settings}", "--shots", "5001", "--seed", "3",
          "--events", "{events}", "--workers", "2"],
-        "253e521d5f8cfbce269a82044ac24cf30eda0af901708cbcb503c04a1c69528f",
+        "2f66816f8d1ca52a70ab8700e22466110fb8e8ca83c1b08d04ff6d07712c5e86",
     ),
     "concat-n6-mzi": (
         ["concat", "--n", "6", "--engine", "mzi", "--shots", "5003", "--seed", "7",
          "--workers", "2"],
-        "91a9913261074d3bb2dc58dec68f1e4a08b6614d0c9737fc3e162c9210818733",
+        "bca8ccaca57ec8c04ec296740533858fc6fce116ad7bd4dbb19c740e0020de2e",
     ),
     "concat-n200-born-permuted": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--query", "17",
          "--seed", "7", "--workers", "2"],
-        "5387f9d3a70c31a74a25fdef7b2598427bafb2cb743c4c4d44620c0bfe992f9d",
+        "7563df9a428a16cfb751dfd4874d38cd2feab74b58eaa8d664f9232a9740bd81",
     ),
     # --query all: every simulated-per-bit row of one shared multi-query pass
     "concat-n200-born-permuted-all": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--seed", "7",
          "--shots", "2000", "--workers", "2"],
-        "845d71b61cb9c62a753a1dea1a0ebdefdc83a3d58b6f9ef3c6157b5ae7095bd9",
+        "83879daca23587d8477a279d5c19b8c5bf75bbddc07c66b055ed49cdeea76187",
     ),
     "concat-n12-mzi-all": (
         ["concat", "--n", "12", "--engine", "mzi", "--seed", "7", "--shots", "3001",
          "--workers", "2"],
-        "675d1e93c4077777ac9aba5cfa72576c847255fec2d870ffe2a48b429c48bd23",
+        "f6c3fbc48b389d222211238baacb8c92726f5bda80758593ab541070e0c29e5c",
     ),
     # non-zero input on padded, permuted codes: a bit on the wrong leaf changes the rows
     "concat-n7-born-permuted-input": (
         ["concat", "--n", "7", "--engine", "born", "--permute-seed", "3", "--input", "1011001",
          "--shots", "4001", "--seed", "11", "--workers", "2"],
-        "e3d48f882f54123f066497da139f12630c701241d555e4b9d8259369f5e7c0c0",
+        "66775b25cb493733468efd10a3f4af97d781dbb6909469e9dd2400323e744728",
     ),
     "concat-n10-mzi-permuted-input": (
         ["concat", "--n", "10", "--engine", "mzi", "--permute-seed", "5", "--input", "1101000111",
          "--shots", "3001", "--seed", "2", "--workers", "2"],
-        "91a40a1c6e20602b9598074a0fe2ae0524517151eb2dc8c78186c2c688335cba",
+        "11cf1e9429ea3ecf69f6ec316d529308755f24cc9e83353c74a6f91715358552",
     ),
     # analytic engine only: 973 bits padded to 1024 = 2^10, every row from stages [10, 0]
     "concat-n973-analytic-permuted": (
@@ -73,7 +73,7 @@ GOLDEN = {
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",
          "--workers", "1"],
-        "e0cf993ae4ffa9401ffca92dfe56ac594b58e15873f3ed35a12fde43397035e2",
+        "78fc72c9a8e4d1c3c3bdfde9725736061660b87f7236db6b6393be4df7515f3f",
     ),
     "quantum-n3-optimize": (
         ["quantum", "--n", "3", "--optimize", "--seed", "7"],

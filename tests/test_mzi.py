@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racsim import cli, concat, mzi, qcore, qrac
-from racsim.bell import bell_value, classical_bound, sign_matrix, success_from_bell
+from racsim.bell import classical_bound, success_from_bell
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -114,18 +114,18 @@ class TestSampling:
         theta, phi = mzi.angles_for_direction(qcore.Z_AXIS)
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 50_000, seed=99)
-        counts = result.counts[0]
-        assert counts.n_plus == 0
-        assert counts.m_minus == 0
-        assert counts.shots == 50_000
+        n_plus, _, _, m_minus = counts = result.counts[0]
+        assert n_plus == 0
+        assert m_minus == 0
+        assert counts.sum() == 50_000
 
     def test_zero_shots_allowed_but_estimators_reject(self):
         state = mzi.maximally_entangled_state()
         setting = mzi.Setting(theta=0.1, phi=0.2, spin_axis=qcore.X_AXIS)
         result = mzi.sample_events(state, [setting], 0, seed=1)
-        assert result.counts[0].shots == 0
+        assert result.counts[0].sum() == 0
         with pytest.raises(ValueError):
-            mzi.correlator_from_counts(result.counts[0])
+            mzi.correlators(result.counts[0])
         with pytest.raises(ValueError):
             mzi.correlator_product_form(result.counts[0])
 
@@ -135,9 +135,10 @@ class TestSampling:
         settings = mzi.protocol_settings(*mzi.steering_bases())
         result = mzi.sample_events(state, settings, shots, seed=2024)
         bound = 5.0 / math.sqrt(shots)
-        for probs, counts in zip(mzi.born_probabilities(state, settings), result.counts):
-            freqs = np.array([counts.n_plus, counts.n_minus, counts.m_plus, counts.m_minus]) / shots
-            assert np.max(np.abs(freqs - probs)) <= bound
+        probs = mzi.born_probabilities(state, settings)
+        assert np.array_equal(result.probs, probs)  # the rows the sampler drew from
+        assert result.counts.dtype == np.int64 and result.counts.shape == (len(settings), 4)
+        assert np.max(np.abs(result.counts / shots - probs)) <= bound
 
     def test_estimator_consistency_with_analytic_expectation(self):
         state = mzi.maximally_entangled_state()
@@ -151,9 +152,11 @@ class TestSampling:
             theta, phi = mzi.angles_for_direction(direction)
             setting = mzi.Setting(theta=theta, phi=phi, spin_axis=spin)
             result = mzi.sample_events(state, [setting], shots, seed=1000 + trial)
-            estimate = mzi.correlator_from_counts(result.counts[0])
+            estimate = mzi.correlators(result.counts[0])
             exact = qcore.expectation_product(state, direction, spin)
             assert abs(estimate - exact) <= 5.0 / math.sqrt(shots)
+            # the same map on the Born row is the exact correlator
+            assert mzi.correlators(result.probs[0]) == pytest.approx(exact, abs=1e-12)
 
     def test_born_rows_computed_once_per_run(self):
         settings = mzi.protocol_settings(*mzi.steering_bases())
@@ -167,7 +170,7 @@ class TestSampling:
         baseline = mzi.sample_events(state, settings, 30_000, seed=5, workers=1)
         for workers in (2, 3, 5):
             rerun = mzi.sample_events(state, settings, 30_000, seed=5, workers=workers)
-            assert rerun.counts == baseline.counts
+            assert np.array_equal(rerun.counts, baseline.counts)
             for (p1, s1), (p2, s2) in zip(baseline.outcomes, rerun.outcomes):
                 assert np.array_equal(p1, p2) and np.array_equal(s1, s2)
 
@@ -192,7 +195,7 @@ class TestSampling:
             plus_plus = sum(
                 1 for e in events if e["setting"] == s and (e["path"], e["spin"]) == (0, 0)
             )
-            assert plus_plus == counts.n_plus
+            assert plus_plus == counts[0]
 
 
 def reference_write_events(result: mzi.SamplingResult, path: str) -> None:
@@ -285,25 +288,29 @@ class TestSpanRunner:
         one = mzi.sample_events(state, [setting], shots, seed=4, workers=1)
         assert concat.simulate(tree, [0, 1, 1, 0], [2], shots, seed=4, workers=1) == sim
         assert built == pools * 2
-        assert many.counts == one.counts
+        assert np.array_equal(many.counts, one.counts)
 
 
 class TestCountEstimators:
     def test_all_mass_one_cell(self):
-        counts = mzi.DetectionCounts(n_plus=0, n_minus=1000, m_plus=0, m_minus=0)
-        assert mzi.correlator_from_counts(counts) == -1.0
+        counts = np.array([0, 1000, 0, 0])  # n+, n-, m+, m-
+        assert mzi.correlators(counts) == -1.0
 
     def test_uniform_counts_vanish(self):
-        counts = mzi.DetectionCounts(250, 250, 250, 250)
-        assert mzi.correlator_from_counts(counts) == 0.0
+        counts = np.array([250, 250, 250, 250])
+        assert mzi.correlators(counts) == 0.0
         assert mzi.correlator_product_form(counts) == 0.0
+
+    def test_rows_map_one_by_one(self):
+        table = np.array([[0, 1000, 0, 0], [250, 250, 250, 250], [3, 1, 0, 0]])
+        assert mzi.correlators(table).tolist() == [-1.0, 0.0, 0.5]
 
     def test_aligned_entangled_state_exact_minus_one(self):
         state = mzi.maximally_entangled_state()
         theta, phi = mzi.angles_for_direction(qcore.Z_AXIS)
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 100_000, seed=7)
-        assert mzi.correlator_from_counts(result.counts[0]) == -1.0
+        assert mzi.correlators(result.counts[0]) == -1.0
 
     def test_product_state_both_estimators_agree(self):
         # all mass at (path +, spin -): product form (1-0)[(0-1)+(0-0)] = -1
@@ -312,8 +319,8 @@ class TestCountEstimators:
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 10_000, seed=8)
         counts = result.counts[0]
-        assert counts.n_minus == 10_000
-        assert mzi.correlator_from_counts(counts) == -1.0
+        assert counts[1] == 10_000  # n-
+        assert mzi.correlators(counts) == -1.0
         assert mzi.correlator_product_form(counts) == -1.0
 
     def test_documented_discrepancy_on_entangled_state(self):
@@ -322,27 +329,28 @@ class TestCountEstimators:
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 1_000_000, seed=9)
         counts = result.counts[0]
-        assert mzi.correlator_from_counts(counts) == -1.0
+        assert mzi.correlators(counts) == -1.0
         assert abs(mzi.correlator_product_form(counts)) < 0.005
 
 
 def protocol_counts(bases, shots, seed):
-    """Counts of the protocol settings of an (alice, bob) pair on the maximally entangled state."""
+    """Tallies of the protocol settings of an (alice, bob) pair on the maximally entangled state."""
     state = mzi.maximally_entangled_state()
     return mzi.sample_events(state, mzi.protocol_settings(*bases), shots, seed).counts
 
 
 class TestEstimateProtocol:
     def test_steering_settings_hit_quantum_values(self):
-        value, _ = mzi.protocol_value(protocol_counts(mzi.steering_bases(), 1_000_000, seed=42))
+        value = mzi.protocol_value(protocol_counts(mzi.steering_bases(), 1_000_000, seed=42))
         assert abs(success_from_bell(2, value) - 0.8535534) <= 0.002
         assert abs(value - 2 * math.sqrt(2)) <= 0.01
 
     def test_aligned_bases_classical_floor(self):
         z = np.array([0.0, 0.0, 1.0])
         aligned = np.tile(z, (2, 1)), np.tile(z, (2, 1))
-        value, stderr = mzi.protocol_value(protocol_counts(aligned, 200_000, seed=42))
-        assert stderr == 0.0  # every shot is perfectly anti-correlated
+        counts = protocol_counts(aligned, 200_000, seed=42)
+        value = mzi.protocol_value(counts)
+        assert np.all(mzi.correlators(counts) == -1.0)  # every shot is perfectly anti-correlated
         assert abs(value - (-2.0)) <= 0.01
         assert abs(success_from_bell(2, value) - 0.25) <= 0.002
 
@@ -358,10 +366,8 @@ class TestEstimateProtocol:
 
 
 def exact_protocol_value(state):
-    """Two-bit expression at the steering bases, from the exact Born rows of the four settings."""
-    probs = mzi.born_probabilities(state, mzi.protocol_settings(*mzi.steering_bases()))
-    correlators = probs @ np.array([1.0, -1.0, -1.0, 1.0])
-    return bell_value(correlators.reshape(2, 2), sign_matrix(2))
+    """Two-bit expression at the steering bases: ``protocol_value`` of the four settings' Born rows."""
+    return mzi.protocol_value(mzi.born_probabilities(state, mzi.protocol_settings(*mzi.steering_bases())))
 
 
 @settings(max_examples=300, deadline=None)
@@ -393,19 +399,25 @@ quad = st.tuples(*[st.integers(1, 10**7)] * 4)
 @settings(max_examples=300, deadline=None)
 @given(st.lists(quad, min_size=4, max_size=4))
 def test_protocol_value_is_the_signed_correlator_sum(cells):
-    counts = [mzi.DetectionCounts(*c) for c in cells]
-    c00, c01, c10, c11 = (mzi.correlator_from_counts(c) for c in counts)
-    value, stderr = mzi.protocol_value(counts)
+    counts = np.array(cells, dtype=np.int64)
+    c00, c01, c10, c11 = (float(mzi.correlators(row)) for row in counts)
+    for (n_plus, n_minus, m_plus, m_minus), c in zip(cells, (c00, c01, c10, c11)):
+        # the per-row Python-int form, bit for bit
+        assert c == (n_plus - n_minus - m_plus + m_minus) / (n_plus + n_minus + m_plus + m_minus)
+    value = mzi.protocol_value(counts)
     assert value == c00 + c01 + c10 - c11
-    variances = [(1 - c * c) / q.shots for c, q in zip((c00, c01, c10, c11), counts)]
-    assert stderr == pytest.approx(math.sqrt(sum(variances)))
+    # the same function on the rows as distributions: the exact value of the table
+    probs = counts / counts.sum(axis=1, keepdims=True)
+    assert mzi.protocol_value(probs) == pytest.approx(value, abs=1e-12)
+    variances = [(1 - c * c) / 1000 for c in (c00, c01, c10, c11)]
+    assert cli._correlator_variances(probs, 1000) == pytest.approx(variances, abs=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(quad, max_size=12).filter(lambda cells: len(cells) != 4))
 def test_protocol_value_needs_four_counts(cells):
     with pytest.raises(ValueError):
-        mzi.protocol_value([mzi.DetectionCounts(*c) for c in cells])
+        mzi.protocol_value(np.array(cells, dtype=np.int64).reshape(-1, 4))
 
 
 @settings(max_examples=50, deadline=None)
@@ -413,4 +425,4 @@ def test_protocol_value_needs_four_counts(cells):
 def test_protocol_value_rejects_a_zero_shot_count(cells, position):
     cells.insert(position, (0, 0, 0, 0))
     with pytest.raises(ValueError):
-        mzi.protocol_value([mzi.DetectionCounts(*c) for c in cells])
+        mzi.protocol_value(np.array(cells, dtype=np.int64).reshape(-1, 4))

@@ -1,18 +1,21 @@
-"""The sampling tolerance rule: Z standard errors, each estimator stating its own SE.
+"""The sampling tolerance rule: Z standard errors of the sampled distribution, at the row's target.
 
 A wrong variance formula would still pass most rows at Z = 5, so the standard
 errors are calibrated directly: over a fixed range of seeds, the estimate's
-deviation from the exact value, in units of its own SE, must look standard normal.
-The rule must also never be looser than the hand-scaled bounds it replaced.
+deviation from the exact value, in units of the SE at that value, must look
+standard normal. The rule must also never be looser than the hand-scaled bounds
+it replaced.
 """
 
+import json
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import bell, cli, concat, mzi
+from racsim import cli, concat, mzi
+from test_golden import SETTINGS
 
 SEEDS = range(400)  # fixed in advance, never chosen after looking at the result
 SHOTS = 2000
@@ -32,11 +35,27 @@ def assert_standard_normal(z: np.ndarray) -> None:
 
 def test_protocol_stderr_is_calibrated():
     state, settings_ = mzi.maximally_entangled_state(), mzi.protocol_settings(*mzi.steering_bases())
-    exact = bell.quantum_max(2)
     z = []
     for seed in SEEDS:
-        value, stderr = mzi.protocol_value(mzi.sample_events(state, settings_, SHOTS, seed).counts)
-        z.append((value - exact) / stderr)
+        result = mzi.sample_events(state, settings_, SHOTS, seed)
+        exact = mzi.protocol_value(result.probs)
+        stderr = math.sqrt(np.sum(cli._correlator_variances(result.probs, SHOTS)))
+        z.append((mzi.protocol_value(result.counts) - exact) / stderr)
+    assert_standard_normal(np.array(z))
+
+
+def test_correlator_stderr_is_calibrated():
+    """One correlator-joint row at a generic setting, against its Born target."""
+    line = json.loads(SETTINGS.splitlines()[1])
+    setting = mzi.Setting(line["theta"], line["phi"], np.array(line["spin_axis"], dtype=float))
+    state = mzi.maximally_entangled_state()
+    z = []
+    for seed in SEEDS:
+        result = mzi.sample_events(state, [setting], SHOTS, seed)
+        exact = mzi.correlators(result.probs[0])
+        stderr = math.sqrt(cli._correlator_variances(result.probs, SHOTS)[0])
+        z.append((mzi.correlators(result.counts[0]) - exact) / stderr)
+    assert abs(exact) < 0.9  # generic: neither outcome product is rare
     assert_standard_normal(np.array(z))
 
 
@@ -47,7 +66,7 @@ def test_rate_stderr_is_calibrated():
     for seed in SEEDS:
         sim = concat.simulate(tree, [0] * 6, [0], SHOTS, seed, engine="born")
         rate = sim.successes[0] / sim.shots
-        z.append((rate - exact) / cli._rate_stderr(rate, sim.shots))
+        z.append((rate - exact) / cli._rate_stderr(exact, sim.shots))
     assert_standard_normal(np.array(z))
 
 
@@ -62,22 +81,23 @@ def at_most(tolerance: float, bound: float) -> bool:
 
 
 @st.composite
-def protocol_counts(draw, shots: int):
-    """Four settings' tallies of ``shots`` shots each, cut at three random points."""
+def protocol_run(draw, shots: int) -> mzi.SamplingResult:
+    """Four settings' Born rows, each cut at three random multiples of 1/shots, and their tallies."""
     counts = []
     for _ in range(4):
         a, b, c = sorted(draw(st.integers(0, shots)) for _ in range(3))
-        counts.append(mzi.DetectionCounts(a, b - a, c - b, shots - c))
-    return counts
+        counts.append([a, b - a, c - b, shots - c])
+    counts = np.array(counts, dtype=np.int64)
+    return mzi.SamplingResult(counts / shots, counts, ())
 
 
 @settings(max_examples=300, deadline=None)
 @given(shots=st.integers(2, 10**7), data=st.data())
 def test_never_looser_than_the_hand_scaled_bounds(shots, data):
-    _, tol_c, _, tol_p = cli._protocol_estimates(data.draw(protocol_counts(shots)), shots)
+    _, tol_c, _, tol_p = cli._protocol_estimates(data.draw(protocol_run(shots)), shots)
     assert at_most(tol_c, hand_scaled(0.01, 1e6, shots))
     assert at_most(tol_p, hand_scaled(0.002, 1e6, shots))
-    rate = data.draw(st.integers(0, shots)) / shots
+    rate = data.draw(st.integers(0, shots)) / shots  # the target rate
     tol_rate = cli._sampling_tolerance(cli._rate_stderr(rate, shots), shots)
     assert at_most(tol_rate, hand_scaled(0.01, 2e5, shots))
     # the product-form row's bound 1/sqrt(N) keeps its 5/sqrt(N)
@@ -85,7 +105,7 @@ def test_never_looser_than_the_hand_scaled_bounds(shots, data):
 
 
 def test_an_exact_distribution_gets_the_one_count_floor():
-    counts = [mzi.DetectionCounts(0, 500, 500, 0)] * 3 + [mzi.DetectionCounts(500, 0, 0, 500)]
-    value, tol_c, success, tol_p = cli._protocol_estimates(counts, 1000)
+    counts = np.array([[0, 500, 500, 0]] * 3 + [[500, 0, 0, 500]])
+    value, tol_c, success, tol_p = cli._protocol_estimates(mzi.SamplingResult(counts / 1000, counts, ()), 1000)
     assert (value, success) == (-4.0, 0.0)
     assert (tol_c, tol_p) == (cli.Z / 1000, cli.Z / 8000)
