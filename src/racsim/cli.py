@@ -258,6 +258,8 @@ def load_bases(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
     except ValueError:
         raise UsageError(f"{path}: invalid JSON: {_LONG_INTEGER}")
+    except RecursionError:
+        raise UsageError(f"{path}: invalid JSON: {_TOO_DEEP}")
     if not isinstance(data, dict):
         raise UsageError(f"{path}: a bases file must be a JSON object")
     try:
@@ -354,6 +356,8 @@ def load_settings(path: str) -> list[mzi.Setting]:
             raise UsageError(f"{path}:{lineno}: invalid JSON: {exc.msg}")
         except ValueError:
             raise UsageError(f"{path}:{lineno}: invalid JSON: {_LONG_INTEGER}")
+        except RecursionError:
+            raise UsageError(f"{path}:{lineno}: invalid JSON: {_TOO_DEEP}")
         if not isinstance(record, dict):
             raise UsageError(f"{path}:{lineno}: a settings line must be a JSON object")
         try:
@@ -719,6 +723,8 @@ BASES_MAX_N = 16
 LABEL_MAX = 2**53
 # json.loads refuses an integer literal past Python's digit limit (4300) with a plain ValueError
 _LONG_INTEGER = "integer literal too long"
+# json.loads recurses once per nested array or object: deep nesting raises RecursionError
+_TOO_DEEP = "nested too deeply"
 # Outcome arrays one run may hold: sampling keeps OUTCOME_BYTES (a path and a spin
 # bit) per shot and setting until the rows are written.
 OUTCOME_BYTES = 2
@@ -733,7 +739,8 @@ _shots = _in_range(int, 1, SHOTS_MAX)
 # outnumber CPUs, so more spans than this only add per-span stream set-up.
 WORKERS_MAX = 256
 # A seesaw start stops once it converges, after about 18 rounds on average at
-# n = 3, so rounds past that are rarely run; 10^4 starts take about 8 s (2-vCPU VM).
+# n = 3, so rounds past that are rarely run; all starts run as one stack, and
+# 10^4 starts take about 0.6 s (2-vCPU VM).
 STARTS_MAX = 10**4
 ITERATIONS_MAX = 10**4
 # streams key on the seed's 64 bits: a wider or negative seed would alias another

@@ -103,9 +103,23 @@ def random_direction(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_bases(n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` random (alice, bob) stacks, drawn one direction at a time, Alice's rows first; ``projector`` checks them."""
+    """``count`` random (alice, bob) stacks, Alice's rows first; ``projector`` checks them.
+
+    One ``standard_normal`` call draws the same Gaussians, and leaves the generator in
+    the same state, as one ``random_direction`` call per direction; ``vecdot`` gives
+    the same norms as ``np.linalg.norm`` of a single vector. Only if some row is too
+    short to normalise is the draw replayed one direction at a time, from the saved
+    state, so that a redrawn row shifts every later one exactly as it would there.
+    """
     rows = 1 << (n - 1)
-    directions = np.array([random_direction(rng) for _ in range(count * (rows + n))])
+    state = rng.bit_generator.state
+    directions = rng.standard_normal((count * (rows + n), 3))
+    norms = np.sqrt(np.vecdot(directions, directions))
+    if np.any(norms <= 1e-9):
+        rng.bit_generator.state = state
+        directions = np.array([random_direction(rng) for _ in range(len(directions))])
+    else:
+        directions /= norms[:, None]
     directions = directions.reshape(count, rows + n, 3)
     return directions[:, :rows], directions[:, rows:]
 
@@ -114,17 +128,49 @@ def random_bases(n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarr
 SEESAW_TOL = 1e-14
 
 
-def _seesaw_value(signs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> float:
-    return float(np.sum(signs * (alice @ bob.T)))
+def _seesaw_value(signs: np.ndarray, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """The expression sum_ij s_ij alice_i . bob_j of each start in a stack."""
+    return np.sum(signs * (alice @ bob.swapaxes(-1, -2)), axis=(-2, -1))
 
 
-def _best_response(signs: np.ndarray, partners: np.ndarray) -> np.ndarray | None:
-    """Normalized signed sums ``signs @ partners``, the exact maximizer; None if any sum vanishes."""
+def _best_response(signs: np.ndarray, partners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized signed sums ``signs @ partners`` of each start, the exact maximizer, and where any sum vanishes.
+
+    A vanished sum is divided by 1 instead, so a degenerate start raises no warning;
+    its directions are meaningless and the caller discards it.
+    """
     sums = signs @ partners
-    norms = np.linalg.norm(sums, axis=1)
-    if np.any(norms < 1e-12):
-        return None
-    return sums / norms[:, None]
+    norms = np.linalg.norm(sums, axis=-1)
+    vanished = norms < 1e-12
+    return sums / np.where(vanished, 1.0, norms)[..., None], vanished.any(axis=-1)
+
+
+def _seesaw(
+    signs: np.ndarray, alice: np.ndarray, bob: np.ndarray, iterations: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a stack of starts in place until each converges: (value, dead) per start.
+
+    Each round replaces Bob's directions, then Alice's, by their best response, on
+    the starts still gaining at least SEESAW_TOL; a start whose response vanishes
+    is dead. Every start sees exactly the operations it would see alone.
+    """
+    value = _seesaw_value(signs, alice, bob)
+    dead = np.zeros(len(value), dtype=bool)
+    live = np.arange(len(value))
+    for _ in range(iterations):
+        if not live.size:
+            break
+        new_bob, bob_dead = _best_response(signs.T, alice[live])
+        new_alice, alice_dead = _best_response(signs, new_bob)
+        new_value = _seesaw_value(signs, new_alice, new_bob)
+        ok = ~(bob_dead | alice_dead)
+        dead[live[~ok]] = True
+        live, new_value = live[ok], new_value[ok]
+        alice[live], bob[live] = new_alice[ok], new_bob[ok]
+        gained = new_value - value[live] >= SEESAW_TOL
+        value[live] = new_value
+        live = live[gained]
+    return value, dead
 
 
 def maximize_bell(
@@ -132,44 +178,35 @@ def maximize_bell(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Alternating (seesaw) maximization of the n-bit expression over unit directions: (value, alice, bob).
 
-    Each round replaces Bob's directions, then Alice's, by their best response.
-    A degenerate (zero-norm) response restarts that attempt with fresh random
-    directions; the first 10 * starts restarts do not use up an attempt.
+    Every start is drawn with ``random_direction`` and all of a round's starts run
+    as one stack. A degenerate (zero-norm) response kills its start; the first
+    10 * starts dead starts are replaced by as many fresh draws in the next round.
+    Starts use no randomness once drawn, so a replacement is simply the next draw,
+    as if it had been drawn the moment its start died. The best start is the first
+    maximum in draw order.
     """
     if n not in (2, 3):
         raise ValueError(f"seesaw search defined for n in {{2, 3}}, got {n}")
     signs = np.asarray(sign_matrix(n), dtype=float)
+    rows = signs.shape[0]
     rng = np.random.default_rng(seed)
     best_value = -np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
 
-    attempts = 0
+    pending = starts
     reseeds = 0
-    while attempts < starts:
-        attempts += 1
-        alice = np.array([random_direction(rng) for _ in range(signs.shape[0])])
-        bob = np.array([random_direction(rng) for _ in range(n)])
-        value = _seesaw_value(signs, alice, bob)
-        for _ in range(iterations):
-            bob = _best_response(signs.T, alice)
-            if bob is None:
-                break
-            alice = _best_response(signs, bob)
-            if alice is None:
-                break
-            new_value = _seesaw_value(signs, alice, bob)
-            if new_value - value < SEESAW_TOL:
-                value = new_value
-                break
-            value = new_value
-        if alice is None or bob is None:
-            reseeds += 1
-            if reseeds <= 10 * starts:
-                attempts -= 1
-            continue
-        if value > best_value:
-            best_value = value
-            best = (alice.copy(), bob.copy())
+    while pending:
+        drawn = np.array([[random_direction(rng) for _ in range(rows + n)] for _ in range(pending)])
+        alice, bob = drawn[:, :rows], drawn[:, rows:]
+        value, dead = _seesaw(signs, alice, bob, iterations)
+        value[dead] = -np.inf
+        top = int(np.argmax(value))
+        if value[top] > best_value:
+            best_value = float(value[top])
+            best = (alice[top].copy(), bob[top].copy())
+        died = int(dead.sum())
+        pending = min(died, max(0, 10 * starts - reseeds))
+        reseeds += died
 
     assert best is not None
     return best_value, *best

@@ -571,6 +571,8 @@ BAD_ARGV = {
     "quantum-bases-alice-not-unit": ["quantum", "--bases", "{alice_not_unit}"],
     "quantum-bases-first-bad-row": ["quantum", "--bases", "{first_bad_row}"],
     "quantum-bases-nan-row": ["quantum", "--bases", "{nan_row}"],
+    "quantum-bases-nested": ["quantum", "--bases", "{nested}"],
+    "mzi-settings-nested": ["mzi", "--shots", "4", "--seed", "1", "--settings", "{nested}"],
 }
 # the whole stderr of a BAD_ARGV entry whose file has the wrong JSON shape, type or values
 BAD_ARGV_MESSAGES = {
@@ -591,6 +593,9 @@ BAD_ARGV_MESSAGES = {
     # past Python's int-to-str digit limit json.loads raises a plain ValueError
     "mzi-settings-huge-integer": "error: {settings_huge_integer}:1: invalid JSON: integer literal too long",
     "quantum-bases-huge-integer": "error: {bases_huge_integer}: invalid JSON: integer literal too long",
+    # json.loads recurses once per nesting level and raises RecursionError
+    "quantum-bases-nested": "error: {nested}: invalid JSON: nested too deeply",
+    "mzi-settings-nested": "error: {nested}:1: invalid JSON: nested too deeply",
     "mzi-settings-label-nan": f'error: {{label_nan}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
     "mzi-settings-label-inf": f'error: {{label_inf}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
     "mzi-settings-label-huge": f'error: {{label_huge}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
@@ -647,6 +652,7 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case, argv):
         ),
         "settings_huge_integer": '{"theta": 1' + "0" * 5000 + ', "phi": 0.4, "spin_axis": [1, 0, 0]}',
         "bases_huge_integer": '{"alice": [[0, 0, 1' + "0" * 5000 + ']], "bob": [[0, 0, 1], [1, 0, 0]]}',
+        "nested": "[" * 100_000,
         "nan_row": json.dumps(
             {"alice": [[0, 0, 1], [0, 0, 1], [0, 0, math.nan], [0, 0, 1]], "bob": [[0, 0, 1], [0, 0, 3], [0, 0, 1]]}
         ),

@@ -1,10 +1,15 @@
-"""Tests for the single-stage quantum protocols and the seesaw search."""
+"""Tests for the single-stage quantum protocols and the seesaw search.
+
+The seesaw oracle is the start-by-start loop: each start runs alone until it
+converges or its best response vanishes, and a dead start is replaced by the
+next draw at once. The stacked search must match it byte for byte.
+"""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racsim import qcore, qrac
@@ -16,6 +21,95 @@ Z = np.array([0.0, 0.0, 1.0])
 
 def all_z_bases(n):
     return np.tile(Z, (2 ** (n - 1), 1)), np.tile(Z, (n, 1))
+
+
+def oracle_best_response(signs, partners):
+    """Normalized rows of ``signs @ partners``; None if any row vanishes."""
+    sums = signs @ partners
+    norms = np.linalg.norm(sums, axis=1)
+    if np.any(norms < 1e-12):
+        return None
+    return sums / norms[:, None]
+
+
+def oracle_maximize_bell(n, starts=100, iterations=200, seed=None):
+    """The seesaw one start at a time: (value, alice, bob) of the first best start."""
+    signs = np.asarray(sign_matrix(n), dtype=float)
+    rng = np.random.default_rng(seed)
+    best_value = -np.inf
+    best = None
+    attempts = 0
+    reseeds = 0
+    while attempts < starts:
+        attempts += 1
+        alice = np.array([qrac.random_direction(rng) for _ in range(signs.shape[0])])
+        bob = np.array([qrac.random_direction(rng) for _ in range(n)])
+        value = float(np.sum(signs * (alice @ bob.T)))
+        for _ in range(iterations):
+            bob = oracle_best_response(signs.T, alice)
+            if bob is None:
+                break
+            alice = oracle_best_response(signs, bob)
+            if alice is None:
+                break
+            new_value = float(np.sum(signs * (alice @ bob.T)))
+            if new_value - value < qrac.SEESAW_TOL:
+                value = new_value
+                break
+            value = new_value
+        if alice is None or bob is None:
+            reseeds += 1
+            if reseeds <= 10 * starts:
+                attempts -= 1
+            continue
+        if value > best_value:
+            best_value = value
+            best = (alice.copy(), bob.copy())
+    return best_value, *best
+
+
+def search_bytes(result):
+    value, alice, bob = result
+    return type(value), np.float64(value).tobytes(), alice.tobytes(), bob.tobytes()
+
+
+def doomed_starts(n, doomed):
+    """A ``random_direction`` that puts all of Alice's directions along z in the starts ``doomed``, and its draws.
+
+    Starts count in draw order. Bob's second signed sum then vanishes, so each
+    doomed start dies; its directions are still drawn, so later starts are unchanged.
+    """
+    draw = qrac.random_direction
+    rows = 2 ** (n - 1)
+    drawn = []
+
+    def along_z(rng):
+        drawn.append(draw(rng))
+        start, row = divmod(len(drawn) - 1, rows + n)
+        return Z if start in doomed and row < rows else drawn[-1]
+
+    return along_z, drawn
+
+
+class ShrunkRows:
+    """A generator whose Gaussian rows with a first component above 2 shrink to a norm below 1e-9.
+
+    The shrink depends on the drawn values alone, so a replay from a saved state
+    shrinks the same rows.
+    """
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
+        self.shrunk = 0
+
+    def standard_normal(self, size):
+        values = self.rng.standard_normal(size)
+        rows = values.reshape(-1, 3)
+        tiny = rows[:, 0] > 2.0
+        rows[tiny] *= 1e-12
+        self.shrunk += int(tiny.sum())
+        return values
 
 
 class TestDefaultBases:
@@ -147,6 +241,35 @@ class TestMaximizeBell:
         # the restart draws a sixth start of four directions instead of using up one of five
         assert len(drawn) == 24
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        starts=st.integers(1, 30),
+        iterations=st.integers(1, 200),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_stack_matches_start_by_start_oracle(self, n, starts, iterations, seed):
+        stacked = qrac.maximize_bell(n, starts=starts, iterations=iterations, seed=seed)
+        assert search_bytes(stacked) == search_bytes(oracle_maximize_bell(n, starts, iterations, seed))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        starts=st.integers(2, 4),
+        doomed=st.sets(st.integers(0, 20)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # every start but the last that 2 starts can reach dies: the 21st death uses up an attempt
+    @example(n=2, starts=2, doomed=set(range(21)), seed=0)
+    def test_degenerate_starts_match_oracle(self, n, starts, doomed, seed):
+        results = []
+        for search in (qrac.maximize_bell, oracle_maximize_bell):
+            along_z, drawn = doomed_starts(n, doomed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qrac, "random_direction", along_z)
+                results.append((search_bytes(search(n, starts, 200, seed)), len(drawn)))
+        assert results[0] == results[1]
+
     def test_rejects_unsupported_n(self):
         with pytest.raises(ValueError):
             qrac.maximize_bell(4, starts=1, seed=0)
@@ -241,6 +364,18 @@ class TestStackedKernel:
         drawn = np.array([qrac.random_direction(rng) for _ in range(size * rows)])
         assert alice.shape == (size, 2 ** (n - 1), 3) and bob.shape == (size, n, 3)
         assert np.concatenate((alice, bob), axis=1).tobytes() == drawn.reshape(size, rows, 3).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_bases_replays_a_draw_with_a_short_row(self, n, seed):
+        batched = ShrunkRows(seed)
+        alice, bob = qrac.random_bases(n, batched, 50)
+        assert batched.shrunk > 0
+        one_at_a_time = ShrunkRows(seed)
+        rows = 2 ** (n - 1) + n
+        drawn = np.array([qrac.random_direction(one_at_a_time) for _ in range(50 * rows)])
+        assert np.concatenate((alice, bob), axis=1).tobytes() == drawn.reshape(50, rows, 3).tobytes()
+        assert batched.bit_generator.state == one_at_a_time.bit_generator.state
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks, side=st.sampled_from(["alice", "bob"]), pick=st.integers(0, 2**32))
