@@ -218,7 +218,11 @@ def simulate_range(
     """
     subunits = tree.internal_postorder()
     root = len(subunits) - 1
-    tables = {arity: _spin_tables(arity, engine) for arity in {len(kids) for kids in subunits}}
+    tables = {
+        arity: [mzi.thresholds(table) for table in _spin_tables(arity, engine)]
+        for arity in {len(kids) for kids in subunits}
+    }
+    half = mzi.thresholds(0.5)
     # on-path subunit -> child slot -> the queries whose path leaves it there
     readers: dict[int, dict[int, list[int]]] = {}
     for k, path in enumerate(tree.paths_to_leaves(queries)):
@@ -238,16 +242,15 @@ def simulate_range(
     order = sorted(needed)  # subunits are numbered in postorder, so children come first
     alice_gens = {uid: mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo) for uid in order}
     bob_gens = {uid: mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid in readers}
-    uniforms = np.empty(min(hi - lo, mzi.BLOCK))
     # each query's row starts at its own bit, so a shot succeeds where the row
     # ends equal to the root's message
     query_bits = np.array([[bits[q]] for q in queries], dtype=np.uint8)
-    parity = np.empty((len(queries), len(uniforms)), dtype=np.uint8)
+    parity = np.empty((len(queries), min(hi - lo, mzi.BLOCK)), dtype=np.uint8)
 
     successes = np.zeros(len(queries), dtype=np.int64)
     for start in range(lo, hi, mzi.BLOCK):
-        u = uniforms[: min(mzi.BLOCK, hi - start)]
-        flips = parity[:, : len(u)]
+        size = min(mzi.BLOCK, hi - start)
+        flips = parity[:, :size]
         flips[...] = query_bits
         messages: dict[int, np.ndarray] = {}
         for uid in order:
@@ -258,17 +261,16 @@ def simulate_range(
                 messages.pop(i) if is_subunit else bits[i]
                 for is_subunit, i in (kids if slots else kids[:1])
             )
-            alice_gens[uid].random(out=u)
-            a = (u < 0.5).view(np.uint8)
+            a = (mzi.draws(alice_gens[uid], size) < half).view(np.uint8)
             messages[uid] = ref ^ a
             if slots:
                 cls = 0
                 for value in rest:
                     cls = (cls << 1) | (value ^ ref)
                 index = (cls << 1) | a
-                bob_gens[uid].random(out=u)
+                x = mzi.draws(bob_gens[uid], size)
                 for pos, ks in slots.items():
-                    spin = (u >= tables[len(kids)][pos][index]).view(np.uint8)
+                    spin = (x >= tables[len(kids)][pos][index]).view(np.uint8)
                     for k in ks:
                         flips[k] ^= spin
         np.equal(flips, messages.pop(root), out=flips)

@@ -96,6 +96,28 @@ def born_probabilities(state: qcore.PureState, settings: Sequence[Setting]) -> n
     return probs / probs.sum(axis=1, keepdims=True)
 
 
+def draws(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` draws of ``gen`` as uint64 x < 2^53; ``gen.random()`` would give x * 2^-53.
+
+    numpy builds a Philox double from the top 53 bits of one raw 64-bit word, so
+    the raw words and ``gen.random`` consume the stream at the same position.
+    """
+    x = gen.bit_generator.random_raw(count)
+    x >>= 11
+    return x
+
+
+def thresholds(probs) -> np.ndarray:
+    """uint64 K with ``x >= K`` exactly where ``x * 2^-53 >= probs``, for every x of ``draws``.
+
+    For c in [0, 1], c * 2^53 and its ceiling are exact doubles, so the integer
+    x reaches c * 2^53 exactly when x >= ceil(c * 2^53). Every x passes a c below
+    0 (K = 0); none passes a c above 1 or NaN (K = 2^53).
+    """
+    c = np.asarray(probs, dtype=float)
+    return np.ceil(np.where(c <= 1.0, np.maximum(c, 0.0), 1.0) * 2.0**53).astype(np.uint64)
+
+
 def sample_setting(
     probs: np.ndarray,
     shots: int,
@@ -108,29 +130,33 @@ def sample_setting(
     """Draw ``shots`` i.i.d. joint outcomes of one setting, starting at shot ``start``.
 
     ``probs`` is that setting's row of ``born_probabilities``. Writes each
-    shot's outcome bits into ``path_bits`` and ``spin_bits`` (length ``shots``)
-    and returns the 4 tallies in the same order. Uniforms are drawn ``BLOCK`` at
-    a time into one reused buffer, so scratch memory does not grow with ``shots``.
+    shot's outcome bits into the uint8 arrays ``path_bits`` and ``spin_bits``
+    (length ``shots``) and returns the 4 tallies in the same order. Draws come
+    ``BLOCK`` at a time and the masks reuse one block of scratch, so scratch
+    does not grow with ``shots``.
     """
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
+    # a draw's outcome is the number of cumulative probabilities at or below it,
+    # as searchsorted(cumsum(probs), u, side="right") counts them; the masks
+    # x >= Kk nest (K0 <= K1 <= K2), so the outcome's high bit, the path bit, is
+    # the middle mask, and its parity, the spin bit, is the XOR of all three
+    k0, k1, k2 = thresholds(np.cumsum(probs)[:3])
     gen = stream(seed, setting_index, start)
-    uniforms = np.empty(min(shots, BLOCK))
-    joint = np.empty(len(uniforms), dtype=np.uint8)
-    tallies = np.zeros(4, dtype=np.int64)
+    scratch = np.empty((2, min(shots, BLOCK)), dtype=bool)
+    n0 = n1 = n2 = 0
     for lo in range(0, shots, BLOCK):
         hi = min(lo + BLOCK, shots)
-        u, o = uniforms[: hi - lo], joint[: hi - lo]
-        gen.random(out=u)
-        # for nondecreasing cum with cum[3] = 1 > u this equals
-        # searchsorted(cum, u, side="right"), bit for bit
-        np.greater_equal(u, cum[0], out=o)
-        o += u >= cum[1]
-        o += u >= cum[2]
-        tallies += np.bincount(o, minlength=4)
-        np.right_shift(o, 1, out=path_bits[lo:hi])
-        np.bitwise_and(o, 1, out=spin_bits[lo:hi])
-    return tallies
+        x = draws(gen, hi - lo)
+        m0, m2 = scratch[:, : hi - lo]
+        m1, spin = path_bits[lo:hi].view(bool), spin_bits[lo:hi].view(bool)
+        np.greater_equal(x, k0, out=m0)
+        np.greater_equal(x, k1, out=m1)
+        np.greater_equal(x, k2, out=m2)
+        np.bitwise_xor(m0, m1, out=spin)
+        spin ^= m2
+        n0 += np.count_nonzero(m0)
+        n1 += np.count_nonzero(m1)
+        n2 += np.count_nonzero(m2)
+    return np.array([shots - n0, n0 - n1, n1 - n2, n2], dtype=np.int64)
 
 
 def _partition(shots: int, workers: int) -> list[tuple[int, int]]:

@@ -1,14 +1,17 @@
 """Block-wise sampling kernels: bit-identical to full-array references, memory flat in shots.
 
 ``mzi.BLOCK`` is patched down to a few shots so that block edges fall inside
-small spans; the references draw each span's uniforms in one call.
+small spans; each kernel is also checked once at the real block. The references
+draw each span's uniforms in one call, as doubles.
 """
 
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from racsim import cli, concat, mzi, qcore, qrac
@@ -34,6 +37,15 @@ weights = st.lists(
     start=st.integers(0, 1000),
     shots=st.integers(0, 50),
 )
+# the real block, over three whole blocks and a tail from an unaligned shot
+@example(
+    block=mzi.BLOCK, weights=[0.1, 0.2, 0.3, 0.4], seed=5, setting_index=2, start=4003,
+    shots=3 * mzi.BLOCK + 5,
+)
+@example(
+    block=mzi.BLOCK, weights=[1.0, 0.0, 3.0, 0.0], seed=6, setting_index=0, start=4001,
+    shots=3 * mzi.BLOCK + 5,
+)
 def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, start, shots):
     probs = np.asarray(weights) / sum(weights)
     cum = np.cumsum(probs)
@@ -48,6 +60,45 @@ def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, st
     assert path_bits.tolist() == (outcomes >> 1).tolist()
     assert spin_bits.tolist() == (outcomes & 1).tolist()
     assert mzi.counts_from_outcomes(path_bits, spin_bits).tolist() == tallies.tolist()
+
+
+def assert_threshold_exact(c: float) -> None:
+    """``x >= thresholds(c)`` equals ``x * 2^-53 >= c`` at the integers next to c * 2^53."""
+    edge = math.ceil(c * 2**53)
+    ks = np.clip(np.array([edge - 1, edge, edge + 1]), 0, 2**53 - 1).astype(np.uint64)
+    assert ((ks >= mzi.thresholds(c)) == (ks * 2.0**-53 >= c)).all()
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        -0.25,
+        -0.0,
+        -5e-324,
+        0.0,
+        2.0**-53,
+        np.nextafter(0.5, 0.0),
+        0.5,
+        np.nextafter(0.5, 1.0),
+        1 - 2.0**-53,
+        1.0,
+        1 + 2.0**-52,
+        1.5,
+    ],
+)
+def test_threshold_matches_double_compare_at_boundaries(c):
+    assert_threshold_exact(c)
+
+
+def test_threshold_of_nan_passes_no_draw():
+    # no double compares >= NaN
+    assert mzi.thresholds(math.nan) == 2**53
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=st.floats(0.0, 1.0))
+def test_threshold_matches_double_compare(c):
+    assert_threshold_exact(c)
 
 
 def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
@@ -89,6 +140,17 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
         uniforms = mzi.stream(seed, 2 * uid + concat._BOB_STREAM, lo).random(count)
         received = (uniforms >= p_spin0).astype(np.uint8) ^ received
     return int(np.sum(received == bits[query]))
+
+
+@pytest.mark.parametrize("engine", ["born", "mzi"])
+def test_concat_kernel_matches_full_array_reference_at_real_block(engine):
+    tree = concat.build_tree(12)
+    bits = [k % 3 % 2 for k in range(tree.n)]
+    queries = [0, 5, 11]
+    lo = 4 * 1000 + 3
+    hi = lo + 3 * mzi.BLOCK + 5
+    expected = [reference_simulate_range(tree, bits, q, 11, lo, hi, engine) for q in queries]
+    assert concat.simulate_range(tree, bits, queries, 11, lo, hi, engine) == expected
 
 
 def nested_form(tree):

@@ -50,3 +50,21 @@ def test_results_do_not_depend_on_worker_count(shots, workers, seed):
 def test_stream_resumes_at_any_start(seed, stream_id, start, draws):
     resumed = mzi.stream(seed, stream_id, start).random(draws)
     assert np.array_equal(resumed, mzi.stream(seed, stream_id).random(start + draws)[start:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**64 - 1),
+    blocks=st.integers(0, 250),
+    offset=st.sampled_from([1, 2, 3]),
+    draws=st.integers(0, 40),
+)
+def test_raw_words_resume_where_doubles_do(seed, stream_id, blocks, offset, draws):
+    # stream() discards start % 4 doubles; the raw words must continue from there
+    start = 4 * blocks + offset
+    resumed = mzi.stream(seed, stream_id, start).bit_generator.random_raw(draws)
+    whole = mzi.stream(seed, stream_id).bit_generator.random_raw(start + draws)
+    assert np.array_equal(resumed, whole[start:])
+    as_doubles = mzi.draws(mzi.stream(seed, stream_id, start), draws) * 2.0**-53
+    assert np.array_equal(as_doubles, mzi.stream(seed, stream_id, start).random(draws))
