@@ -18,17 +18,9 @@ class UsageError(Exception):
     pass
 
 
-def _open(path: str, mode: str = "r", **kwargs):
-    """``open``, with an OS error (a missing file, an unwritable directory) as a UsageError."""
-    try:
-        return open(path, mode, **kwargs)
-    except OSError as exc:
-        raise UsageError(str(exc))
-
-
 def _read_text(path: str) -> str:
-    """The UTF-8 text of ``path``; a file that cannot be opened or decoded is a UsageError."""
-    with _open(path, encoding="utf-8") as handle:
+    """The UTF-8 text of ``path``; a file that cannot be decoded is a UsageError."""
+    with open(path, encoding="utf-8") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
@@ -92,7 +84,7 @@ def emit(rows: list[ReportRow]) -> None:
 def write_csv(rows: list[ReportRow], path: str) -> None:
     """The rows' ``to_dict`` records as CSV, params JSON-encoded in the last column."""
     columns = ["cmd", "quantity", "value", "expected", "tolerance", "reference", "pass", "params"]
-    with _open(path, "w", newline="") as handle:
+    with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, columns)
         writer.writeheader()
         for row in rows:
@@ -418,7 +410,7 @@ def write_events(result: mzi.SamplingResult, path: str) -> None:
     column, and the tail with the path and spin bits added to its two zeros.
     Scratch memory is O(``EVENT_CHUNK``) whatever the shot count.
     """
-    with _open(path, "wb") as handle:
+    with open(path, "wb") as handle:
         for s_idx, (path_bits, spin_bits) in enumerate(result.outcomes):
             head = np.frombuffer(f'{{"setting": {s_idx}, "shot": '.encode(), dtype=np.uint8)
             for lo, hi in _event_chunks(len(path_bits)):
@@ -436,7 +428,7 @@ def write_events(result: mzi.SamplingResult, path: str) -> None:
 
 
 def cmd_mzi(args) -> list[ReportRow]:
-    state = mzi.entangled_state(args.a, math.sqrt(max(0.0, 1.0 - args.a**2)), args.delta)
+    state = qcore.entangled_state(args.a, math.sqrt(max(0.0, 1.0 - args.a**2)), args.delta)
     base_params = {"shots": args.shots, "seed": args.seed, "workers": args.workers}
     if args.settings:
         settings = load_settings(args.settings)
@@ -449,7 +441,7 @@ def cmd_mzi(args) -> list[ReportRow]:
             f"{held} B of outcomes, above {OUTCOME_BUDGET} B"
         )
     if args.events:
-        _open(args.events, "wb").close()  # an unwritable path fails before any sampling
+        open(args.events, "wb").close()  # an unwritable path fails before any sampling
     result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers)
     # every estimate is checked against the Born rows it was drawn from
     joint, exact = mzi.correlators(result.counts).tolist(), mzi.correlators(result.probs).tolist()
@@ -610,7 +602,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
         add(f"seesaw-max-n{n}", best, cap, None, "quantum-cap", passed=_reaches_cap(best, cap))
 
     # sampled estimator at the protocol settings
-    state = mzi.maximally_entangled_state()
+    state = qcore.maximally_entangled_state()
     settings = mzi.protocol_settings(*mzi.steering_bases())
 
     def protocol_run(run_settings):
@@ -716,8 +708,8 @@ CONCAT_MAX_N = 10**5
 # sum, at most queries x min(shots, workers x BLOCK), is held to this budget
 # whatever the CPU count.
 QUERY_SCRATCH_BUDGET = 2**30
-# Exact evaluation of a --bases file holds n 2^n products of 2x2 complex matrices:
-# n = 16 takes about 4.5 s and 208 MB (2-vCPU VM), and every 2 more bits cost about 4x that.
+# Exact evaluation of a --bases file reads n 2^(n-1) Born tables and n 2^n cells: n = 16
+# takes about 2.6-3.7 s and 117 MB (2-vCPU VM), and every 2 more bits cost about 4x that.
 BASES_MAX_N = 16
 # |i|, |j| of a settings line's label: a reader parsing JSON numbers as doubles gets it intact
 LABEL_MAX = 2**53
@@ -845,11 +837,11 @@ def main(argv=None) -> int:
         parser.error("--seed is required with --optimize")
     try:
         if getattr(args, "csv", None):
-            _open(args.csv, "w").close()  # an unwritable path fails before any work
+            open(args.csv, "w").close()  # an unwritable path fails before any work
         rows = args.func(args)
         if getattr(args, "csv", None):
             write_csv(rows, args.csv)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a file that cannot be opened, read or written
         parser.exit(2, f"error: {exc}\n")
     try:
         emit(rows)

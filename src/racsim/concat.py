@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import mzi, qcore
+from . import mzi, qrac
 
 _ALICE_STREAM = 0
 _BOB_STREAM = 1
@@ -177,16 +177,15 @@ def _spin_tables(arity: int, engine: str) -> list[np.ndarray]:
     """Per child slot j: P(spin outcome 0 | class i, Alice bit a) at flat index 2 i + a.
 
     Alice measures the path along the negated class direction -A_i of
-    ``mzi.steering_bases``. The ``born`` engine reads the closed form
-    (1 + (-1)^a A_i . B_j) / 2; the ``mzi`` engine reads twice the Born table of
-    the 4-dimensional apparatus model, whose path marginal is 1/2.
+    ``qrac.default_bases``, as ``qrac.steered_table`` does. The ``born`` engine
+    reads the closed form (1 + (-1)^a A_i . B_j) / 2; the ``mzi`` engine reads
+    twice the steered Born table, whose path marginal is 1/2.
     """
-    alice, bob = mzi.steering_bases(arity)
+    alice, bob = qrac.default_bases(arity)
     if engine == "mzi":
-        table = qcore.joint_table(mzi.maximally_entangled_state(), alice[:, None], bob)
-        cond = 2.0 * table[..., 0]
+        cond = 2.0 * qrac.steered_table(alice, bob)[..., 0]
     else:
-        dots = -alice @ bob.T
+        dots = alice @ bob.T
         cond = 0.5 * (1.0 + np.stack([dots, -dots], axis=-1))
     return [cond[:, j].ravel() for j in range(arity)]
 

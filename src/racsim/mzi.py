@@ -1,4 +1,4 @@
-"""Mach-Zehnder path-spin interferometer: state preparation, Born sampling, count estimators."""
+"""Mach-Zehnder path-spin interferometer: analyzer settings, Born sampling, count estimators."""
 
 from __future__ import annotations
 
@@ -12,28 +12,11 @@ import numpy as np
 
 from . import qcore
 from .bell import bell_value, sign_matrix
+from .qcore import maximally_entangled_state  # noqa: F401  perfbench/workloads.py reads it here
 from .qrac import default_bases
 
 # Shots drawn per block by the mzi and concat samplers: a block's scratch stays in cache.
 BLOCK = 1 << 15
-
-
-def entangled_state(transmission: float, reflection: float, prep_phase: float) -> qcore.PureState:
-    """Path-spin state a |up_p down_z> + b e^(i delta) |down_p up_z> after the first splitter.
-
-    Basis order: |up_p up_z>, |up_p down_z>, |down_p up_z>, |down_p down_z>.
-    """
-    if not abs(transmission**2 + reflection**2 - 1.0) <= qcore.ATOL:  # NaN fails too
-        raise ValueError("transmission^2 + reflection^2 must equal 1")
-    amps = np.zeros(4, dtype=complex)
-    amps[1] = transmission
-    amps[2] = reflection * np.exp(1j * prep_phase)
-    return qcore.PureState(amps)
-
-
-def maximally_entangled_state() -> qcore.PureState:
-    """Balanced splitter with a pi phase: the singlet-like path-spin state."""
-    return entangled_state(1.0 / math.sqrt(2), 1.0 / math.sqrt(2), math.pi)
 
 
 def path_direction(theta: float, phi: float) -> np.ndarray:

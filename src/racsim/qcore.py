@@ -1,7 +1,8 @@
-"""Small-dimension complex state algebra: Bloch-direction projectors and Born probabilities."""
+"""Small-dimension complex state algebra: path-spin states, Bloch-direction projectors and Born probabilities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,24 @@ class PureState:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+
+def entangled_state(transmission: float, reflection: float, prep_phase: float) -> PureState:
+    """Path-spin state a |up_p down_z> + b e^(i delta) |down_p up_z> after the interferometer's first splitter.
+
+    Basis order: |up_p up_z>, |up_p down_z>, |down_p up_z>, |down_p down_z>.
+    """
+    if not abs(transmission**2 + reflection**2 - 1.0) <= ATOL:  # NaN fails too
+        raise ValueError("transmission^2 + reflection^2 must equal 1")
+    amps = np.zeros(4, dtype=complex)
+    amps[1] = transmission
+    amps[2] = reflection * np.exp(1j * prep_phase)
+    return PureState(amps)
+
+
+def maximally_entangled_state() -> PureState:
+    """Balanced splitter with a pi phase: the singlet-like path-spin state."""
+    return entangled_state(1.0 / math.sqrt(2), 1.0 / math.sqrt(2), math.pi)
 
 
 def projector(directions) -> np.ndarray:

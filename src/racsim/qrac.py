@@ -1,4 +1,4 @@
-"""Quantum 2->1 and 3->1 protocols: measurement bases, Born-rule success, seesaw search."""
+"""Quantum 2->1 and 3->1 protocols: measurement bases, steered Born-table success, seesaw search."""
 
 from __future__ import annotations
 
@@ -31,59 +31,66 @@ def default_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return alice, bob
 
 
-# Bases per kernel call in identity_residuals: about 1.4 MB of temporaries at n = 3.
-_SLICE = 250
+# Direction pairs per joint_table call in steered_table: about 1 MB of temporaries.
+PAIR_SLICE = 1024
 
 
-def _born_traces(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Success and trace-form correlator table of every basis in a stack.
+def steered_table(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Born table P(a, b) of every (alice[i], bob[j]) pair of a stack, (..., rows, n, 2, 2), at [..., i, j, a, b].
 
-    ``alice`` is (m, 2^(n-1), 3) and ``bob`` (m, n, 3). All preparations and
-    projectors are built at once by ``qcore.projector``, which checks every norm.
-    Each basis's success sums its (string, queried bit) cells in ``bit_strings``
-    order; correlator (i, j) is Tr[rho_i^0 B_j^0 + rho_i^1 B_j^1] - 1, analytically
-    the dot product alice[i] . bob[j]. The one-basis views pass a stack of one.
+    The path is measured along -alice[i] and the spin along bob[j], on the
+    maximally entangled state, which anti-correlates them: path outcome a leaves
+    the spin prepared along (-1)^a alice[i], so twice the table is each
+    prepare-and-measure cell. Pairs go to ``qcore.joint_table`` PAIR_SLICE at a
+    time; each pair's table depends on that pair alone, so no bit changes.
+    """
+    pairs = np.stack(np.broadcast_arrays(-alice[..., :, None, :], bob[..., None, :, :]))
+    paths, spins = pairs.reshape(2, -1, 3)
+    state = qcore.maximally_entangled_state()
+    parts = [
+        qcore.joint_table(state, paths[lo : lo + PAIR_SLICE], spins[lo : lo + PAIR_SLICE])
+        for lo in range(0, len(paths), PAIR_SLICE)
+    ]
+    return np.concatenate(parts).reshape(pairs.shape[1:-1] + (2, 2))
+
+
+def _evaluate(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Success and correlator table of every basis in a stack, both read from one ``steered_table``.
+
+    ``alice`` is (m, 2^(n-1), 3) and ``bob`` (m, n, 3). Cell (string s, queried bit
+    k) is 2 P(a = s_0, b = s_k) at s's class; success sums the cells in
+    ``bit_strings`` order. Correlator (i, j) is P00 + P11 - P01 - P10, analytically
+    alice[i] . bob[j]. The one-basis views pass a stack of one.
     """
     n = bob.shape[1]
-    preps = qcore.projector(alice)
-    projs = qcore.projector(bob)
+    table = steered_table(alice, bob)
     strings = np.array(list(bit_strings(n)))
-    rho = preps[:, string_classes(n), strings[:, 0]]
-    proj = projs[:, np.arange(n), strings]
-    cells = np.trace(rho[:, :, None] @ proj, axis1=-2, axis2=-1).real
+    cells = 2.0 * table[:, string_classes(n)[:, None], np.arange(n), strings[:, :1], strings]
     # a running sum, not a pairwise one, so each success equals the cell-by-cell loop
     success = np.cumsum(cells.reshape(len(cells), -1), axis=1)[:, -1] / (n * (1 << n))
-    pairs = (
-        preps[:, :, None, 0] @ projs[:, None, :, 0] + preps[:, :, None, 1] @ projs[:, None, :, 1]
-    )
-    table = np.trace(pairs, axis1=-2, axis2=-1).real - 1.0
-    return success, table
+    correlators = table[..., 0, 0] + table[..., 1, 1] - table[..., 0, 1] - table[..., 1, 0]
+    return success, correlators
 
 
 def quantum_success(alice: np.ndarray, bob: np.ndarray) -> float:
-    """Average success over all (string, queried bit) cells via Born-rule traces."""
-    success, _ = _born_traces(alice[None], bob[None])
-    return float(success[0])
+    """Average success over all (string, queried bit) cells of the steered Born table."""
+    return float(_evaluate(alice[None], bob[None])[0][0])
 
 
 def correlator_qm(alice: np.ndarray, bob: np.ndarray, i: int, j: int) -> float:
-    """Trace form Tr[rho_i^0 B_j^0 + rho_i^1 B_j^1] - 1; analytically the dot product."""
-    return float(_born_traces(alice[None], bob[None])[1][0, i, j])
+    """Correlator P00 + P11 - P01 - P10 of the steered pair (i, j); analytically the dot product."""
+    return float(_evaluate(alice[None], bob[None])[1][0, i, j])
 
 
 def bell_from_preps(alice: np.ndarray, bob: np.ndarray) -> float:
-    """Value of the n-bit expression over the preparation correlators."""
-    _, tables = _born_traces(alice[None], bob[None])
+    """Value of the n-bit expression over the steered correlators."""
+    _, tables = _evaluate(alice[None], bob[None])
     return bell_value(tables[0], sign_matrix(len(bob)))
 
 
 def identity_residuals(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """Residual |success - (1 + value / (n 2^(n-1))) / 2| of each basis of a stack; zero up to rounding."""
-    parts = [
-        _born_traces(alice[lo : lo + _SLICE], bob[lo : lo + _SLICE])
-        for lo in range(0, len(alice), _SLICE)
-    ]
-    success, tables = map(np.concatenate, zip(*parts))
+    success, tables = _evaluate(alice, bob)
     n = bob.shape[1]
     return np.abs(success - success_from_bell(n, bell_value(tables, sign_matrix(n))))
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from racsim import classical, cli, concat, mzi
+from racsim import classical, cli, concat, mzi, qcore
 from racsim.cli import report_rows
 
 SEED, SHOTS, CONCAT_SHOTS = 42, 1_000_000, 200_000
@@ -190,7 +190,7 @@ def test_criterion_08_seesaw_reaches_caps(report):
 
 def test_criterion_09_monte_carlo_estimator(report, sampled):
     assert_criterion(report, 9, sampled)
-    state, settings = mzi.maximally_entangled_state(), mzi.protocol_settings(*mzi.steering_bases())
+    state, settings = qcore.maximally_entangled_state(), mzi.protocol_settings(*mzi.steering_bases())
     estimate = lambda: mzi.protocol_value(mzi.sample_events(state, settings, SHOTS, seed=SEED).counts)
     assert seconds(estimate) < 30.0
 
@@ -213,7 +213,7 @@ def test_criterion_12_padding_bounds(report):
 
 def test_criterion_13_reproducibility(report):
     assert_criterion(report, 13)
-    state = mzi.maximally_entangled_state()
+    state = qcore.maximally_entangled_state()
     settings = mzi.protocol_settings(*mzi.steering_bases())
     base = mzi.sample_events(state, settings, 50_000, seed=11, workers=1)
     for workers in (2, 4):

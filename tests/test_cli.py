@@ -573,6 +573,11 @@ BAD_ARGV = {
     "quantum-bases-nan-row": ["quantum", "--bases", "{nan_row}"],
     "quantum-bases-nested": ["quantum", "--bases", "{nested}"],
     "mzi-settings-nested": ["mzi", "--shots", "4", "--seed", "1", "--settings", "{nested}"],
+    # /dev/full opens, and every write to it fails with ENOSPC
+    "mzi-events-full-device": ["mzi", "--shots", "10", "--seed", "1", "--events", "{full}"],
+    "report-csv-full-device": [
+        "report", "--all", "--seed", "1", "--shots", "1000", "--concat-shots", "1000", "--csv", "{full}",
+    ],
 }
 # the whole stderr of a BAD_ARGV entry whose file has the wrong JSON shape, type or values
 BAD_ARGV_MESSAGES = {
@@ -599,11 +604,19 @@ BAD_ARGV_MESSAGES = {
     "mzi-settings-label-nan": f'error: {{label_nan}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
     "mzi-settings-label-inf": f'error: {{label_inf}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
     "mzi-settings-label-huge": f'error: {{label_huge}}:1: "i" must be an integer of magnitude at most {cli.LABEL_MAX}',
+    # a file that cannot be opened, or written once open, is named by the OS error
+    "quantum-missing-bases": "error: [Errno 2] No such file or directory: '{missing}'",
+    "mzi-events-unwritable": "error: [Errno 2] No such file or directory: '{unwritable}'",
+    "report-csv-unwritable": "error: [Errno 2] No such file or directory: '{unwritable}'",
+    "mzi-events-full-device": "error: [Errno 28] No space left on device",
+    "report-csv-full-device": "error: [Errno 28] No space left on device",
 }
 
 
 @pytest.mark.parametrize("case, argv", BAD_ARGV.items(), ids=BAD_ARGV.keys())
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case, argv):
+    if "{full}" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
     settings_path = tmp_path / "settings.jsonl"
     settings_path.write_text('{"theta": 0.3, "phi": 0.4, "spin_axis": [1, 0, 0]}\n')
     array_path = tmp_path / "array.json"
@@ -665,7 +678,8 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, case, argv):
         "number": number_path, "bob_number": bob_number,
         "theta_nan": theta_nan, "axis_nan": axis_nan, "utf16": utf16, "theta_huge": theta_huge,
         "label_inf": label_inf, "bases_n1": bases_n1, "bases_n4": bases_n4,
-        "nine_settings": nine_settings, "unwritable": tmp_path / "no-such-dir" / "out", **labels, **typed,
+        "nine_settings": nine_settings, "unwritable": tmp_path / "no-such-dir" / "out", "full": "/dev/full",
+        **labels, **typed,
     }
     with pytest.raises(SystemExit) as excinfo:
         cli.main([arg.format(**paths) for arg in argv])

@@ -3,7 +3,7 @@
 The digests pin the reproducibility contract across kernel rewrites: the same
 seed gives the same rows and event lines, byte for byte, for any worker count.
 A digest changes only when a sampled output changes. The exact-layer entries
-pin the enumeration, Born-trace and seesaw rows the same way.
+pin the enumeration, steered Born-table and seesaw rows the same way.
 """
 
 import hashlib
@@ -69,19 +69,19 @@ GOLDEN = {
         ["concat", "--n", "973", "--permute-seed", "5"],
         "4a7bb4f00967ab118de457c69f32b35c9180af25052b730aaec94278f679af68",
     ),
-    # exact layer: enumeration, Born traces, identity sweep and seesaw
+    # exact layer: enumeration, steered Born tables, identity sweep and seesaw
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",
          "--workers", "1"],
-        "78fc72c9a8e4d1c3c3bdfde9725736061660b87f7236db6b6393be4df7515f3f",
+        "8a5b08007aa2a9ca0ed043a0860879ce9774eaa383ec9751ecb70ad3e8b8b231",
     ),
     "quantum-n3-optimize": (
         ["quantum", "--n", "3", "--optimize", "--seed", "7"],
-        "bceffd574ff48ddf926a1c77dce94e10bf0516e9a64b3656eb912aaf4bd46c40",
+        "c52be9980ba2aef9338e566fa671da3897541e0dde66b158d2700157803b309a",
     ),
     "quantum-n2": (
         ["quantum", "--n", "2"],
-        "7c73b1eeaf9870d3b2c492405318dedb4dc84d19e36dad93b3ba034a801940c0",
+        "06548e6507fcdf76a915db561b5a3daf9997d869e5c22e2a26f24db8c2ecb6fb",
     ),
     "classical-n3": (
         ["classical", "--n", "3"],

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from racsim import cli, concat, mzi, qcore, qrac
 
-STATE = mzi.maximally_entangled_state()
+STATE = qcore.maximally_entangled_state()
 SETTING = mzi.protocol_settings(*mzi.steering_bases())[0]
 SMOOTH = [2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36]
 

@@ -25,13 +25,13 @@ def concurrence(state: qcore.PureState) -> float:
 
 class TestEntangledState:
     def test_balanced_pi_phase_amplitudes(self):
-        state = mzi.entangled_state(SQRT_HALF, SQRT_HALF, math.pi)
+        state = qcore.entangled_state(SQRT_HALF, SQRT_HALF, math.pi)
         np.testing.assert_allclose(
             state.amplitudes, [0.0, SQRT_HALF, -SQRT_HALF, 0.0], atol=1e-12
         )
 
     def test_single_branch_product_state(self):
-        state = mzi.entangled_state(1.0, 0.0, 0.3)
+        state = qcore.entangled_state(1.0, 0.0, 0.3)
         np.testing.assert_allclose(state.amplitudes, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
         assert concurrence(state) == pytest.approx(0.0, abs=1e-12)
 
@@ -41,21 +41,21 @@ class TestEntangledState:
             a = float(rng.uniform(0, 1))
             b = math.sqrt(1 - a * a)
             delta = float(rng.uniform(0, 2 * math.pi))
-            state = mzi.entangled_state(a, b, delta)
+            state = qcore.entangled_state(a, b, delta)
             assert concurrence(state) == pytest.approx(2 * a * b, abs=1e-12)
 
     def test_maximal_point(self):
-        assert concurrence(mzi.maximally_entangled_state()) == pytest.approx(1.0, abs=1e-12)
+        assert concurrence(qcore.maximally_entangled_state()) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unnormalized_amplitudes(self):
         with pytest.raises(ValueError):
-            mzi.entangled_state(0.9, 0.9, 0.0)
+            qcore.entangled_state(0.9, 0.9, 0.0)
 
     @pytest.mark.parametrize("amplitudes", [(math.nan, 0.5), (0.5, math.nan)])
     def test_nan_splitter_amplitude_rejected(self, amplitudes):
         transmission, reflection = amplitudes
         with pytest.raises(ValueError, match=r"transmission\^2 \+ reflection\^2"):
-            mzi.entangled_state(transmission, reflection, 0.0)
+            qcore.entangled_state(transmission, reflection, 0.0)
 
 
 def path_observable(theta, phi):
@@ -110,7 +110,7 @@ class TestPathObservable:
 
 class TestSampling:
     def test_impossible_outcomes_never_sampled(self):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         theta, phi = mzi.angles_for_direction(qcore.Z_AXIS)
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 50_000, seed=99)
@@ -120,7 +120,7 @@ class TestSampling:
         assert counts.sum() == 50_000
 
     def test_zero_shots_allowed_but_estimators_reject(self):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         setting = mzi.Setting(theta=0.1, phi=0.2, spin_axis=qcore.X_AXIS)
         result = mzi.sample_events(state, [setting], 0, seed=1)
         assert result.counts[0].sum() == 0
@@ -131,7 +131,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("shots", [10_000, 1_000_000])
     def test_frequencies_approach_born_probabilities(self, shots):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         settings = mzi.protocol_settings(*mzi.steering_bases())
         result = mzi.sample_events(state, settings, shots, seed=2024)
         bound = 5.0 / math.sqrt(shots)
@@ -141,7 +141,7 @@ class TestSampling:
         assert np.max(np.abs(result.counts / shots - probs)) <= bound
 
     def test_estimator_consistency_with_analytic_expectation(self):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         rng = np.random.default_rng(54)
         shots = 10_000
         for trial in range(20):
@@ -161,11 +161,11 @@ class TestSampling:
     def test_born_rows_computed_once_per_run(self):
         settings = mzi.protocol_settings(*mzi.steering_bases())
         with mock.patch.object(mzi, "born_probabilities", wraps=mzi.born_probabilities) as born:
-            mzi.sample_events(mzi.maximally_entangled_state(), settings, 1000, seed=3, workers=2)
+            mzi.sample_events(qcore.maximally_entangled_state(), settings, 1000, seed=3, workers=2)
         born.assert_called_once()
 
     def test_reproducible_across_worker_counts(self):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         settings = mzi.protocol_settings(*mzi.steering_bases())
         baseline = mzi.sample_events(state, settings, 30_000, seed=5, workers=1)
         for workers in (2, 3, 5):
@@ -175,7 +175,7 @@ class TestSampling:
                 assert np.array_equal(p1, p2) and np.array_equal(s1, s2)
 
     def test_event_stream_matches_counts(self, tmp_path):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         settings = [
             mzi.Setting(theta=0.3, phi=0.4, spin_axis=qcore.X_AXIS),
             mzi.Setting(theta=1.1, phi=-0.7, spin_axis=qcore.Z_AXIS),
@@ -216,7 +216,7 @@ EVENT_SHOTS += [cli.EVENT_CHUNK + d for d in (-1, 0, 1)] + [mzi.BLOCK + d for d 
 def assert_writes_reference_bytes(shots, n_settings, workers, seed):
     base = mzi.protocol_settings(*mzi.steering_bases())
     chosen = [base[k % len(base)] for k in range(n_settings)]
-    result = mzi.sample_events(mzi.maximally_entangled_state(), chosen, shots, seed, workers)
+    result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers)
     with tempfile.TemporaryDirectory() as tmp:
         expected, written = Path(tmp, "expected.jsonl"), Path(tmp, "written.jsonl")
         reference_write_events(result, str(expected))
@@ -277,7 +277,7 @@ class TestSpanRunner:
         cap = min(len(mzi._partition(shots, workers)), cpus or 1)
         # the caller is one of the cap threads; a cap of one builds no pool
         pools = [cap - 1] if cap > 1 else []
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         setting = mzi.Setting(theta=0.3, phi=0.4, spin_axis=qcore.X_AXIS)
         many = mzi.sample_events(state, [setting], shots, seed=4, workers=workers)
         assert built == pools
@@ -306,7 +306,7 @@ class TestCountEstimators:
         assert mzi.correlators(table).tolist() == [-1.0, 0.0, 0.5]
 
     def test_aligned_entangled_state_exact_minus_one(self):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         theta, phi = mzi.angles_for_direction(qcore.Z_AXIS)
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 100_000, seed=7)
@@ -314,7 +314,7 @@ class TestCountEstimators:
 
     def test_product_state_both_estimators_agree(self):
         # all mass at (path +, spin -): product form (1-0)[(0-1)+(0-0)] = -1
-        state = mzi.entangled_state(1.0, 0.0, 0.0)
+        state = qcore.entangled_state(1.0, 0.0, 0.0)
         theta, phi = mzi.angles_for_direction(qcore.Z_AXIS)
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 10_000, seed=8)
@@ -324,7 +324,7 @@ class TestCountEstimators:
         assert mzi.correlator_product_form(counts) == -1.0
 
     def test_documented_discrepancy_on_entangled_state(self):
-        state = mzi.maximally_entangled_state()
+        state = qcore.maximally_entangled_state()
         theta, phi = mzi.angles_for_direction(qcore.Z_AXIS)
         setting = mzi.Setting(theta=theta, phi=phi, spin_axis=qcore.Z_AXIS)
         result = mzi.sample_events(state, [setting], 1_000_000, seed=9)
@@ -335,7 +335,7 @@ class TestCountEstimators:
 
 def protocol_counts(bases, shots, seed):
     """Tallies of the protocol settings of an (alice, bob) pair on the maximally entangled state."""
-    state = mzi.maximally_entangled_state()
+    state = qcore.maximally_entangled_state()
     return mzi.sample_events(state, mzi.protocol_settings(*bases), shots, seed).counts
 
 
@@ -376,7 +376,7 @@ def test_expression_grows_with_the_concurrence(a, delta):
     """The paper's correspondence: at the steering bases the expression is sqrt(2) (1 - C cos delta)."""
     b = math.sqrt(1.0 - a * a)  # as ``racsim mzi --a`` sets the reflection amplitude
     c = 2.0 * a * b
-    value = exact_protocol_value(mzi.entangled_state(a, b, delta))
+    value = exact_protocol_value(qcore.entangled_state(a, b, delta))
     assert value == pytest.approx(math.sqrt(2.0) * (1.0 - c * math.cos(delta)), abs=1e-12)
 
 
@@ -385,7 +385,7 @@ def test_expression_grows_with_the_concurrence(a, delta):
 def test_violation_at_pi_exactly_when_concurrence_exceeds_root_two_minus_one(a):
     b = math.sqrt(1.0 - a * a)
     margin = 2.0 * a * b - (math.sqrt(2.0) - 1.0)
-    excess = exact_protocol_value(mzi.entangled_state(a, b, math.pi)) - classical_bound(2)
+    excess = exact_protocol_value(qcore.entangled_state(a, b, math.pi)) - classical_bound(2)
     # sqrt(2) (1 + C) - 2 = sqrt(2) (C - (sqrt(2) - 1))
     assert excess == pytest.approx(math.sqrt(2.0) * margin, abs=1e-12)
     if abs(margin) > 1e-12:

@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from racsim import concat, mzi
+from racsim import concat, mzi, qcore
 
-STATE = mzi.maximally_entangled_state()
+STATE = qcore.maximally_entangled_state()
 SETTINGS = mzi.protocol_settings(*mzi.steering_bases())
 TREE = concat.build_tree(6)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racsim import qcore
-from racsim.mzi import maximally_entangled_state
+from racsim.qcore import maximally_entangled_state
 
 ATOL = 1e-12
 

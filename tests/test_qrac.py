@@ -3,6 +3,10 @@
 The seesaw oracle is the start-by-start loop: each start runs alone until it
 converges or its best response vanishes, and a dead start is replaced by the
 next draw at once. The stacked search must match it byte for byte.
+
+The Born oracle is the prepare-and-measure trace form: 2x2 traces of Alice's
+prepared qubit states against Bob's projectors. The steered path-spin table
+must match it to rounding.
 """
 
 import math
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 from racsim import qcore, qrac
 from racsim.bell import bell_value, quantum_max, sign_matrix, success_from_bell
-from racsim.classical import optimal_classical_formula, string_classes
+from racsim.classical import bit_strings, optimal_classical_formula, string_classes
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -303,25 +307,71 @@ stacks = {
 }
 
 
+def oracle_preparations(alice, n):
+    """Alice's prepared qubit state of each bit string: Bloch vector (-1)^s_0 along her class direction."""
+    strings = np.array(list(bit_strings(n)))
+    return qcore.projector(alice)[:, string_classes(n), strings[:, 0]]
+
+
+def oracle_born_traces(alice, bob):
+    """Success and correlator table of every basis in a stack, in trace form.
+
+    Cell (string s, queried bit k) is Tr[rho_s B_k^(s_k)], and each basis's
+    success sums its cells in ``bit_strings`` order; correlator (i, j) is
+    Tr[rho_i^0 B_j^0 + rho_i^1 B_j^1] - 1.
+    """
+    n = bob.shape[1]
+    preps = qcore.projector(alice)
+    projs = qcore.projector(bob)
+    strings = np.array(list(bit_strings(n)))
+    proj = projs[:, np.arange(n), strings]
+    cells = np.trace(oracle_preparations(alice, n)[:, :, None] @ proj, axis1=-2, axis2=-1).real
+    success = np.cumsum(cells.reshape(len(cells), -1), axis=1)[:, -1] / (n * (1 << n))
+    pairs = preps[:, :, None, 0] @ projs[:, None, :, 0] + preps[:, :, None, 1] @ projs[:, None, :, 1]
+    return success, np.trace(pairs, axis1=-2, axis2=-1).real - 1.0
+
+
+def kernel_bytes(alice, bob):
+    """The bytes of every stacked kernel output: residuals, success, correlators and the steered table."""
+    success, tables = qrac._evaluate(alice, bob)
+    outputs = (qrac.identity_residuals(alice, bob), success, tables, qrac.steered_table(alice, bob))
+    return [a.tobytes() for a in outputs]
+
+
 class TestStackedKernel:
-    """The stacked Born-trace kernel against its one-basis views and the dot form."""
+    """The steered-table kernel against the trace-form oracle, its one-basis views and the dot form."""
 
     def test_preparation_bloch_vectors(self):
-        # as the kernel indexes them: the string's class picks Alice's
+        # as the oracle indexes them: the string's class picks Alice's
         # direction, its first bit the sign
         alice, _ = qrac.default_bases(2)
-        preps = qcore.projector(alice)
+        preps = oracle_preparations(alice[None], 2)[0]
         # strings 01 and 10 (indices 1 and 2) form class 1
         for index, sign in ((1, 1.0), (2, -1.0)):
-            rho = preps[string_classes(2)[index], index >> 1]
-            bloch = [np.trace(rho @ s).real for s in (qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)]
+            assert string_classes(2)[index] == 1
+            bloch = [np.trace(preps[index] @ s).real for s in (qcore.SIGMA_X, qcore.SIGMA_Y, qcore.SIGMA_Z)]
             np.testing.assert_allclose(bloch, sign * alice[1], atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**stacks)
+    def test_steered_table_matches_trace_form_oracle(self, n, size, seed):
+        alice, bob = random_stack(n, size, seed)
+        success, tables = qrac._evaluate(alice, bob)
+        oracle_success, oracle_tables = oracle_born_traces(alice, bob)
+        np.testing.assert_allclose(success, oracle_success, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(tables, oracle_tables, rtol=0, atol=1e-15)
+        # twice the steered table is each prepare-and-measure cell Tr[rho_i^a B_j^b]
+        cells = np.trace(
+            qcore.projector(alice)[:, :, None, :, None] @ qcore.projector(bob)[:, None, :, None],
+            axis1=-2, axis2=-1,
+        ).real
+        np.testing.assert_allclose(2.0 * qrac.steered_table(alice, bob), cells, rtol=0, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
     def test_stack_matches_one_basis_views_bit_for_bit(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        success, tables = qrac._born_traces(alice, bob)
+        success, tables = qrac._evaluate(alice, bob)
         assert success.tolist() == [qrac.quantum_success(a, b) for a, b in zip(alice, bob)]
         for table, a, b in zip(tables, alice, bob):
             rows, cols = table.shape
@@ -333,9 +383,28 @@ class TestStackedKernel:
     @given(**stacks)
     def test_trace_form_agrees_with_dot_form(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        _, tables = qrac._born_traces(alice, bob)
-        for table, a, b in zip(tables, alice, bob):
-            np.testing.assert_allclose(table, a @ b.T, rtol=0, atol=1e-12)
+        for tables in (oracle_born_traces(alice, bob)[1], qrac._evaluate(alice, bob)[1]):
+            for table, a, b in zip(tables, alice, bob):
+                np.testing.assert_allclose(table, a @ b.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pair_slice", [1, 5, 7])
+    @settings(max_examples=20, deadline=None)
+    @given(**stacks)
+    def test_pair_slices_change_no_bit(self, pair_slice, n, size, seed):
+        # these stacks fit in one default slice, so only a small slice crosses an edge
+        alice, bob = random_stack(n, size, seed)
+        whole = kernel_bytes(alice, bob)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qrac, "PAIR_SLICE", pair_slice)
+            assert kernel_bytes(alice, bob) == whole
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_default_pair_slice_edges_change_no_bit(self, n, monkeypatch):
+        # 300 bases hold 1200 or 3600 pairs, so the default slice has edges inside them
+        alice, bob = random_stack(n, 300, n)
+        sliced = kernel_bytes(alice, bob)
+        monkeypatch.setattr(qrac, "PAIR_SLICE", 10**6)
+        assert kernel_bytes(alice, bob) == sliced
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
@@ -347,7 +416,7 @@ class TestStackedKernel:
     @given(**stacks)
     def test_identity_residuals_match_per_table_formula(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        success, tables = qrac._born_traces(alice, bob)
+        success, tables = qrac._evaluate(alice, bob)
         signs = sign_matrix(n)
         expected = [
             abs(p - success_from_bell(n, float(np.sum(signs * table))))
@@ -385,4 +454,4 @@ class TestStackedKernel:
         basis, row = divmod(pick % (size * directions.shape[1]), directions.shape[1])
         directions[basis, row] *= 1.001
         with pytest.raises(ValueError, match="unit norm"):
-            qrac._born_traces(alice, bob)
+            qrac._evaluate(alice, bob)
