@@ -20,13 +20,8 @@ def sign_matrix(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"bit count must be >= 1, got {n}")
-    rows = 1 << (n - 1)
-    signs = np.ones((rows, n), dtype=int)
-    for i in range(rows):
-        for j in range(1, n):
-            if (i >> (n - 1 - j)) & 1:
-                signs[i, j] = -1
-    return signs
+    # entry (i, j) is -1 where bit n - 1 - j of i is set; i < 2^(n-1), so column 0 stays +1
+    return 1 - 2 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1)
 
 
 def bell_value(table: np.ndarray, signs: np.ndarray) -> float | np.ndarray:

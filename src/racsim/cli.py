@@ -242,16 +242,26 @@ def cmd_bounds(args) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
+def _parse_json(text: str, path: str, lineno: int | None = None):
+    """``json.loads(text)`` of file ``path``, or of its line ``lineno``; each failure is a UsageError there.
+
+    A syntax error in a whole file names the line it is on.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason, lineno = exc.msg, lineno or exc.lineno
+    except ValueError:
+        reason = _LONG_INTEGER
+    except RecursionError:
+        reason = _TOO_DEEP
+    where = path if lineno is None else f"{path}:{lineno}"
+    raise UsageError(f"{where}: invalid JSON: {reason}")
+
+
 def load_bases(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The (alice, bob) directions of a bases file: shapes checked, n bounded before Alice is read."""
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
-    except ValueError:
-        raise UsageError(f"{path}: invalid JSON: {_LONG_INTEGER}")
-    except RecursionError:
-        raise UsageError(f"{path}: invalid JSON: {_TOO_DEEP}")
+    data = _parse_json(_read_text(path), path)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: a bases file must be a JSON object")
     try:
@@ -342,14 +352,7 @@ def load_settings(path: str) -> list[mzi.Setting]:
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{path}:{lineno}: invalid JSON: {exc.msg}")
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: invalid JSON: {_LONG_INTEGER}")
-        except RecursionError:
-            raise UsageError(f"{path}:{lineno}: invalid JSON: {_TOO_DEEP}")
+        record = _parse_json(text, path, lineno)
         if not isinstance(record, dict):
             raise UsageError(f"{path}:{lineno}: a settings line must be a JSON object")
         try:
@@ -481,7 +484,7 @@ def cmd_concat(args) -> list[ReportRow]:
         queries = [args.query]
     else:
         raise UsageError(f"query {args.query} out of range for n={n}")
-    sampled = args.engine != "analytic"
+    sampled = args.engine == "born"
     scratch = len(queries) * min(args.shots, args.workers * mzi.BLOCK)
     if sampled and scratch > QUERY_SCRATCH_BUDGET:
         raise UsageError(
@@ -510,9 +513,7 @@ def cmd_concat(args) -> list[ReportRow]:
 
     tree = concat.build_padded(n, permute_seed=args.permute_seed).tree
     bits = [int(c) for c in text] + [0] * (m - n)  # leaves n.. are padding
-    sims = concat.simulate(
-        tree, bits, queries, args.shots, args.seed, engine=args.engine, workers=args.workers
-    )
+    sims = concat.simulate(tree, bits, queries, args.shots, args.seed, workers=args.workers)
     for query, successes in zip(queries, sims.successes):
         rows.append(
             ReportRow(
@@ -807,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_concat = sub.add_parser("concat", help="concatenated n->1 codes")
     p_concat.add_argument("--n", type=_in_range(int, 2, CONCAT_MAX_N), required=True)
-    p_concat.add_argument("--engine", choices=("analytic", "born", "mzi"), default="analytic")
+    p_concat.add_argument("--engine", choices=("analytic", "born"), default="analytic")
     p_concat.add_argument("--shots", type=_shots, default=200_000)
     p_concat.add_argument("--seed", type=_seed)
     p_concat.add_argument("--query", type=_query, default="all")
@@ -831,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "concat" and args.engine in ("born", "mzi") and args.seed is None:
+    if args.command == "concat" and args.engine == "born" and args.seed is None:
         parser.error("--seed is required for sampling engines")
     if args.command == "quantum" and args.optimize and args.seed is None:
         parser.error("--seed is required with --optimize")
@@ -846,11 +847,12 @@ def main(argv=None) -> int:
     try:
         emit(rows)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: point it at devnull so the flush at exit
-        # cannot raise again, and exit 1 without a traceback
+    except OSError as exc:
+        # point stdout at devnull so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(exc, BrokenPipeError):
+            return 1  # the reader closed stdout: exit 1 without a traceback
+        parser.exit(2, f"error: {exc}\n")
     return exit_code(rows)
 
 

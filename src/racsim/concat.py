@@ -173,20 +173,13 @@ class SimulationResults:
     shots: int
 
 
-def _spin_tables(arity: int, engine: str) -> list[np.ndarray]:
+def _spin_tables(arity: int) -> list[np.ndarray]:
     """Per child slot j: P(spin outcome 0 | class i, Alice bit a) at flat index 2 i + a.
 
-    Alice measures the path along the negated class direction -A_i of
-    ``qrac.default_bases``, as ``qrac.steered_table`` does. The ``born`` engine
-    reads the closed form (1 + (-1)^a A_i . B_j) / 2; the ``mzi`` engine reads
-    twice the steered Born table, whose path marginal is 1/2.
+    Twice the steered Born table of ``qrac.default_bases``: Alice measures the
+    path along the negated class direction -A_i, and the path marginal is 1/2.
     """
-    alice, bob = qrac.default_bases(arity)
-    if engine == "mzi":
-        cond = 2.0 * qrac.steered_table(alice, bob)[..., 0]
-    else:
-        dots = alice @ bob.T
-        cond = 0.5 * (1.0 + np.stack([dots, -dots], axis=-1))
+    cond = 2.0 * qrac.steered_table(*qrac.default_bases(arity))[..., 0]
     return [cond[:, j].ravel() for j in range(arity)]
 
 
@@ -197,7 +190,6 @@ def simulate_range(
     seed: int,
     lo: int,
     hi: int,
-    engine: str,
 ) -> list[int]:
     """Successes per query among shots [lo, hi) of ``simulate``: the work of one span.
 
@@ -218,7 +210,7 @@ def simulate_range(
     subunits = tree.internal_postorder()
     root = len(subunits) - 1
     tables = {
-        arity: [mzi.thresholds(table) for table in _spin_tables(arity, engine)]
+        arity: [mzi.thresholds(table) for table in _spin_tables(arity)]
         for arity in {len(kids) for kids in subunits}
     }
     half = mzi.thresholds(0.5)
@@ -283,7 +275,6 @@ def simulate(
     queries: Sequence[int],
     shots: int,
     seed: int,
-    engine: str = "born",
     workers: int = 1,
 ) -> SimulationResults:
     """Shot-by-shot run of the concatenated code for one input string, per queried bit.
@@ -292,14 +283,11 @@ def simulate(
     remaining children fix the class, and the transmitted bit is the reference
     XOR Alice's steering outcome. Decoding walks top-down, measuring the spin
     along the queried child's direction at each level and XOR-correcting with the
-    received bit. The ``mzi`` engine draws the same conditional probabilities
-    through the 4-dimensional apparatus model.
+    received bit.
 
     All ``queries`` (repeats allowed) share one pass over the shots and its
     streams; each result is bit-identical to a run of that query alone.
     """
-    if engine not in ("born", "mzi"):
-        raise ValueError(f"unknown engine {engine!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if not queries:
@@ -310,8 +298,6 @@ def simulate(
     if len(bits) != tree.n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"input must be {tree.n} bits")
 
-    parts = mzi.map_spans(
-        lambda lo, hi: simulate_range(tree, bits, queries, seed, lo, hi, engine), shots, workers
-    )
+    parts = mzi.map_spans(lambda lo, hi: simulate_range(tree, bits, queries, seed, lo, hi), shots, workers)
     return SimulationResults(tuple(sum(counts) for counts in zip(*parts)), shots)
 

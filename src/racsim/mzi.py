@@ -54,21 +54,22 @@ class Setting:
         object.__setattr__(self, "spin_axis", qcore.require_unit(self.spin_axis))
 
 
-def stream(seed: int, stream_id: int, start: int = 0) -> np.random.Generator:
-    """Counter-based generator for (seed, stream_id), positioned at draw ``start``.
+def stream(seed: int, stream_id: int, start: int = 0) -> np.random.Philox:
+    """Counter-based bit generator for (seed, stream_id), positioned at 64-bit word ``start``.
 
-    Philox advances in blocks of four 64-bit outputs, so position by whole blocks
-    and discard the remainder; each sampled shot consumes exactly one draw, which
+    Philox advances in blocks of four words, so position by whole blocks and
+    discard the remainder; each sampled shot consumes exactly one word, which
     makes any partition of the shot range reproduce the unpartitioned stream.
+    A ``np.random.Generator`` over it draws one double per word, so its
+    ``random`` doubles sit at the same positions.
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     if start:
         bitgen.advance(start // 4)
-    gen = np.random.Generator(bitgen)
     if start % 4:
-        gen.random(start % 4)
-    return gen
+        bitgen.random_raw(start % 4)
+    return bitgen
 
 
 def born_probabilities(state: qcore.PureState, settings: Sequence[Setting]) -> np.ndarray:
@@ -79,13 +80,12 @@ def born_probabilities(state: qcore.PureState, settings: Sequence[Setting]) -> n
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def draws(gen: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` draws of ``gen`` as uint64 x < 2^53; ``gen.random()`` would give x * 2^-53.
+def draws(bitgen: np.random.Philox, count: int) -> np.ndarray:
+    """The next ``count`` words of ``bitgen``, each shifted to its top 53 bits: uint64 x < 2^53.
 
-    numpy builds a Philox double from the top 53 bits of one raw 64-bit word, so
-    the raw words and ``gen.random`` consume the stream at the same position.
+    numpy builds a Philox double x * 2^-53 from the same 53 bits of one word.
     """
-    x = gen.bit_generator.random_raw(count)
+    x = bitgen.random_raw(count)
     x >>= 11
     return x
 
@@ -123,12 +123,12 @@ def sample_setting(
     # x >= Kk nest (K0 <= K1 <= K2), so the outcome's high bit, the path bit, is
     # the middle mask, and its parity, the spin bit, is the XOR of all three
     k0, k1, k2 = thresholds(np.cumsum(probs)[:3])
-    gen = stream(seed, setting_index, start)
+    bitgen = stream(seed, setting_index, start)
     scratch = np.empty((2, min(shots, BLOCK)), dtype=bool)
     n0 = n1 = n2 = 0
     for lo in range(0, shots, BLOCK):
         hi = min(lo + BLOCK, shots)
-        x = draws(gen, hi - lo)
+        x = draws(bitgen, hi - lo)
         m0, m2 = scratch[:, : hi - lo]
         m1, spin = path_bits[lo:hi].view(bool), spin_bits[lo:hi].view(bool)
         np.greater_equal(x, k0, out=m0)

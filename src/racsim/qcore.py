@@ -37,7 +37,8 @@ def require_unit_rows(rows: np.ndarray) -> None:
     """
     if rows.ndim == 0 or rows.shape[-1] != 3:
         raise ValueError(f"directions must be 3-vectors, got shape {rows.shape}")
-    norms = np.sqrt(np.vecdot(rows, rows)).ravel()
+    with np.errstate(over="ignore"):  # a norm past the largest double is inf, and rejected
+        norms = np.sqrt(np.vecdot(rows, rows)).ravel()
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= ATOL))  # NaN fails too
     if bad.size:
         raise ValueError(f"direction must have unit norm, got {float(norms[bad[0]])}")

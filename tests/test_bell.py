@@ -24,6 +24,18 @@ class TestSignMatrix:
         assert np.all(signs[:, 0] == 1)
         assert len({tuple(row) for row in signs}) == 8
 
+    def test_matches_the_entrywise_loop(self):
+        for n in range(1, 17):
+            rows = 1 << (n - 1)
+            loop = np.ones((rows, n), dtype=int)
+            for i in range(rows):
+                for j in range(1, n):
+                    if (i >> (n - 1 - j)) & 1:
+                        loop[i, j] = -1
+            signs = bell.sign_matrix(n)
+            assert signs.dtype == loop.dtype
+            np.testing.assert_array_equal(signs, loop)
+
 
 class TestBellValue:
     def test_all_plus_correlators(self):

@@ -507,6 +507,7 @@ BAD_ARGV = {
     "concat-input-too-long": [
         "concat", "--n", "5", "--engine", "born", "--seed", "1", "--input", "10110110",
     ],
+    "concat-engine-mzi": ["concat", "--n", "4", "--engine", "mzi", "--seed", "1"],
     # the analytic engine checks --input and --query too
     "concat-analytic-input-not-bits": ["concat", "--n", "4", "--input", "xyz"],
     "concat-analytic-query-out-of-range": ["concat", "--n", "5", "--query", "5"],
@@ -609,6 +610,10 @@ BAD_ARGV_MESSAGES = {
     "mzi-events-unwritable": "error: [Errno 2] No such file or directory: '{unwritable}'",
     "report-csv-unwritable": "error: [Errno 2] No such file or directory: '{unwritable}'",
     "mzi-events-full-device": "error: [Errno 28] No space left on device",
+    # every sampled stage draws from the steered path-spin table, under the name born
+    "concat-engine-mzi": (
+        "racsim concat: error: argument --engine: invalid choice: 'mzi' (choose from 'analytic', 'born')"
+    ),
     "report-csv-full-device": "error: [Errno 28] No space left on device",
 }
 
@@ -865,7 +870,7 @@ def command_flags(paths) -> dict:
         "concat": (
             {
                 "--n": flag_values(["2", "4", "5", "50"], cli.CONCAT_MAX_N),
-                "--engine": flag_values(["analytic", "born", "mzi"]),
+                "--engine": (st.sampled_from(["analytic", "born"]), st.sampled_from(MALFORMED + ["mzi"])),
                 "--shots": shots,
                 "--seed": seeds,
                 "--query": flag_values(["0", "3", "49", "50", "all"], 10**3),
@@ -969,6 +974,18 @@ def test_closed_stdout_exits_1_without_a_traceback():
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_exits_2_with_one_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "racsim.cli", "bounds"], stdout=full, stderr=subprocess.PIPE, env=env,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 28] No space left on device\n"
 
 
 class TestExitCodes:

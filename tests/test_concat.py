@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import cli, concat
+from racsim import cli, concat, qrac
 from racsim.bell import quantum_max, success_from_bell
 
 
@@ -211,12 +211,12 @@ def rates(sims: concat.SimulationResults) -> list[float]:
     return [successes / sims.shots for successes in sims.successes]
 
 
-def stage_bias(arity, slot, engine):
+def stage_bias(arity, slot):
     """Mean over class i and Alice bit a of 2 P(spin = a XOR c_slot(i)) - 1, from the sampler's tables.
 
     Slot j's class bit is bit (arity - 1 - j) of i; slot 0 has class bit 0.
     """
-    spin_zero = concat._spin_tables(arity, engine)[slot]
+    spin_zero = concat._spin_tables(arity)[slot]
     classes = 1 << (arity - 1)
     total = 0.0
     for i in range(classes):
@@ -227,32 +227,40 @@ def stage_bias(arity, slot, engine):
     return total / (2 * classes)
 
 
-def oracle_per_bit(tree, engine):
+def oracle_per_bit(tree):
     """Per leaf: 1/2 + 1/2 times the product of the stage biases on its path from the root."""
     subunits = tree.internal_postorder()
-    biases = {(a, j): stage_bias(a, j, engine) for a in (2, 3) for j in range(a)}
+    biases = {(a, j): stage_bias(a, j) for a in (2, 3) for j in range(a)}
     return np.array([
         0.5 + 0.5 * math.prod(biases[len(subunits[uid]), slot] for uid, slot in path)
         for path in tree.paths_to_leaves(range(tree.n))
     ])
 
 
-@pytest.mark.parametrize("engine", ["born", "mzi"])
 @pytest.mark.parametrize("arity", [2, 3])
-def test_stage_bias_is_one_over_root_arity(arity, engine):
+def test_spin_tables_match_the_closed_form(arity):
+    # P(spin 0 | class i, Alice bit a) = (1 + (-1)^a A_i . B_j) / 2 on the steered state
+    alice, bob = qrac.default_bases(arity)
+    dots = alice @ bob.T
+    for j, table in enumerate(concat._spin_tables(arity)):
+        closed = 0.5 * (1.0 + np.stack([dots[:, j], -dots[:, j]], axis=-1)).ravel()
+        np.testing.assert_allclose(table, closed, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_stage_bias_is_one_over_root_arity(arity):
     for slot in range(arity):
-        assert stage_bias(arity, slot, engine) == pytest.approx(1 / math.sqrt(arity), abs=1e-15)
+        assert stage_bias(arity, slot) == pytest.approx(1 / math.sqrt(arity), abs=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
-@given(shape=shapes, engine=st.sampled_from(["born", "mzi"]), data=st.data())
-def test_stage_oracle_matches_analytic_per_bit(shape, engine, data):
+@given(shape=shapes, data=st.data())
+def test_stage_oracle_matches_analytic_per_bit(shape, data):
     n = leaf_count(shape)
     tree = concat.ConcatTree(label(shape, iter(data.draw(st.permutations(range(n))))))
-    np.testing.assert_allclose(oracle_per_bit(tree, engine), concat.analytic_per_bit(tree), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(oracle_per_bit(tree), concat.analytic_per_bit(tree), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("engine", ["born", "mzi"])
 @pytest.mark.parametrize(
     "nested,bits,seed",
     [
@@ -261,11 +269,11 @@ def test_stage_oracle_matches_analytic_per_bit(shape, engine, data):
         ([[[5, 0], [2, 6, 1]], [3, 4]], [1, 1, 0, 1, 0, 0, 1], 8),
     ],
 )
-def test_sampler_within_five_standard_errors_of_the_oracle(nested, bits, seed, engine):
+def test_sampler_within_five_standard_errors_of_the_oracle(nested, bits, seed):
     tree = concat.ConcatTree(nested)
     shots = 40_000
-    sims = concat.simulate(tree, bits, range(tree.n), shots, seed, engine=engine)
-    oracle = oracle_per_bit(tree, engine)
+    sims = concat.simulate(tree, bits, range(tree.n), shots, seed)
+    oracle = oracle_per_bit(tree)
     assert np.all(np.abs(np.array(rates(sims)) - oracle) <= cli.Z * np.sqrt(oracle * (1 - oracle) / shots))
 
 
@@ -313,12 +321,6 @@ class TestSimulate:
         for leaf, rate in enumerate(rates(sims)):
             assert abs(rate - per_bit[leaf]) <= 5.0 / math.sqrt(shots)
 
-    def test_engines_agree_statistically(self):
-        tree = concat.build_tree(6)
-        [born] = rates(concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="born"))
-        [apparatus] = rates(concat.simulate(tree, [1, 0, 1, 1, 0, 0], [3], 50_000, seed=11, engine="mzi"))
-        assert abs(born - apparatus) <= 5.0 / math.sqrt(50_000)
-
     def test_reproducible_across_worker_counts(self):
         tree = concat.build_tree(4)
         baseline = concat.simulate(tree, [1, 1, 0, 1], [1], 80_000, seed=5, workers=1)
@@ -330,11 +332,6 @@ class TestSimulate:
         tree = concat.build_tree(4)
         with pytest.raises(ValueError):
             concat.simulate(tree, [0, 0, 0, 0], [4], 10, seed=1)
-
-    def test_rejects_bad_engine(self):
-        tree = concat.build_tree(2)
-        with pytest.raises(ValueError):
-            concat.simulate(tree, [0, 0], [0], 10, seed=1, engine="exact")
 
 
 def leaf_positions(tree):

@@ -32,10 +32,12 @@ GOLDEN = {
          "--events", "{events}", "--workers", "2"],
         "2f66816f8d1ca52a70ab8700e22466110fb8e8ca83c1b08d04ff6d07712c5e86",
     ),
+    # the "-mzi" entries were recorded under the former --engine mzi, which drew from the
+    # same steered path-spin table as born; their rows differ only in the engine name
     "concat-n6-mzi": (
-        ["concat", "--n", "6", "--engine", "mzi", "--shots", "5003", "--seed", "7",
+        ["concat", "--n", "6", "--engine", "born", "--shots", "5003", "--seed", "7",
          "--workers", "2"],
-        "bca8ccaca57ec8c04ec296740533858fc6fce116ad7bd4dbb19c740e0020de2e",
+        "c81cb2a73c0eaa693d5baa8fa3906de832df5dca8d70694bb868d813e96de7b4",
     ),
     "concat-n200-born-permuted": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--query", "17",
@@ -49,9 +51,9 @@ GOLDEN = {
         "83879daca23587d8477a279d5c19b8c5bf75bbddc07c66b055ed49cdeea76187",
     ),
     "concat-n12-mzi-all": (
-        ["concat", "--n", "12", "--engine", "mzi", "--seed", "7", "--shots", "3001",
+        ["concat", "--n", "12", "--engine", "born", "--seed", "7", "--shots", "3001",
          "--workers", "2"],
-        "f6c3fbc48b389d222211238baacb8c92726f5bda80758593ab541070e0c29e5c",
+        "0c9f4908723b394395bc93505d5e0035bcd839265c8b945fe6beca8515ef0476",
     ),
     # non-zero input on padded, permuted codes: a bit on the wrong leaf changes the rows
     "concat-n7-born-permuted-input": (
@@ -60,9 +62,9 @@ GOLDEN = {
         "66775b25cb493733468efd10a3f4af97d781dbb6909469e9dd2400323e744728",
     ),
     "concat-n10-mzi-permuted-input": (
-        ["concat", "--n", "10", "--engine", "mzi", "--permute-seed", "5", "--input", "1101000111",
+        ["concat", "--n", "10", "--engine", "born", "--permute-seed", "5", "--input", "1101000111",
          "--shots", "3001", "--seed", "2", "--workers", "2"],
-        "11cf1e9429ea3ecf69f6ec316d529308755f24cc9e83353c74a6f91715358552",
+        "a0d77d084fcb13748bdedec573dd1a5b5c7470b050c42fd4892e8f161796b53d",
     ),
     # analytic engine only: 973 bits padded to 1024 = 2^10, every row from stages [10, 0]
     "concat-n973-analytic-permuted": (

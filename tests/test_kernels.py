@@ -50,7 +50,7 @@ def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, st
     probs = np.asarray(weights) / sum(weights)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    uniforms = mzi.stream(seed, setting_index, start).random(shots)
+    uniforms = np.random.Generator(mzi.stream(seed, setting_index, start)).random(shots)
     outcomes = np.searchsorted(cum, uniforms, side="right")
     path_bits = np.empty(shots, dtype=np.uint8)
     spin_bits = np.empty(shots, dtype=np.uint8)
@@ -101,7 +101,12 @@ def test_threshold_matches_double_compare(c):
     assert_threshold_exact(c)
 
 
-def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
+def doubles(seed, stream_id, lo, count):
+    """``count`` doubles of a stream from shot ``lo``, drawn in one call."""
+    return np.random.Generator(mzi.stream(seed, stream_id, lo)).random(count)
+
+
+def reference_simulate_range(tree, bits, query, seed, lo, hi):
     """Full-array span kernel: one message, Alice bit and class array per subunit."""
     count = hi - lo
     subunits = tree.internal_postorder()
@@ -109,12 +114,8 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
     cond_tables = {}
     for arity in {len(children) for children in subunits}:
         alice, bob = qrac.default_bases(arity)
-        if engine == "mzi":
-            pairs = [[2.0 * qcore.joint_table(STATE, -a, b)[:, 0] for b in bob] for a in alice]
-            cond_tables[arity] = np.array(pairs).transpose(0, 2, 1)
-        else:
-            dots = alice @ bob.T
-            cond_tables[arity] = np.stack([0.5 * (1.0 + dots), 0.5 * (1.0 - dots)], axis=1)
+        pairs = [[2.0 * qcore.joint_table(STATE, -a, b)[:, 0] for b in bob] for a in alice]
+        cond_tables[arity] = np.array(pairs).transpose(0, 2, 1)
 
     messages, alice_bits, classes = {}, {}, {}
     for uid, children in enumerate(subunits):
@@ -128,8 +129,7 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
         cls = np.zeros(count, dtype=np.intp)
         for value in child_vals[1:]:
             cls = (cls << 1) | (value ^ ref)
-        uniforms = mzi.stream(seed, 2 * uid + concat._ALICE_STREAM, lo).random(count)
-        a = (uniforms < 0.5).astype(np.uint8)
+        a = (doubles(seed, 2 * uid + concat._ALICE_STREAM, lo, count) < 0.5).astype(np.uint8)
         messages[uid] = ref ^ a
         alice_bits[uid] = a
         classes[uid] = cls
@@ -137,20 +137,19 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi, engine):
     received = messages[len(subunits) - 1]
     for uid, pos in tree.paths_to_leaves([query])[0]:
         p_spin0 = cond_tables[len(subunits[uid])][classes[uid], alice_bits[uid], pos]
-        uniforms = mzi.stream(seed, 2 * uid + concat._BOB_STREAM, lo).random(count)
-        received = (uniforms >= p_spin0).astype(np.uint8) ^ received
+        spin = doubles(seed, 2 * uid + concat._BOB_STREAM, lo, count) >= p_spin0
+        received = spin.astype(np.uint8) ^ received
     return int(np.sum(received == bits[query]))
 
 
-@pytest.mark.parametrize("engine", ["born", "mzi"])
-def test_concat_kernel_matches_full_array_reference_at_real_block(engine):
+def test_concat_kernel_matches_full_array_reference_at_real_block():
     tree = concat.build_tree(12)
     bits = [k % 3 % 2 for k in range(tree.n)]
     queries = [0, 5, 11]
     lo = 4 * 1000 + 3
     hi = lo + 3 * mzi.BLOCK + 5
-    expected = [reference_simulate_range(tree, bits, q, 11, lo, hi, engine) for q in queries]
-    assert concat.simulate_range(tree, bits, queries, 11, lo, hi, engine) == expected
+    expected = [reference_simulate_range(tree, bits, q, 11, lo, hi) for q in queries]
+    assert concat.simulate_range(tree, bits, queries, 11, lo, hi) == expected
 
 
 def nested_form(tree):
@@ -176,23 +175,20 @@ def relabeled(nested, order):
 @given(
     block=blocks,
     n=st.sampled_from(SMOOTH),
-    engine=st.sampled_from(["born", "mzi"]),
     data=st.data(),
     seed=seeds,
     lo=st.integers(0, 250).map(lambda k: 4 * k),
     shots=st.integers(1, 50),
 )
-def test_concat_kernel_matches_full_array_reference(block, n, engine, data, seed, lo, shots):
+def test_concat_kernel_matches_full_array_reference(block, n, data, seed, lo, shots):
     order = data.draw(st.permutations(range(n)))
     tree = relabeled(nested_form(concat.build_tree(n)), order)
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     # repeats and any order: each query's count is that of a run of it alone
     queries = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
-    expected = [
-        reference_simulate_range(tree, bits, q, seed, lo, lo + shots, engine) for q in queries
-    ]
+    expected = [reference_simulate_range(tree, bits, q, seed, lo, lo + shots) for q in queries]
     with mock.patch.object(mzi, "BLOCK", block):
-        assert concat.simulate_range(tree, bits, queries, seed, lo, lo + shots, engine) == expected
+        assert concat.simulate_range(tree, bits, queries, seed, lo, lo + shots) == expected
 
 
 def opened_streams(tree, queries) -> list[int]:
@@ -205,7 +201,7 @@ def opened_streams(tree, queries) -> list[int]:
         return real(seed, stream_id, start)
 
     with mock.patch.object(mzi, "stream", spy):
-        concat.simulate_range(tree, [0] * tree.n, queries, 3, 0, 8, "born")
+        concat.simulate_range(tree, [0] * tree.n, queries, 3, 0, 8)
     return opened
 
 

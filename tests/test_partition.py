@@ -48,8 +48,9 @@ def test_results_do_not_depend_on_worker_count(shots, workers, seed):
 @example(seed=1, stream_id=0, start=1, draws=7)
 @example(seed=2, stream_id=3, start=6, draws=5)
 def test_stream_resumes_at_any_start(seed, stream_id, start, draws):
-    resumed = mzi.stream(seed, stream_id, start).random(draws)
-    assert np.array_equal(resumed, mzi.stream(seed, stream_id).random(start + draws)[start:])
+    resumed = np.random.Generator(mzi.stream(seed, stream_id, start)).random(draws)
+    whole = np.random.Generator(mzi.stream(seed, stream_id)).random(start + draws)
+    assert np.array_equal(resumed, whole[start:])
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,10 +62,11 @@ def test_stream_resumes_at_any_start(seed, stream_id, start, draws):
     draws=st.integers(0, 40),
 )
 def test_raw_words_resume_where_doubles_do(seed, stream_id, blocks, offset, draws):
-    # stream() discards start % 4 doubles; the raw words must continue from there
+    # stream() discards start % 4 words; a Generator draws one double per word
     start = 4 * blocks + offset
-    resumed = mzi.stream(seed, stream_id, start).bit_generator.random_raw(draws)
-    whole = mzi.stream(seed, stream_id).bit_generator.random_raw(start + draws)
+    resumed = mzi.stream(seed, stream_id, start).random_raw(draws)
+    whole = mzi.stream(seed, stream_id).random_raw(start + draws)
     assert np.array_equal(resumed, whole[start:])
     as_doubles = mzi.draws(mzi.stream(seed, stream_id, start), draws) * 2.0**-53
-    assert np.array_equal(as_doubles, mzi.stream(seed, stream_id, start).random(draws))
+    whole_doubles = np.random.Generator(mzi.stream(seed, stream_id)).random(start + draws)
+    assert np.array_equal(as_doubles, whole_doubles[start:])

@@ -1,6 +1,7 @@
 """Unit tests for the small-dimension state algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,12 @@ class TestObservableFromBloch:
                 qcore.require_unit_rows(np.vstack((qcore.Z_AXIS, row, 2 * qcore.Z_AXIS)))
             assert str(stacked.value) == expected
         qcore.require_unit_rows(np.vstack((qcore.X_AXIS, qcore.Z_AXIS)))
+
+    def test_a_norm_past_the_largest_double_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"unit norm, got inf$"):
+                qcore.require_unit_rows(np.array([[1e308, 1e308, 0.0]]))
 
     def test_stacked_check_reads_rows_in_c_order_over_every_leading_axis(self):
         stack = np.tile(qcore.Z_AXIS, (3, 4, 1))

@@ -64,7 +64,7 @@ def test_rate_stderr_is_calibrated():
     exact = concat.analytic_per_bit(tree)[0]
     z = []
     for seed in SEEDS:
-        sim = concat.simulate(tree, [0] * 6, [0], SHOTS, seed, engine="born")
+        sim = concat.simulate(tree, [0] * 6, [0], SHOTS, seed)
         rate = sim.successes[0] / sim.shots
         z.append((rate - exact) / cli._rate_stderr(exact, sim.shots))
     assert_standard_normal(np.array(z))
