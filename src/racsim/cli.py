@@ -388,46 +388,45 @@ def _counts_params(setting: mzi.Setting, counts: np.ndarray) -> dict:
     }
 
 
-# event lines per chunk; at about 50 bytes a line, one chunk is about 0.2 MB
-EVENT_CHUNK = 4096
-# every event line ends in this tail, with the outcome bits added to its two zeros
-_EVENT_TAIL = b', "path": 0, "spin": 0}\n'
-_PATH_COL, _SPIN_COL = _EVENT_TAIL.index(b"0"), _EVENT_TAIL.rindex(b"0")
-
-
-def _event_chunks(shots: int):
-    """Shot ranges [lo, hi) of at most ``EVENT_CHUNK`` shots with one digit count each."""
-    lo = 0
-    while lo < shots:
-        hi = min(shots, lo + EVENT_CHUNK, 10 ** len(str(lo)))
-        yield lo, hi
-        lo = hi
+# shot numbers below this power of ten get their digits from one template
+EVENT_TEMPLATE = 10_000
+# every event line ends in this tail; the outcome bits go to its two zeros, columns counted from the line end
+_EVENT_TAIL = np.frombuffer(b', "path": 0, "spin": 0}\n', dtype=np.uint8)
+_PATH_COL, _SPIN_COL = np.flatnonzero(_EVENT_TAIL == ord("0")) - len(_EVENT_TAIL)
 
 
 def write_events(result: mzi.SamplingResult, path: str) -> None:
     """One JSON line per shot, setting by setting: {"setting": s, "shot": k, "path": p, "spin": q}.
 
-    The lines of one setting whose shot numbers have the same number of digits
-    are equally wide, so each chunk of them is built as one (rows, width) uint8
-    array and written at once: the setting's head, the shot digits column by
-    column, and the tail with the path and spin bits added to its two zeros.
-    Scratch memory is O(``EVENT_CHUNK``) whatever the shot count.
+    Chunks end at decades below T = ``EVENT_TEMPLATE`` and at multiples of T
+    above it, so a chunk's shot numbers are one constant, ``lo // T`` (none
+    below T), followed by the rows of a zero-padded template of 0 .. T - 1 laid
+    out once per call. One (rows, line) uint8 block, rebuilt for each setting and
+    shot width, holds a chunk's lines; a chunk rewrites only that constant and the
+    path and spin columns. Scratch memory is O(T) lines whatever the shot count.
     """
+    size = EVENT_TEMPLATE
+    places = [np.arange(48, 58, dtype=np.uint8)] * (len(str(size)) - 1)  # ASCII 0 .. 9 in each place
+    template = np.stack(np.meshgrid(*places, indexing="ij"), axis=-1).reshape(size, -1)
     with open(path, "wb") as handle:
         for s_idx, (path_bits, spin_bits) in enumerate(result.outcomes):
             head = np.frombuffer(f'{{"setting": {s_idx}, "shot": '.encode(), dtype=np.uint8)
-            for lo, hi in _event_chunks(len(path_bits)):
-                tail = len(head) + len(str(lo))
-                rows = np.empty((hi - lo, tail + len(_EVENT_TAIL)), dtype=np.uint8)
-                rows[:, : len(head)] = head
-                shot = np.arange(lo, hi)
-                for col in range(tail - 1, len(head) - 1, -1):
-                    rows[:, col] = shot % 10 + 48
-                    shot //= 10
-                rows[:, tail:] = np.frombuffer(_EVENT_TAIL, dtype=np.uint8)
-                rows[:, tail + _PATH_COL] += path_bits[lo:hi]
-                rows[:, tail + _SPIN_COL] += spin_bits[lo:hi]
+            lo, shots = 0, len(path_bits)
+            while lo < shots:
+                width = len(str(lo))
+                hi = min(shots, 10**width if lo < size else lo + size)
+                high = np.frombuffer(str(lo // size).encode() if lo >= size else b"", dtype=np.uint8)
+                if lo in (0, 10 ** (width - 1)):  # a new setting or shot width starts at 0 or a power of ten
+                    block = rows = None  # release the old block first: one is held at a time
+                    digits = template[lo % size : lo % size + hi - lo, len(high) - width :]  # the low digits
+                    block = np.tile(np.concatenate([head, high, digits[0], _EVENT_TAIL]), (hi - lo, 1))
+                    block[:, len(head) + len(high) : -len(_EVENT_TAIL)] = digits
+                rows = block[: hi - lo]
+                rows[:, len(head) : len(head) + len(high)] = high
+                np.add(path_bits[lo:hi], 48, out=rows[:, _PATH_COL])
+                np.add(spin_bits[lo:hi], 48, out=rows[:, _SPIN_COL])
                 handle.write(rows)
+                lo = hi
 
 
 def cmd_mzi(args) -> list[ReportRow]:

@@ -208,9 +208,9 @@ def reference_write_events(result: mzi.SamplingResult, path: str) -> None:
             )
 
 
-# decade and chunk edges; shot 100000 is the first six-digit line
+# decade and template edges; shot 100000 is the first six-digit line
 EVENT_SHOTS = [0, 1, 9, 10, 11, 99, 100, 100_001]
-EVENT_SHOTS += [cli.EVENT_CHUNK + d for d in (-1, 0, 1)] + [mzi.BLOCK + d for d in (-1, 1)]
+EVENT_SHOTS += [cli.EVENT_TEMPLATE + d for d in (-1, 0, 1)] + [mzi.BLOCK + d for d in (-1, 1)]
 
 
 def assert_writes_reference_bytes(shots, n_settings, workers, seed):
@@ -238,16 +238,17 @@ def test_write_events_matches_reference_bytes(shots, n_settings, workers, seed):
 
 
 @settings(max_examples=50, deadline=None)
+@example(template=10, shots=1200, n_settings=12, workers=2, seed=1)
 @given(
-    chunk=st.integers(1, 8),
-    shots=st.integers(0, 120),
+    template=st.sampled_from([10, 100]),
+    shots=st.integers(0, 1200),
     n_settings=n_settings,
     workers=event_workers,
     seed=event_seeds,
 )
-def test_write_events_small_chunks_match_reference_bytes(chunk, shots, n_settings, workers, seed):
-    # chunk edges land inside decades and next to their ends
-    with mock.patch.object(cli, "EVENT_CHUNK", chunk):
+def test_write_events_small_chunks_match_reference_bytes(template, shots, n_settings, workers, seed):
+    # shot numbers at and above the template size get one, two or three high digits
+    with mock.patch.object(cli, "EVENT_TEMPLATE", template):
         assert_writes_reference_bytes(shots, n_settings, workers, seed)
 
 

@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from racsim import concat, mzi, qrac
+from racsim import cli, concat, mzi, qcore, qrac
 
 MASK = (1 << 64) - 1
 MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -103,3 +103,23 @@ def test_simulate_range_success_count():
         spin = int((wb >> 11) * 2.0**-53 >= p_spin0)
         successes += (bits[0] ^ a) ^ spin == bits[query]
     assert concat.simulate_range(tree, bits, [query], seed, lo, hi) == [successes]
+
+
+def test_events_file_from_reference_words(tmp_path):
+    # the second span resumes each stream 3 words into a 4-word block, and both cross a sampling block
+    seed, shots, spans = 11, 150, [(0, 75), (75, 150)]
+    chosen = mzi.protocol_settings(*mzi.steering_bases())[1:3]
+    with mock.patch.object(mzi, "BLOCK", 64), mock.patch.object(mzi, "_partition", lambda *_: spans):
+        result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers=2)
+    cli.write_events(result, str(tmp_path / "events.jsonl"))
+    written = (tmp_path / "events.jsonl").read_text().splitlines()
+    expected = []
+    for s_idx, probs in enumerate(result.probs):
+        cuts = mzi.thresholds(np.cumsum(probs)[:3]).tolist()
+        outcomes = [sum((w >> 11) >= cut for cut in cuts) for w in words(seed, s_idx, 0, shots)]
+        expected += [
+            f'{{"setting": {s_idx}, "shot": {k}, "path": {o >> 1}, "spin": {o & 1}}}' for k, o in enumerate(outcomes)
+        ]
+    for k, (got, want) in enumerate(zip(written, expected)):
+        assert got == want, f"event line {k} is {got}, Philox4x64-10 gives {want}"
+    assert len(written) == len(expected) == 2 * shots
