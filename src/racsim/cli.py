@@ -444,7 +444,8 @@ def cmd_mzi(args) -> list[ReportRow]:
         )
     if args.events:
         open(args.events, "wb").close()  # an unwritable path fails before any sampling
-    result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers)
+    # keeps the bits without --events too: perfbench/test_perfbench.py pins mzi's outcome_bytes
+    result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers, events=True)
     # every estimate is checked against the Born rows it was drawn from
     joint, exact = mzi.correlators(result.counts).tolist(), mzi.correlators(result.probs).tolist()
     stderrs = np.sqrt(_correlator_variances(result.probs, args.shots)).tolist()
@@ -606,7 +607,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     settings = mzi.protocol_settings(*mzi.steering_bases())
 
     def protocol_run(run_settings):
-        """A run's protocol estimates and first tally row; its outcome bits are freed on return."""
+        """A run's protocol estimates and first tally row, sampled without outcome bits."""
         result = mzi.sample_events(state, run_settings, shots, seed, workers=workers)
         return _protocol_estimates(result, shots), result.counts[0]
 
@@ -717,14 +718,12 @@ LABEL_MAX = 2**53
 _LONG_INTEGER = "integer literal too long"
 # json.loads recurses once per nested array or object: deep nesting raises RecursionError
 _TOO_DEEP = "nested too deeply"
-# Outcome arrays one run may hold: sampling keeps OUTCOME_BYTES (a path and a spin
-# bit) per shot and setting until the rows are written.
+# Outcome arrays an mzi run may hold: it keeps OUTCOME_BYTES (a path and a spin bit)
+# per shot and setting until the rows are written; every other sampler keeps tallies.
 OUTCOME_BYTES = 2
 OUTCOME_BUDGET = 2**30
-# report --all samples 8 settings' arrays (two 4-setting protocol runs), the most of
-# any command without a settings file; even all 8 at once stay within the budget, so
-# every shot option shares this bound;
-# mzi --settings checks its own setting count against the budget.
+# Every shot option shares this bound; at it mzi's 4 protocol settings hold half the
+# budget, and mzi --settings checks its own setting count against the budget.
 SHOTS_MAX = OUTCOME_BUDGET // (OUTCOME_BYTES * 8)
 _shots = _in_range(int, 1, SHOTS_MAX)
 # --workers sets only how each setting's shots are cut into spans; threads never

@@ -107,16 +107,16 @@ def sample_setting(
     seed: int,
     setting_index: int,
     start: int,
-    path_bits: np.ndarray,
-    spin_bits: np.ndarray,
+    path_bits: np.ndarray | None = None,
+    spin_bits: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw ``shots`` i.i.d. joint outcomes of one setting, starting at shot ``start``.
 
-    ``probs`` is that setting's row of ``born_probabilities``. Writes each
-    shot's outcome bits into the uint8 arrays ``path_bits`` and ``spin_bits``
-    (length ``shots``) and returns the 4 tallies in the same order. Draws come
-    ``BLOCK`` at a time and the masks reuse one block of scratch, so scratch
-    does not grow with ``shots``.
+    ``probs`` is that setting's row of ``born_probabilities``. Returns the 4
+    tallies in the same order; given the uint8 arrays ``path_bits`` and
+    ``spin_bits`` (length ``shots``), also writes each shot's path and spin bit
+    into them. Draws come ``BLOCK`` at a time and the masks reuse one block of
+    scratch, so scratch does not grow with ``shots``.
     """
     # a draw's outcome is the number of cumulative probabilities at or below it,
     # as searchsorted(cumsum(probs), u, side="right") counts them; the masks
@@ -124,18 +124,20 @@ def sample_setting(
     # the middle mask, and its parity, the spin bit, is the XOR of all three
     k0, k1, k2 = thresholds(np.cumsum(probs)[:3])
     bitgen = stream(seed, setting_index, start)
-    scratch = np.empty((2, min(shots, BLOCK)), dtype=bool)
+    scratch = np.empty((3, min(shots, BLOCK)), dtype=bool)
     n0 = n1 = n2 = 0
     for lo in range(0, shots, BLOCK):
         hi = min(lo + BLOCK, shots)
         x = draws(bitgen, hi - lo)
-        m0, m2 = scratch[:, : hi - lo]
-        m1, spin = path_bits[lo:hi].view(bool), spin_bits[lo:hi].view(bool)
+        m0, m1, m2 = scratch[:, : hi - lo]
+        if path_bits is not None:
+            m1 = path_bits[lo:hi].view(bool)
         np.greater_equal(x, k0, out=m0)
         np.greater_equal(x, k1, out=m1)
         np.greater_equal(x, k2, out=m2)
-        np.bitwise_xor(m0, m1, out=spin)
-        spin ^= m2
+        if spin_bits is not None:
+            spin = np.bitwise_xor(m0, m1, out=spin_bits[lo:hi].view(bool))
+            spin ^= m2
         n0 += np.count_nonzero(m0)
         n1 += np.count_nonzero(m1)
         n2 += np.count_nonzero(m2)
@@ -154,17 +156,23 @@ def _partition(shots: int, workers: int) -> list[tuple[int, int]]:
 def map_spans(task: Callable[[int, int], object], shots: int, workers: int) -> list:
     """``[task(lo, hi) for lo, hi in _partition(shots, workers)]``, in span order.
 
-    min(spans, CPU count) threads run them: the caller runs the first span after
-    submitting the rest to a pool of the others. Submitted in turn, every span
-    could go to the first pool thread while the caller waits for the interpreter lock.
+    min(spans, CPU count) threads run them, dealt round-robin: the caller runs
+    spans 0, threads, 2 threads, ... after submitting each other thread's share
+    to a pool. Submitted one span at a time, every span could go to the first
+    pool thread while the caller waits for the interpreter lock.
     """
     spans = _partition(shots, workers)
     threads = min(len(spans), os.cpu_count() or 1)
     if threads == 1:
         return [task(*span) for span in spans]
+
+    def share(first: int) -> list:
+        return [task(*span) for span in spans[first::threads]]
+
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        rest = pool.map(lambda span: task(*span), spans[1:])
-        return [task(*spans[0]), *rest]
+        rest = pool.map(share, range(1, threads))
+        shares = [share(0), *rest]
+    return [shares[k % threads][k // threads] for k in range(len(spans))]
 
 
 def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> np.ndarray:
@@ -176,7 +184,8 @@ def counts_from_outcomes(path_bits: np.ndarray, spin_bits: np.ndarray) -> np.nda
 class SamplingResult:
     """Per setting, in the same outcome order: the Born row drawn from, its int64 tallies, and its bits.
 
-    ``outcomes`` holds each setting's (path bits, spin bits) uint8 arrays.
+    ``outcomes`` holds each setting's (path bits, spin bits) uint8 arrays, or
+    is empty when the run was sampled without its events.
     """
 
     probs: np.ndarray
@@ -190,23 +199,27 @@ def sample_events(
     shots_per_setting: int,
     seed: int,
     workers: int = 1,
+    events: bool = False,
 ) -> SamplingResult:
-    """Sample every setting independently, all settings per shot span; identical for any worker count."""
+    """Sample every setting independently, all settings per shot span; identical for any worker count.
+
+    Each shot's outcome bits are kept, 2 B per shot and setting, only with ``events``.
+    """
     if shots_per_setting < 0:
         raise ValueError("shots must be nonnegative")
 
     probs = born_probabilities(state, settings)
-    path_bits = np.empty((len(probs), shots_per_setting), dtype=np.uint8)
-    spin_bits = np.empty_like(path_bits)
+    # per setting, its path and spin bit rows; without events no rows, and no bits are written
+    bits = [np.empty((2 if events else 0, shots_per_setting), dtype=np.uint8) for _ in probs]
 
     def span(lo: int, hi: int) -> list[np.ndarray]:
         return [
-            sample_setting(row, hi - lo, seed, s_idx, lo, path_bits[s_idx, lo:hi], spin_bits[s_idx, lo:hi])
+            sample_setting(row, hi - lo, seed, s_idx, lo, *bits[s_idx][:, lo:hi])
             for s_idx, row in enumerate(probs)
         ]
 
     counts = np.sum(map_spans(span, shots_per_setting, workers), axis=0, dtype=np.int64)
-    return SamplingResult(probs, counts, tuple(zip(path_bits, spin_bits)))
+    return SamplingResult(probs, counts, tuple(map(tuple, bits)) if events else ())
 
 
 # each outcome's product of the path and spin signs, in ``born_probabilities`` order

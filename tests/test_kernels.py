@@ -46,6 +46,11 @@ weights = st.lists(
     block=mzi.BLOCK, weights=[1.0, 0.0, 3.0, 0.0], seed=6, setting_index=0, start=4001,
     shots=3 * mzi.BLOCK + 5,
 )
+# exact 0 and 1 entries, as the aligned-z protocol run draws from, at every start % 4
+@example(block=8, weights=[0.0, 1.0, 1.0, 0.0], seed=7, setting_index=1, start=2, shots=17)
+@example(block=3, weights=[0.0, 0.0, 1.0, 0.0], seed=8, setting_index=3, start=3, shots=10)
+@example(block=1, weights=[1.0, 0.0, 0.0, 0.0], seed=9, setting_index=0, start=1, shots=4)
+@example(block=8, weights=[0.0, 0.0, 0.0, 1.0], seed=2**64 - 1, setting_index=2, start=0, shots=24)
 def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, start, shots):
     probs = np.asarray(weights) / sum(weights)
     cum = np.cumsum(probs)
@@ -56,10 +61,33 @@ def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, st
     spin_bits = np.empty(shots, dtype=np.uint8)
     with mock.patch.object(mzi, "BLOCK", block):
         tallies = mzi.sample_setting(probs, shots, seed, setting_index, start, path_bits, spin_bits)
+        counts_only = mzi.sample_setting(probs, shots, seed, setting_index, start)
     assert tallies.tolist() == np.bincount(outcomes, minlength=4).tolist()
+    assert counts_only.tolist() == tallies.tolist()
     assert path_bits.tolist() == (outcomes >> 1).tolist()
     assert spin_bits.tolist() == (outcomes & 1).tolist()
     assert mzi.counts_from_outcomes(path_bits, spin_bits).tolist() == tallies.tolist()
+
+
+# the protocol settings and the aligned-z ones, whose Born rows are exactly 0, 1/2, 1/2, 0
+PROTOCOL = mzi.protocol_settings(*mzi.steering_bases())
+Z_PAIR = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+ALIGNED = mzi.protocol_settings(Z_PAIR, Z_PAIR)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=blocks, settings_=st.sampled_from([PROTOCOL, ALIGNED]), shots=st.integers(0, 50),
+    workers=st.integers(1, 3), seed=seeds,
+)
+def test_counts_only_sampling_matches_kept_bits(block, settings_, shots, workers, seed):
+    with mock.patch.object(mzi, "BLOCK", block):
+        kept = mzi.sample_events(STATE, settings_, shots, seed, workers, events=True)
+        counts_only = mzi.sample_events(STATE, settings_, shots, seed, workers)
+    assert counts_only.outcomes == ()
+    assert np.array_equal(counts_only.probs, kept.probs)
+    assert counts_only.counts.tolist() == kept.counts.tolist()
+    assert [mzi.counts_from_outcomes(*bits).tolist() for bits in kept.outcomes] == kept.counts.tolist()
 
 
 def assert_threshold_exact(c: float) -> None:
@@ -286,19 +314,32 @@ def test_concat_all_queries_scratch_does_not_grow_with_shots():
     assert peak(8) <= 1.25 * peak(2)
 
 
-def test_sample_events_scratch_does_not_grow_with_shots():
-    def scratch(blocks):
-        shots = blocks * mzi.BLOCK
-        outputs = 2 * shots  # the path and spin bit arrays the result keeps
-        return traced_peak(lambda: mzi.sample_events(STATE, [SETTING], shots, seed=9)) - outputs
+def sample_events_scratch(blocks: int, events: bool) -> int:
+    """Traced peak of one sampling run, less the path and spin bit arrays it keeps."""
+    shots = blocks * mzi.BLOCK
+    outputs = 2 * shots if events else 0
+    return traced_peak(lambda: mzi.sample_events(STATE, [SETTING], shots, seed=9, events=events)) - outputs
 
-    scratch(1)  # lazy imports on a first call are not scratch
-    assert scratch(8) <= 1.25 * scratch(2)
+
+def test_sample_events_scratch_does_not_grow_with_shots():
+    sample_events_scratch(1, True)  # lazy imports on a first call are not scratch
+    assert sample_events_scratch(8, True) <= 1.25 * sample_events_scratch(2, True)
+
+
+def test_counts_only_sample_events_scratch_does_not_grow_with_shots():
+    sample_events_scratch(1, False)  # lazy imports on a first call are not scratch
+    assert sample_events_scratch(8, False) <= 1.25 * sample_events_scratch(2, False)
+
+
+def test_report_holds_no_outcome_bits():
+    # one protocol run's bits would be 8 MB: 4 settings x 10^6 shots x 2 B
+    cli.report_rows(1, 1000, 1000, 1)  # lazy imports on a first call are not the report's
+    assert traced_peak(lambda: cli.report_rows(1, 10**6, 20_000, 1)) < 4 * 10**6
 
 
 def test_write_events_scratch_does_not_grow_with_shots(tmp_path):
     def peak(blocks):
-        result = mzi.sample_events(STATE, [SETTING], blocks * mzi.BLOCK, seed=9)
+        result = mzi.sample_events(STATE, [SETTING], blocks * mzi.BLOCK, seed=9, events=True)
         return traced_peak(lambda: cli.write_events(result, str(tmp_path / "events.jsonl")))
 
     peak(1)  # lazy imports on a first call are not scratch

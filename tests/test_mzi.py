@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -167,9 +168,9 @@ class TestSampling:
     def test_reproducible_across_worker_counts(self):
         state = qcore.maximally_entangled_state()
         settings = mzi.protocol_settings(*mzi.steering_bases())
-        baseline = mzi.sample_events(state, settings, 30_000, seed=5, workers=1)
+        baseline = mzi.sample_events(state, settings, 30_000, seed=5, workers=1, events=True)
         for workers in (2, 3, 5):
-            rerun = mzi.sample_events(state, settings, 30_000, seed=5, workers=workers)
+            rerun = mzi.sample_events(state, settings, 30_000, seed=5, workers=workers, events=True)
             assert np.array_equal(rerun.counts, baseline.counts)
             for (p1, s1), (p2, s2) in zip(baseline.outcomes, rerun.outcomes):
                 assert np.array_equal(p1, p2) and np.array_equal(s1, s2)
@@ -180,7 +181,7 @@ class TestSampling:
             mzi.Setting(theta=0.3, phi=0.4, spin_axis=qcore.X_AXIS),
             mzi.Setting(theta=1.1, phi=-0.7, spin_axis=qcore.Z_AXIS),
         ]
-        result = mzi.sample_events(state, settings, 501, seed=6, workers=2)
+        result = mzi.sample_events(state, settings, 501, seed=6, workers=2, events=True)
         path = tmp_path / "events.jsonl"
         cli.write_events(result, str(path))
         expected = "".join(
@@ -216,7 +217,7 @@ EVENT_SHOTS += [cli.EVENT_TEMPLATE + d for d in (-1, 0, 1)] + [mzi.BLOCK + d for
 def assert_writes_reference_bytes(shots, n_settings, workers, seed):
     base = mzi.protocol_settings(*mzi.steering_bases())
     chosen = [base[k % len(base)] for k in range(n_settings)]
-    result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers)
+    result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers, events=True)
     with tempfile.TemporaryDirectory() as tmp:
         expected, written = Path(tmp, "expected.jsonl"), Path(tmp, "written.jsonl")
         reference_write_events(result, str(expected))
@@ -290,6 +291,20 @@ class TestSpanRunner:
         assert concat.simulate(tree, [0, 1, 1, 0], [2], shots, seed=4, workers=1) == sim
         assert built == pools * 2
         assert np.array_equal(many.counts, one.counts)
+
+    @pytest.mark.parametrize("workers, shares", [(2, [1, 1]), (3, [2, 1]), (4, [2, 2]), (8, [4, 4])])
+    def test_spans_dealt_evenly_to_the_threads(self, monkeypatch, workers, shares):
+        monkeypatch.setattr(mzi.os, "cpu_count", lambda: 2)
+        caller, ran = threading.get_ident(), []
+
+        def task(lo, hi):
+            ran.append(threading.get_ident())
+            return lo, hi
+
+        assert mzi.map_spans(task, 64, workers) == mzi._partition(64, workers)
+        assert len(ran) == workers
+        others = set(ran) - {caller}
+        assert [ran.count(caller)] + [ran.count(t) for t in others] == shares
 
 
 class TestCountEstimators:

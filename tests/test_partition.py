@@ -26,8 +26,8 @@ def test_spans_tile_the_shot_range_on_block_boundaries(shots, workers):
 @settings(max_examples=100, deadline=None)
 @given(shots=shot_counts, workers=worker_counts, seed=st.integers(0, 2**63 - 1))
 def test_results_do_not_depend_on_worker_count(shots, workers, seed):
-    one = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=1)
-    many = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=workers)
+    one = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=1, events=True)
+    many = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=workers, events=True)
     assert np.array_equal(many.counts, one.counts)
     for (p1, s1), (p2, s2) in zip(one.outcomes, many.outcomes):
         assert np.array_equal(p1, p2) and np.array_equal(s1, s2)

@@ -8,10 +8,13 @@ output from these words alone, so a changed stream fails and names the first
 word that differs.
 """
 
+import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from test_golden import GOLDEN, SETTINGS
 
 from racsim import cli, concat, mzi, qcore, qrac
 
@@ -110,7 +113,7 @@ def test_events_file_from_reference_words(tmp_path):
     seed, shots, spans = 11, 150, [(0, 75), (75, 150)]
     chosen = mzi.protocol_settings(*mzi.steering_bases())[1:3]
     with mock.patch.object(mzi, "BLOCK", 64), mock.patch.object(mzi, "_partition", lambda *_: spans):
-        result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers=2)
+        result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers=2, events=True)
     cli.write_events(result, str(tmp_path / "events.jsonl"))
     written = (tmp_path / "events.jsonl").read_text().splitlines()
     expected = []
@@ -123,3 +126,27 @@ def test_events_file_from_reference_words(tmp_path):
     for k, (got, want) in enumerate(zip(written, expected)):
         assert got == want, f"event line {k} is {got}, Philox4x64-10 gives {want}"
     assert len(written) == len(expected) == 2 * shots
+
+
+def test_golden_settings_run_tallies_from_reference_words(tmp_path, capsys):
+    # the mzi-settings-events golden: 3 settings x 5001 shots, seed 3, on 2 workers
+    argv, _ = GOLDEN["mzi-settings-events"]
+    settings_path, events = tmp_path / "settings.jsonl", tmp_path / "events.jsonl"
+    settings_path.write_text(SETTINGS)
+    argv = [a.format(settings=settings_path, events=events) for a in argv]
+    assert cli.main(argv) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    printed = [
+        [r["params"][k] for k in ("n_spin_plus", "n_spin_minus", "m_spin_plus", "m_spin_minus")]
+        for r in rows
+        if r["quantity"] == "correlator-joint"
+    ]
+    args = cli.build_parser().parse_args(argv)
+    state = qcore.entangled_state(args.a, math.sqrt(1.0 - args.a**2), args.delta)
+    expected = []
+    for s_idx, probs in enumerate(mzi.born_probabilities(state, cli.load_settings(str(settings_path)))):
+        cuts = mzi.thresholds(np.cumsum(probs)[:3]).tolist()
+        outcomes = [sum((w >> 11) >= cut for cut in cuts) for w in words(args.seed, s_idx, 0, args.shots)]
+        expected.append([outcomes.count(k) for k in range(4)])
+    assert (args.seed, args.shots, args.workers, len(expected)) == (3, 5001, 2, 3)
+    assert printed == expected
