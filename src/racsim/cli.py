@@ -151,6 +151,8 @@ def cmd_classical(args) -> list[ReportRow]:
     params = {"n": args.n, "mode": args.mode}
     rows: list[ReportRow] = []
     if args.mode == "formula":
+        if args.dump_strategies:
+            raise UsageError("--dump-strategies needs --mode enumerate")
         rows.append(
             ReportRow(
                 "classical",
@@ -313,7 +315,7 @@ def cmd_quantum(args) -> list[ReportRow]:
             success - classical.optimal_classical_formula(n), params,
         ),
         ReportRow(
-            "quantum", "identity-residual", qrac.identity_check(alice, bob), params,
+            "quantum", "identity-residual", float(qrac.identity_check(alice[None], bob[None])[0]), params,
             expected=0.0, tolerance=1e-12, reference="success-expression-identity",
         ),
     ]
@@ -586,7 +588,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     # structural identity over random bases
     rng = np.random.default_rng(seed)
     for n in (2, 3):
-        worst = float(np.max(qrac.identity_residuals(*qrac.random_bases(n, rng, 1000))))
+        worst = float(np.max(qrac.identity_check(*qrac.random_bases(n, rng, 1000))))
         add(f"identity-residual-max-n{n}", worst, 0.0, 1e-12, "success-expression-identity")
 
     # commensurability of violation and success gain
@@ -638,9 +640,8 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
         1e-15, "stage-formula",
     )
     for n in (4, 6):
-        tree = concat.build_tree(n)
-        sim = concat.simulate(tree, [0] * n, [0], concat_shots, seed, workers=workers)
-        exact = float(concat.analytic_per_bit(tree)[0])
+        sim = concat.simulate(concat.build_tree(n), [0] * n, [0], concat_shots, seed, workers=workers)
+        exact = concat.chain_success(*concat.smooth_factorization(n))
         add(
             f"concat-simulated-n{n}", sim.successes[0] / sim.shots, exact,
             _sampling_tolerance(_rate_stderr(exact, sim.shots), sim.shots), "stage-formula",
@@ -701,7 +702,7 @@ def _in_range(convert, low, high=math.inf):
 BITS_MAX = 30
 _n_bits = _in_range(int, 2, BITS_MAX)
 # Every concat run holds and writes n rows, and a sampled run builds the padded
-# code's tree: about 1.1 s at n = 10^5 and 19 s at 10^6 (2-vCPU VM).
+# code's tree: about 0.2-0.3 s and 35 MB at n = 10^5 (2-vCPU VM).
 CONCAT_MAX_N = 10**5
 # A sampled concat run keeps one block of spin-flip parity per query in each shot
 # span: queries x min(span shots, mzi.BLOCK) bytes (concat.simulate_range), or

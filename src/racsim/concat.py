@@ -21,49 +21,49 @@ class ConcatTree:
     subunit's arity: ``[[0, 1], [2, 3]]`` is the balanced n = 4 code. One walk
     checks the nesting, numbers the subunits in postorder (root last; subunit
     ``u`` keys its Alice and Bob streams ``2 u`` and ``2 u + 1``), and stores
-    each subunit's children and each leaf's path from the root.
+    each subunit's children and one parent link per node: the (subunit number,
+    child slot) that holds it. A leaf's path from the root is walked up from its
+    link only when asked for.
     """
 
     def __init__(self, nested):
         subunits: list[tuple[tuple[bool, int], ...]] = []
-        paths: dict[int, list[tuple[int, int]]] = {}
+        # parent links: of each subunit by number (the root has none), and of each
+        # leaf occurrence as (leaf index, link)
+        subunit_links: list[tuple[int, int] | None] = []
+        leaf_links: list[tuple[int, tuple[int, int]]] = []
 
-        def walk(item) -> tuple[tuple[bool, int], list[int]]:
-            """``item`` as a child, (is subunit, subunit number or leaf index), and its leaves."""
+        def walk(item) -> tuple[bool, int]:
+            """``item`` as a child: (is subunit, subunit number or leaf index)."""
             if isinstance(item, int):
-                paths[item] = []
-                return (False, item), [item]
+                return False, item
             if len(item) not in (2, 3):
                 raise ValueError(f"subunit arity must be 2 or 3, got {len(item)}")
-            children, groups = zip(*(walk(child) for child in item))
+            children = tuple(walk(child) for child in item)
             uid = len(subunits)
             subunits.append(children)
-            for slot, leaves in enumerate(groups):
-                for leaf in leaves:
-                    paths[leaf].append((uid, slot))
-            return (True, uid), [leaf for leaves in groups for leaf in leaves]
+            subunit_links.append(None)
+            for slot, (is_subunit, i) in enumerate(children):
+                if is_subunit:
+                    subunit_links[i] = (uid, slot)
+                else:
+                    leaf_links.append((i, (uid, slot)))
+            return True, uid
 
         if isinstance(nested, int):
             raise ValueError("a tree needs at least one subunit, got a bare leaf")
-        _, leaves = walk(nested)
-        if sorted(leaves) != list(range(len(leaves))):
+        walk(nested)
+        leaf_links.sort()
+        if [leaf for leaf, _ in leaf_links] != list(range(len(leaf_links))):
             raise ValueError("leaf indices must be a permutation of 0..n-1")
-        self.n = len(leaves)
+        self.n = len(leaf_links)
         self._subunits = tuple(subunits)
-        # each path was collected bottom-up
-        self._paths = tuple(tuple(reversed(paths[leaf])) for leaf in range(self.n))
+        self._leaf_links = tuple(link for _, link in leaf_links)
+        self._subunit_links = tuple(subunit_links)
 
     def internal_postorder(self) -> tuple[tuple[tuple[bool, int], ...], ...]:
         """Children of each subunit, by subunit number: (is subunit, subunit number or leaf index)."""
         return self._subunits
-
-    def depth_profile(self) -> list[tuple[int, int]]:
-        """Per leaf (by index): counts of 2-ary and 3-ary ancestor subunits."""
-        profile = []
-        for path in self._paths:
-            twos = sum(len(self._subunits[uid]) == 2 for uid, _ in path)
-            profile.append((twos, len(path) - twos))
-        return profile
 
     def paths_to_leaves(self, leaves: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
         """Per leaf, in the order given: (subunit number, child slot taken) from the root down.
@@ -73,7 +73,13 @@ class ConcatTree:
         for leaf in leaves:
             if not 0 <= leaf < self.n:
                 raise ValueError(f"leaf {leaf} not present (n={self.n})")
-        return [self._paths[leaf] for leaf in leaves]
+        paths = []
+        for leaf in leaves:
+            path = [self._leaf_links[leaf]]
+            while (link := self._subunit_links[path[-1][0]]) is not None:
+                path.append(link)
+            paths.append(tuple(reversed(path)))
+        return paths
 
 
 def smooth_ceiling(n: int) -> int:
@@ -121,11 +127,6 @@ def chain_success(two_stages: int, three_stages: int) -> float:
     if two_stages < 0 or three_stages < 0:
         raise ValueError("stage counts must be nonnegative")
     return 0.5 * (1.0 + 2.0 ** (-two_stages / 2) * 3.0 ** (-three_stages / 2))
-
-
-def analytic_per_bit(tree: ConcatTree) -> np.ndarray:
-    """Exact per-leaf success probabilities from the depth profile."""
-    return np.array([chain_success(k, j) for k, j in tree.depth_profile()])
 
 
 def quantum_bound(n: int) -> float:

@@ -88,16 +88,11 @@ def bell_from_preps(alice: np.ndarray, bob: np.ndarray) -> float:
     return bell_value(tables[0], sign_matrix(len(bob)))
 
 
-def identity_residuals(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+def identity_check(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """Residual |success - (1 + value / (n 2^(n-1))) / 2| of each basis of a stack; zero up to rounding."""
     success, tables = _evaluate(alice, bob)
     n = bob.shape[1]
     return np.abs(success - success_from_bell(n, bell_value(tables, sign_matrix(n))))
-
-
-def identity_check(alice: np.ndarray, bob: np.ndarray) -> float:
-    """Residual of the success/expression identity for one basis choice."""
-    return float(identity_residuals(alice[None], bob[None])[0])
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:

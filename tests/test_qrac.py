@@ -198,12 +198,13 @@ class TestBellFromPreps:
 
 class TestIdentity:
     def test_default_bases(self):
-        assert qrac.identity_check(*qrac.default_bases(2)) < 1e-12
+        alice, bob = qrac.default_bases(2)
+        assert qrac.identity_check(alice[None], bob[None])[0] < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_sweep(self, n):
         rng = np.random.default_rng(42 + n)
-        worst = np.max(qrac.identity_residuals(*qrac.random_bases(n, rng, 1000)))
+        worst = np.max(qrac.identity_check(*qrac.random_bases(n, rng, 1000)))
         assert worst < 1e-12
 
     def test_margin_matches_success_gap(self):
@@ -222,7 +223,7 @@ class TestMaximizeBell:
         assert value >= 2 * math.sqrt(2) - 1e-6
         assert value <= quantum_max(2) + 1e-9
         assert alice.shape == (2, 3) and bob.shape == (2, 3)
-        assert qrac.identity_check(alice, bob) < 1e-12
+        assert qrac.identity_check(alice[None], bob[None])[0] < 1e-12
 
     def test_three_bit_reaches_optimum(self):
         value, _, _ = qrac.maximize_bell(3, starts=50, seed=7)
@@ -334,7 +335,7 @@ def oracle_born_traces(alice, bob):
 def kernel_bytes(alice, bob):
     """The bytes of every stacked kernel output: residuals, success, correlators and the steered table."""
     success, tables = qrac._evaluate(alice, bob)
-    outputs = (qrac.identity_residuals(alice, bob), success, tables, qrac.steered_table(alice, bob))
+    outputs = (qrac.identity_check(alice, bob), success, tables, qrac.steered_table(alice, bob))
     return [a.tobytes() for a in outputs]
 
 
@@ -410,7 +411,7 @@ class TestStackedKernel:
     @given(**stacks)
     def test_identity_residuals_vanish(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        assert np.all(qrac.identity_residuals(alice, bob) < 1e-12)
+        assert np.all(qrac.identity_check(alice, bob) < 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks)
@@ -422,7 +423,7 @@ class TestStackedKernel:
             abs(p - success_from_bell(n, float(np.sum(signs * table))))
             for p, table in zip(success, tables)
         ]
-        assert qrac.identity_residuals(alice, bob).tobytes() == np.array(expected).tobytes()
+        assert qrac.identity_check(alice, bob).tobytes() == np.array(expected).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(**stacks)

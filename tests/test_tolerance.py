@@ -61,7 +61,7 @@ def test_correlator_stderr_is_calibrated():
 
 def test_rate_stderr_is_calibrated():
     tree = concat.build_tree(6)
-    exact = concat.analytic_per_bit(tree)[0]
+    exact = concat.chain_success(1, 1)
     z = []
     for seed in SEEDS:
         sim = concat.simulate(tree, [0] * 6, [0], SHOTS, seed)
