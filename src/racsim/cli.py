@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 
@@ -81,10 +83,39 @@ def emit(rows: list[ReportRow]) -> None:
         sys.stdout.write(json.dumps(row.to_dict()) + "\n")
 
 
+def _open_output(path: str) -> int:
+    """A write descriptor on ``path`` at offset 0, creating the file but not truncating it.
+
+    Truncating on open makes a rerun wait for the filesystem to drop the old
+    file's blocks, and a run that fails later would leave the old output empty.
+    """
+    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+
+@contextlib.contextmanager
+def _rewrite(path: str, mode: str = "wb", **kwargs):
+    """``path`` as a file written from offset 0; a regular file is cut to the bytes written.
+
+    The cut also runs when a write fails, so the file then holds the new prefix
+    and nothing stale after it. Devices and FIFOs (``/dev/null``, ``/dev/full``)
+    are never cut.
+    """
+    with os.fdopen(_open_output(path), mode, **kwargs) as handle:
+        try:
+            yield handle
+        finally:
+            try:
+                handle.flush()
+            finally:
+                fd = handle.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def write_csv(rows: list[ReportRow], path: str) -> None:
     """The rows' ``to_dict`` records as CSV, params JSON-encoded in the last column."""
     columns = ["cmd", "quantity", "value", "expected", "tolerance", "reference", "pass", "params"]
-    with open(path, "w", newline="") as handle:
+    with _rewrite(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, columns)
         writer.writeheader()
         for row in rows:
@@ -410,7 +441,7 @@ def write_events(result: mzi.SamplingResult, path: str) -> None:
     size = EVENT_TEMPLATE
     places = [np.arange(48, 58, dtype=np.uint8)] * (len(str(size)) - 1)  # ASCII 0 .. 9 in each place
     template = np.stack(np.meshgrid(*places, indexing="ij"), axis=-1).reshape(size, -1)
-    with open(path, "wb") as handle:
+    with _rewrite(path) as handle:
         for s_idx, (path_bits, spin_bits) in enumerate(result.outcomes):
             head = np.frombuffer(f'{{"setting": {s_idx}, "shot": '.encode(), dtype=np.uint8)
             lo, shots = 0, len(path_bits)
@@ -445,7 +476,9 @@ def cmd_mzi(args) -> list[ReportRow]:
             f"{held} B of outcomes, above {OUTCOME_BUDGET} B"
         )
     if args.events:
-        open(args.events, "wb").close()  # an unwritable path fails before any sampling
+        # an unwritable path fails before any sampling; the old log stays intact
+        # until write_events rewrites it, so a run that fails in between keeps it
+        os.close(_open_output(args.events))
     # keeps the bits without --events too: perfbench/test_perfbench.py pins mzi's outcome_bytes
     result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers, events=True)
     # every estimate is checked against the Born rows it was drawn from
@@ -837,7 +870,7 @@ def main(argv=None) -> int:
         parser.error("--seed is required with --optimize")
     try:
         if getattr(args, "csv", None):
-            open(args.csv, "w").close()  # an unwritable path fails before any work
+            os.close(_open_output(args.csv))  # an unwritable path fails before any work; the old file stays
         rows = args.func(args)
         if getattr(args, "csv", None):
             write_csv(rows, args.csv)

@@ -32,27 +32,9 @@ class ConcatTree:
         # leaf occurrence as (leaf index, link)
         subunit_links: list[tuple[int, int] | None] = []
         leaf_links: list[tuple[int, tuple[int, int]]] = []
-
-        def walk(item) -> tuple[bool, int]:
-            """``item`` as a child: (is subunit, subunit number or leaf index)."""
-            if isinstance(item, int):
-                return False, item
-            if len(item) not in (2, 3):
-                raise ValueError(f"subunit arity must be 2 or 3, got {len(item)}")
-            children = tuple(walk(child) for child in item)
-            uid = len(subunits)
-            subunits.append(children)
-            subunit_links.append(None)
-            for slot, (is_subunit, i) in enumerate(children):
-                if is_subunit:
-                    subunit_links[i] = (uid, slot)
-                else:
-                    leaf_links.append((i, (uid, slot)))
-            return True, uid
-
         if isinstance(nested, int):
             raise ValueError("a tree needs at least one subunit, got a bare leaf")
-        walk(nested)
+        self._walk(nested, subunits, subunit_links, leaf_links)
         leaf_links.sort()
         if [leaf for leaf, _ in leaf_links] != list(range(len(leaf_links))):
             raise ValueError("leaf indices must be a permutation of 0..n-1")
@@ -60,6 +42,28 @@ class ConcatTree:
         self._subunits = tuple(subunits)
         self._leaf_links = tuple(link for _, link in leaf_links)
         self._subunit_links = tuple(subunit_links)
+
+    @staticmethod
+    def _walk(item, subunits: list, subunit_links: list, leaf_links: list) -> tuple[bool, int]:
+        """``item`` as a child: (is subunit, subunit number or leaf index), its subunits appended.
+
+        A method, not a closure over the lists: a closure that calls itself is a
+        reference cycle, which keeps the lists alive until the cycle collector runs.
+        """
+        if isinstance(item, int):
+            return False, item
+        if len(item) not in (2, 3):
+            raise ValueError(f"subunit arity must be 2 or 3, got {len(item)}")
+        children = tuple(ConcatTree._walk(child, subunits, subunit_links, leaf_links) for child in item)
+        uid = len(subunits)
+        subunits.append(children)
+        subunit_links.append(None)
+        for slot, (is_subunit, i) in enumerate(children):
+            if is_subunit:
+                subunit_links[i] = (uid, slot)
+            else:
+                leaf_links.append((i, (uid, slot)))
+        return True, uid
 
     def internal_postorder(self) -> tuple[tuple[tuple[bool, int], ...], ...]:
         """Children of each subunit, by subunit number: (is subunit, subunit number or leaf index)."""

@@ -437,6 +437,7 @@ class TestReportCommand:
 
     def test_full_report_passes_and_exports_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "report.csv"
+        csv_path.write_text("stale,line\n" * 10_000)  # rewritten in place: the old tail must go
         code, rows = run(
             capsys,
             ["report", "--all", "--seed", "42", "--shots", "100000",
@@ -453,6 +454,7 @@ class TestReportCommand:
         lines = csv_path.read_text().splitlines()
         assert len(lines) == len(rows) + 1
         assert lines[0].startswith("cmd,quantity,value")
+        assert not any(line.startswith("stale") for line in lines)
 
     def test_deterministic_given_seed(self, capsys):
         args = ["report", "--all", "--seed", "9", "--shots", "20000", "--concat-shots", "20000"]
@@ -961,6 +963,95 @@ def test_unwritable_output_fails_before_any_work(capsys, monkeypatch, tmp_path, 
         cli.main([arg.format(**paths) for arg in argv])
     assert excinfo.value.code == 2
     assert "No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, owner, stage",
+    [
+        (["mzi", "--shots", "10", "--seed", "1", "--events", "{out}"], cli.mzi, "sample_events"),
+        (["report", "--all", "--seed", "1", "--csv", "{out}"], cli, "report_rows"),
+    ],
+    ids=["mzi-events", "report-csv"],
+)
+def test_failure_after_the_output_check_keeps_the_old_file(capsys, monkeypatch, tmp_path, argv, owner, stage):
+    # the check opens the output without truncating it, so the old bytes survive a failed run
+    def fail(*args, **kwargs):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(owner, stage, fail)
+    out, old = tmp_path / "out", b'{"setting": 0, "shot": 0, "path": 1, "spin": 0}\n' * 1000
+    out.write_bytes(old)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([arg.format(out=out) for arg in argv])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+    assert out.read_bytes() == old
+
+
+class FailAfter:
+    """A file object whose writes fail with ENOSPC once ``chunks`` of them went through."""
+
+    def __init__(self, handle, chunks):
+        self.handle, self.left, self.written = handle, chunks, []
+
+    def write(self, data):
+        if not self.left:
+            raise OSError(28, "No space left on device")
+        self.left -= 1
+        self.written.append(bytes(data))
+        return self.handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+        return False
+
+
+@pytest.mark.parametrize("chunks", [0, 1, 5, 15])
+def test_events_write_failing_midway_leaves_the_new_prefix(capsys, monkeypatch, tmp_path, chunks):
+    # 4 settings x 2000 shots: 16 chunks (one per decade of shot numbers per setting)
+    argv = ["mzi", "--shots", "2000", "--seed", "3", "--events"]
+    reference = tmp_path / "reference.jsonl"
+    assert cli.main(argv + [str(reference)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "events.jsonl"
+    out.write_bytes(b"stale\n" * (2 * reference.stat().st_size))
+    opened = []
+    fdopen = os.fdopen
+
+    def failing_fdopen(*args, **kwargs):
+        opened.append(FailAfter(fdopen(*args, **kwargs), chunks))
+        return opened[-1]
+
+    monkeypatch.setattr(cli.os, "fdopen", failing_fdopen)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + [str(out)])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    [handle] = opened
+    assert len(handle.written) == chunks
+    written = out.read_bytes()
+    assert written == b"".join(handle.written)
+    assert reference.read_bytes().startswith(written)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mzi", "--shots", "10", "--seed", "1", "--events", os.devnull],
+        ["report", "--all", "--seed", "1", "--shots", "1000", "--concat-shots", "1000", "--csv", os.devnull],
+    ],
+    ids=["mzi-events", "report-csv"],
+)
+def test_output_to_dev_null_exits_0(capsys, argv):
+    # a character device is written but never cut
+    assert cli.main(argv) == 0
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

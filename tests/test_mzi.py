@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tempfile
 import threading
 from pathlib import Path
@@ -251,6 +252,73 @@ def test_write_events_small_chunks_match_reference_bytes(template, shots, n_sett
     # shot numbers at and above the template size get one, two or three high digits
     with mock.patch.object(cli, "EVENT_TEMPLATE", template):
         assert_writes_reference_bytes(shots, n_settings, workers, seed)
+
+
+def events_and_reference(shots, seed=1):
+    """Two protocol settings' sampled events and the reference writer's bytes for them."""
+    settings = mzi.protocol_settings(*mzi.steering_bases())[:2]
+    result = mzi.sample_events(qcore.maximally_entangled_state(), settings, shots, seed, events=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        reference = Path(tmp, "reference.jsonl")
+        reference_write_events(result, str(reference))
+        return result, reference.read_bytes()
+
+
+def stale_bytes(kind, new_size, fill):
+    """An old file's bytes: empty, shorter than the new ones, the same size, or much longer."""
+    size = {"empty": 0, "shorter": new_size // 2, "same": new_size, "longer": 3 * new_size + 4099}[kind]
+    return (fill * (size // len(fill) + 1))[:size]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shots=st.sampled_from([0, 1, 11, 150]),
+    kind=st.sampled_from(["empty", "shorter", "same", "longer"]),
+    fill=st.binary(min_size=1, max_size=64),
+)
+def test_rewrite_over_an_old_file_leaves_only_the_new_bytes(shots, kind, fill):
+    # the file is written from offset 0 without truncating on open and cut at the end
+    result, expected = events_and_reference(shots)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "events.jsonl")
+        path.write_bytes(stale_bytes(kind, len(expected), fill))
+        cli.write_events(result, str(path))
+        assert path.read_bytes() == expected
+
+
+def test_rewrite_through_a_symlink_keeps_the_link(tmp_path):
+    result, expected = events_and_reference(150)
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_bytes(b"stale\n" * 10_000)
+    link.symlink_to(target)
+    cli.write_events(result, str(link))
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == expected
+
+
+def test_rewrite_of_a_hard_link_reaches_both_names(tmp_path):
+    result, expected = events_and_reference(150)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first.write_bytes(b"stale\n" * 10_000)
+    os.link(first, second)
+    cli.write_events(result, str(second))
+    assert first.read_bytes() == second.read_bytes() == expected
+    assert os.stat(first).st_nlink == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this system")
+def test_events_stream_into_a_fifo(tmp_path):
+    # a FIFO cannot be cut: the writer leaves it alone and the reader gets every line
+    result, expected = events_and_reference(150)
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cli.write_events(result, str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [expected]
 
 
 class _InlinePool:
