@@ -112,6 +112,15 @@ def _rewrite(path: str, mode: str = "wb", **kwargs):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
+def _held_output(path: str | None):
+    """``path`` opened for writing before any work, to hold until the work is done; no path holds nothing.
+
+    An unwritable path fails before any work, the old file stays as it was until
+    its writer rewrites it, and a FIFO's reader sees no end-of-file in between.
+    """
+    return open(_open_output(path), "wb", buffering=0) if path else contextlib.nullcontext()
+
+
 def write_csv(rows: list[ReportRow], path: str) -> None:
     """The rows' ``to_dict`` records as CSV, params JSON-encoded in the last column."""
     columns = ["cmd", "quantity", "value", "expected", "tolerance", "reference", "pass", "params"]
@@ -132,6 +141,12 @@ def _quantum_optimum(n: int) -> tuple[float, float]:
     """Quantum-optimal (success, expression value) of the n-bit code."""
     cap = bell.quantum_max(n)
     return bell.success_from_bell(n, cap), cap
+
+
+def _quantum_values(alice: np.ndarray, bob: np.ndarray) -> tuple[float, float, float]:
+    """Success, expression value and identity residual of one basis, from one ``qrac.evaluate``."""
+    success, correlators, residual = qrac.evaluate(alice[None], bob[None])
+    return float(success[0]), bell.bell_value(correlators[0], bell.sign_matrix(len(bob))), float(residual[0])
 
 
 # A sampled row passes within Z standard errors of its target, each SE that of the
@@ -331,24 +346,13 @@ def cmd_quantum(args) -> list[ReportRow]:
         alice, bob = qrac.default_bases(n)
         expected_p, expected_c = _quantum_optimum(n)
     params = {"n": n, "bases": args.bases or "default"}
-    success = qrac.quantum_success(alice, bob)
+    success, value, residual = _quantum_values(alice, bob)
+    margin = success - classical.optimal_classical_formula(n)
     rows = [
-        ReportRow(
-            "quantum", "success", success, params,
-            expected=expected_p, tolerance=1e-9, reference="quantum-optimum",
-        ),
-        ReportRow(
-            "quantum", "expression-value", qrac.bell_from_preps(alice, bob), params,
-            expected=expected_c, tolerance=1e-9, reference="quantum-optimum",
-        ),
-        ReportRow(
-            "quantum", "margin-over-classical",
-            success - classical.optimal_classical_formula(n), params,
-        ),
-        ReportRow(
-            "quantum", "identity-residual", float(qrac.identity_check(alice[None], bob[None])[0]), params,
-            expected=0.0, tolerance=1e-12, reference="success-expression-identity",
-        ),
+        ReportRow("quantum", "success", success, params, expected_p, 1e-9, "quantum-optimum"),
+        ReportRow("quantum", "expression-value", value, params, expected_c, 1e-9, "quantum-optimum"),
+        ReportRow("quantum", "margin-over-classical", margin, params),
+        ReportRow("quantum", "identity-residual", residual, params, 0.0, 1e-12, "success-expression-identity"),
     ]
     if args.optimize:
         best, _, _ = qrac.maximize_bell(n, starts=args.starts, iterations=args.iterations, seed=args.seed)
@@ -475,12 +479,11 @@ def cmd_mzi(args) -> list[ReportRow]:
             f"{args.settings}: {len(settings)} settings x {args.shots} shots would hold "
             f"{held} B of outcomes, above {OUTCOME_BUDGET} B"
         )
-    if args.events:
-        # an unwritable path fails before any sampling; the old log stays intact
-        # until write_events rewrites it, so a run that fails in between keeps it
-        os.close(_open_output(args.events))
-    # keeps the bits without --events too: perfbench/test_perfbench.py pins mzi's outcome_bytes
-    result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers, events=True)
+    with _held_output(args.events):
+        # keeps the bits without --events too: perfbench/test_perfbench.py pins mzi's outcome_bytes
+        result = mzi.sample_events(state, settings, args.shots, args.seed, workers=args.workers, events=True)
+        if args.events:
+            write_events(result, args.events)
     # every estimate is checked against the Born rows it was drawn from
     joint, exact = mzi.correlators(result.counts).tolist(), mzi.correlators(result.probs).tolist()
     stderrs = np.sqrt(_correlator_variances(result.probs, args.shots)).tolist()
@@ -498,8 +501,6 @@ def cmd_mzi(args) -> list[ReportRow]:
         rows.append(ReportRow("mzi", "expression-estimate", value, base_params, target, tol_c, "born-table"))
         target_p = bell.success_from_bell(2, target)
         rows.append(ReportRow("mzi", "success-estimate", success, base_params, target_p, tol_p, "born-table"))
-    if args.events:
-        write_events(result, args.events)
     return rows
 
 
@@ -608,15 +609,12 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
             bell.classical_bound(n), 0, "noncontextual-bound",
         )
 
-    # headline quantum numbers
-    for n in (2, 3):
+    # headline quantum numbers: one evaluation per default basis set
+    headline = {n: _quantum_values(*qrac.default_bases(n)) for n in (2, 3)}
+    for n, (success, value, _) in headline.items():
         target_p, target_c = _quantum_optimum(n)
-        alice, bob = qrac.default_bases(n)
-        add(f"quantum-success-n{n}", qrac.quantum_success(alice, bob), target_p, 1e-9, "quantum-optimum")
-        add(
-            f"quantum-expression-n{n}", qrac.bell_from_preps(alice, bob), target_c, 1e-9,
-            "quantum-optimum",
-        )
+        add(f"quantum-success-n{n}", success, target_p, 1e-9, "quantum-optimum")
+        add(f"quantum-expression-n{n}", value, target_c, 1e-9, "quantum-optimum")
 
     # structural identity over random bases
     rng = np.random.default_rng(seed)
@@ -625,11 +623,10 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
         add(f"identity-residual-max-n{n}", worst, 0.0, 1e-12, "success-expression-identity")
 
     # commensurability of violation and success gain
-    for n, denom in ((2, 8.0), (3, 24.0)):
-        alice, bob = qrac.default_bases(n)
-        gain = qrac.quantum_success(alice, bob) - classical.optimal_classical_formula(n)
-        beta, _ = bell.violation_margin(n, qrac.bell_from_preps(alice, bob), bell.classical_bound(n))
-        add(f"success-gain-vs-violation-n{n}", gain, beta / denom, 1e-9, "margin-identity")
+    for n, (success, value, _) in headline.items():
+        gain = success - classical.optimal_classical_formula(n)
+        _, expected = bell.violation_margin(n, value, bell.classical_bound(n))
+        add(f"success-gain-vs-violation-n{n}", gain, expected, 1e-9, "margin-identity")
 
     # seesaw search against the quantum cap
     for n in (2, 3):
@@ -743,8 +740,8 @@ CONCAT_MAX_N = 10**5
 # sum, at most queries x min(shots, workers x BLOCK), is held to this budget
 # whatever the CPU count.
 QUERY_SCRATCH_BUDGET = 2**30
-# Exact evaluation of a --bases file reads n 2^(n-1) Born tables and n 2^n cells: n = 16
-# takes about 2.6-3.7 s and 117 MB (2-vCPU VM), and every 2 more bits cost about 4x that.
+# Exact evaluation of a --bases file reads n 2^(n-1) Born tables and n 2^n cells once: n = 16
+# takes about 1.2-1.5 s and 107 MB (2-vCPU VM), and every 2 more bits cost about 4x that.
 BASES_MAX_N = 16
 # |i|, |j| of a settings line's label: a reader parsing JSON numbers as doubles gets it intact
 LABEL_MAX = 2**53
@@ -869,11 +866,10 @@ def main(argv=None) -> int:
     if args.command == "quantum" and args.optimize and args.seed is None:
         parser.error("--seed is required with --optimize")
     try:
-        if getattr(args, "csv", None):
-            os.close(_open_output(args.csv))  # an unwritable path fails before any work; the old file stays
-        rows = args.func(args)
-        if getattr(args, "csv", None):
-            write_csv(rows, args.csv)
+        with _held_output(getattr(args, "csv", None)):
+            rows = args.func(args)
+            if getattr(args, "csv", None):
+                write_csv(rows, args.csv)
     except (UsageError, OSError) as exc:  # OSError: a file that cannot be opened, read or written
         parser.exit(2, f"error: {exc}\n")
     try:

@@ -54,13 +54,14 @@ def steered_table(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).reshape(pairs.shape[1:-1] + (2, 2))
 
 
-def _evaluate(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Success and correlator table of every basis in a stack, both read from one ``steered_table``.
+def evaluate(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Success, correlator table and identity residual of every basis in a stack, all from one ``steered_table``.
 
     ``alice`` is (m, 2^(n-1), 3) and ``bob`` (m, n, 3). Cell (string s, queried bit
     k) is 2 P(a = s_0, b = s_k) at s's class; success sums the cells in
     ``bit_strings`` order. Correlator (i, j) is P00 + P11 - P01 - P10, analytically
-    alice[i] . bob[j]. The one-basis views pass a stack of one.
+    alice[i] . bob[j]. The residual |success - (1 + value / (n 2^(n-1))) / 2| holds
+    each success against its correlators' expression value; it is zero up to rounding.
     """
     n = bob.shape[1]
     table = steered_table(alice, bob)
@@ -69,30 +70,26 @@ def _evaluate(alice: np.ndarray, bob: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # a running sum, not a pairwise one, so each success equals the cell-by-cell loop
     success = np.cumsum(cells.reshape(len(cells), -1), axis=1)[:, -1] / (n * (1 << n))
     correlators = table[..., 0, 0] + table[..., 1, 1] - table[..., 0, 1] - table[..., 1, 0]
-    return success, correlators
+    residual = np.abs(success - success_from_bell(n, bell_value(correlators, sign_matrix(n))))
+    return success, correlators, residual
 
 
+# One-basis views of ``evaluate``; no command calls the first three, the benchmark's span list names them.
 def quantum_success(alice: np.ndarray, bob: np.ndarray) -> float:
-    """Average success over all (string, queried bit) cells of the steered Born table."""
-    return float(_evaluate(alice[None], bob[None])[0][0])
+    return float(evaluate(alice[None], bob[None])[0][0])
 
 
 def correlator_qm(alice: np.ndarray, bob: np.ndarray, i: int, j: int) -> float:
-    """Correlator P00 + P11 - P01 - P10 of the steered pair (i, j); analytically the dot product."""
-    return float(_evaluate(alice[None], bob[None])[1][0, i, j])
+    return float(evaluate(alice[None], bob[None])[1][0, i, j])
 
 
 def bell_from_preps(alice: np.ndarray, bob: np.ndarray) -> float:
-    """Value of the n-bit expression over the steered correlators."""
-    _, tables = _evaluate(alice[None], bob[None])
-    return bell_value(tables[0], sign_matrix(len(bob)))
+    return bell_value(evaluate(alice[None], bob[None])[1][0], sign_matrix(len(bob)))
 
 
 def identity_check(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Residual |success - (1 + value / (n 2^(n-1))) / 2| of each basis of a stack; zero up to rounding."""
-    success, tables = _evaluate(alice, bob)
-    n = bob.shape[1]
-    return np.abs(success - success_from_bell(n, bell_value(tables, sign_matrix(n))))
+    """The identity residual of each basis of a stack, ``evaluate``'s third value."""
+    return evaluate(alice, bob)[2]
 
 
 def random_direction(rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import cli, mzi
+from racsim import cli, mzi, qcore, qrac
+from test_mzi import reference_write_events
 
 
 def run(capsys, argv):
@@ -128,6 +130,31 @@ class TestQuantumCommand:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["quantum", "--bases", str(bad)])
         assert excinfo.value.code == 2
+
+    @staticmethod
+    def evaluate_spy(monkeypatch) -> list[int]:
+        """The stack size of every ``qrac.evaluate`` call from now on."""
+        calls, evaluate = [], qrac.evaluate
+
+        def spy(alice, bob):
+            calls.append(len(alice))
+            return evaluate(alice, bob)
+
+        monkeypatch.setattr(qrac, "evaluate", spy)
+        return calls
+
+    def test_bases_file_is_evaluated_once(self, capsys, monkeypatch, tmp_path):
+        bases_path = tmp_path / "bases.json"
+        bases_path.write_text(json.dumps({"alice": [[0, 0, 1], [1, 0, 0]], "bob": [[0, 0, 1], [0, 1, 0]]}))
+        calls = self.evaluate_spy(monkeypatch)
+        assert cli.main(["quantum", "--bases", str(bases_path)]) == 0
+        assert calls == [1]
+
+    def test_report_evaluates_each_basis_set_once(self, monkeypatch):
+        # the two default basis sets, then the two stacks of 1000 random bases
+        calls = self.evaluate_spy(monkeypatch)
+        cli.report_rows(1, 1000, 1000, 1)
+        assert calls == [1, 1, 1000, 1000]
 
     def test_optimize_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -1052,6 +1079,53 @@ def test_events_write_failing_midway_leaves_the_new_prefix(capsys, monkeypatch, 
 def test_output_to_dev_null_exits_0(capsys, argv):
     # a character device is written but never cut
     assert cli.main(argv) == 0
+
+
+def read_fifo_while_running(fifo, argv) -> tuple[bytes, bytes]:
+    """A CLI subprocess writing to ``fifo`` while a reader subprocess drains it: (stdout, bytes read).
+
+    Both run under a timeout, so a writer or reader that blocks fails the test instead of hanging it.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    drain = "import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read())"
+    with subprocess.Popen([sys.executable, "-c", drain, str(fifo)], stdout=subprocess.PIPE) as reader:
+        try:
+            writer = subprocess.run(
+                [sys.executable, "-m", "racsim.cli", *argv], capture_output=True, env=env, timeout=60,
+            )
+            received, _ = reader.communicate(timeout=60)
+        finally:
+            reader.kill()
+    assert writer.returncode == 0, writer.stderr
+    assert reader.returncode == 0
+    return writer.stdout, received
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this system")
+def test_events_reach_a_fifo_reader(tmp_path):
+    # the output check's descriptor stays open until write_events is done, so the
+    # reader sees no end-of-file before the writer's own open
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    _, received = read_fifo_while_running(fifo, ["mzi", "--shots", "10", "--seed", "1", "--events", str(fifo)])
+    a = 1.0 / math.sqrt(2.0)  # the command's default state
+    state = qcore.entangled_state(a, math.sqrt(max(0.0, 1.0 - a**2)), math.pi)
+    settings = mzi.protocol_settings(*mzi.steering_bases())
+    reference = tmp_path / "reference.jsonl"
+    reference_write_events(mzi.sample_events(state, settings, 10, 1, events=True), str(reference))
+    assert received == reference.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this system")
+def test_report_csv_reaches_a_fifo_reader(tmp_path):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    argv = ["report", "--all", "--seed", "1", "--shots", "1000", "--concat-shots", "1000", "--csv", str(fifo)]
+    stdout, received = read_fifo_while_running(fifo, argv)
+    rows = [json.loads(line) for line in stdout.decode().splitlines()]
+    records = list(csv.DictReader(io.StringIO(received.decode())))
+    assert rows and [r["quantity"] for r in records] == [r["quantity"] for r in rows]
+    assert [json.loads(r["params"]) for r in records] == [r["params"] for r in rows]
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -7,7 +7,9 @@ pin the enumeration, steered Born-table and seesaw rows the same way.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from racsim import cli
@@ -17,6 +19,12 @@ SETTINGS = (
     '{"theta": 1.1, "phi": -0.7, "spin_axis": [0, 0.6, 0.8], "i": 2, "j": 1}\n'
     '{"theta": 0.0, "phi": 2.5, "spin_axis": [0, 0, -1]}\n'
 )
+
+# n = 4: 8 Alice and 4 Bob seeded random unit directions. The rows name the file, so
+# the test writes it as bases.json in its working directory.
+_DIRECTIONS = np.random.default_rng(4).standard_normal((12, 3))
+_DIRECTIONS /= np.linalg.norm(_DIRECTIONS, axis=1, keepdims=True)
+BASES = json.dumps({"alice": _DIRECTIONS[:8].tolist(), "bob": _DIRECTIONS[8:].tolist()})
 
 GOLDEN = {
     "mzi-counts-workers-1": (
@@ -85,6 +93,11 @@ GOLDEN = {
         ["quantum", "--n", "2"],
         "06548e6507fcdf76a915db561b5a3daf9997d869e5c22e2a26f24db8c2ecb6fb",
     ),
+    # a bases file: success, expression value and identity residual of one evaluation
+    "quantum-bases-n4": (
+        ["quantum", "--bases", "bases.json"],
+        "37941f41b94f010593bf0204bf51ba0954e21f7b1d3d879d47f8306e397c34f4",
+    ),
     "classical-n3": (
         ["classical", "--n", "3"],
         "5d0c23cf383abe37183c04999f29aa8df6e3af0274e48a7be9e9941913e58135",
@@ -102,8 +115,10 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", GOLDEN)
-def test_output_matches_golden_digest(name, capsys, tmp_path):
+def test_output_matches_golden_digest(name, capsys, monkeypatch, tmp_path):
     argv, digest = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bases.json").write_text(BASES)
     settings = tmp_path / "settings.jsonl"
     settings.write_text(SETTINGS)
     events = tmp_path / "events.jsonl"

@@ -334,8 +334,8 @@ def oracle_born_traces(alice, bob):
 
 def kernel_bytes(alice, bob):
     """The bytes of every stacked kernel output: residuals, success, correlators and the steered table."""
-    success, tables = qrac._evaluate(alice, bob)
-    outputs = (qrac.identity_check(alice, bob), success, tables, qrac.steered_table(alice, bob))
+    success, tables, residuals = qrac.evaluate(alice, bob)
+    outputs = (residuals, success, tables, qrac.steered_table(alice, bob))
     return [a.tobytes() for a in outputs]
 
 
@@ -357,7 +357,7 @@ class TestStackedKernel:
     @given(**stacks)
     def test_steered_table_matches_trace_form_oracle(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        success, tables = qrac._evaluate(alice, bob)
+        success, tables, _ = qrac.evaluate(alice, bob)
         oracle_success, oracle_tables = oracle_born_traces(alice, bob)
         np.testing.assert_allclose(success, oracle_success, rtol=0, atol=1e-15)
         np.testing.assert_allclose(tables, oracle_tables, rtol=0, atol=1e-15)
@@ -372,7 +372,7 @@ class TestStackedKernel:
     @given(**stacks)
     def test_stack_matches_one_basis_views_bit_for_bit(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        success, tables = qrac._evaluate(alice, bob)
+        success, tables, _ = qrac.evaluate(alice, bob)
         assert success.tolist() == [qrac.quantum_success(a, b) for a, b in zip(alice, bob)]
         for table, a, b in zip(tables, alice, bob):
             rows, cols = table.shape
@@ -384,7 +384,7 @@ class TestStackedKernel:
     @given(**stacks)
     def test_trace_form_agrees_with_dot_form(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        for tables in (oracle_born_traces(alice, bob)[1], qrac._evaluate(alice, bob)[1]):
+        for tables in (oracle_born_traces(alice, bob)[1], qrac.evaluate(alice, bob)[1]):
             for table, a, b in zip(tables, alice, bob):
                 np.testing.assert_allclose(table, a @ b.T, rtol=0, atol=1e-12)
 
@@ -417,7 +417,7 @@ class TestStackedKernel:
     @given(**stacks)
     def test_identity_residuals_match_per_table_formula(self, n, size, seed):
         alice, bob = random_stack(n, size, seed)
-        success, tables = qrac._evaluate(alice, bob)
+        success, tables, _ = qrac.evaluate(alice, bob)
         signs = sign_matrix(n)
         expected = [
             abs(p - success_from_bell(n, float(np.sum(signs * table))))
@@ -455,4 +455,4 @@ class TestStackedKernel:
         basis, row = divmod(pick % (size * directions.shape[1]), directions.shape[1])
         directions[basis, row] *= 1.001
         with pytest.raises(ValueError, match="unit norm"):
-            qrac._evaluate(alice, bob)
+            qrac.evaluate(alice, bob)

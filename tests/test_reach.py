@@ -9,14 +9,13 @@ under ``perfbench/`` still reads.
 """
 
 import inspect
-import json
 import sys
 import threading
 
 import pytest
 
 from racsim import bell, classical, cli, concat, mzi, qcore, qrac
-from test_golden import GOLDEN, SETTINGS
+from test_golden import BASES, GOLDEN, SETTINGS
 
 MODULES = (bell, classical, cli, concat, mzi, qcore, qrac)
 
@@ -24,6 +23,8 @@ MODULES = (bell, classical, cli, concat, mzi, qcore, qrac)
 BENCHMARK_ONLY = {
     "qcore.prepared_state",
     "qcore.expectation_product",
+    "qrac.quantum_success",
+    "qrac.bell_from_preps",
     "qrac.correlator_qm",
     "mzi.counts_from_outcomes",
     "classical.brute_success",
@@ -55,8 +56,8 @@ def public_functions() -> dict:
 def command_argvs(tmp_path) -> list[list[str]]:
     settings = tmp_path / "settings.jsonl"
     settings.write_text(SETTINGS)
-    bases = tmp_path / "bases.json"
-    bases.write_text(json.dumps({"alice": [[0, 0, 1], [1, 0, 0]], "bob": [[0, 0, 1], [0, 1, 0]]}))
+    # the golden quantum --bases entry reads bases.json from the working directory
+    (tmp_path / "bases.json").write_text(BASES)
     events = tmp_path / "events.jsonl"
     paths = {"settings": settings, "events": events}
     return [
@@ -64,7 +65,6 @@ def command_argvs(tmp_path) -> list[list[str]]:
         ["classical", "--n", "4"],
         ["classical", "--n", "5", "--mode", "formula"],
         ["bounds", "--n-max", "5"],
-        ["quantum", "--bases", str(bases)],
         ["quantum", "--n", "2", "--optimize", "--starts", "5", "--seed", "1"],
         ["mzi", "--shots", "100", "--seed", "1", "--workers", "2"],
         ["concat", "--n", "5"],
@@ -84,7 +84,8 @@ def bad_argvs(tmp_path) -> list[list[str]]:
     ]
 
 
-def test_every_public_function_is_reached_by_a_command(tmp_path, capsys):
+def test_every_public_function_is_reached_by_a_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     seen = set()
 
     def profile(frame, event, arg):
