@@ -44,7 +44,7 @@ def _numeric_field(record: dict, name: str, depth: int):
     raise TypeError(f'"{name}" must be {kind}')
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportRow:
     """One check/result line: computed value, optional reference target and verdict.
 
@@ -333,6 +333,8 @@ def load_bases(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_quantum(args) -> list[ReportRow]:
+    if args.optimize and args.seed is None:
+        raise UsageError("--seed is required with --optimize")
     if args.bases:
         alice, bob = load_bases(args.bases)
         n = len(bob)
@@ -472,7 +474,7 @@ def cmd_mzi(args) -> list[ReportRow]:
     if args.settings:
         settings = load_settings(args.settings)
     else:
-        settings = mzi.protocol_settings(*mzi.steering_bases())
+        settings = mzi.protocol_settings(*qrac.steering_bases())
     held = OUTCOME_BYTES * len(settings) * args.shots
     if held > OUTCOME_BUDGET:
         raise UsageError(
@@ -510,6 +512,9 @@ def cmd_mzi(args) -> list[ReportRow]:
 
 
 def cmd_concat(args) -> list[ReportRow]:
+    sampled = args.engine == "born"
+    if sampled and args.seed is None:
+        raise UsageError("--seed is required for sampling engines")
     n = args.n
     text = "0" * n if args.input is None else args.input
     if len(text) != n or set(text) - {"0", "1"}:
@@ -520,7 +525,6 @@ def cmd_concat(args) -> list[ReportRow]:
         queries = [args.query]
     else:
         raise UsageError(f"query {args.query} out of range for n={n}")
-    sampled = args.engine == "born"
     scratch = len(queries) * min(args.shots, args.workers * mzi.BLOCK)
     if sampled and scratch > QUERY_SCRATCH_BUDGET:
         raise UsageError(
@@ -530,7 +534,7 @@ def cmd_concat(args) -> list[ReportRow]:
     # the padded code is the balanced tree over m = 2^k 3^j leaves: every leaf has k
     # two-bit and j three-bit stages, so m alone fixes each bit's analytic success
     m = concat.smooth_ceiling(n)
-    stages = concat.smooth_factorization(m)
+    stages = list(concat.smooth_factorization(m))  # one list, shared by every per-bit row
     per_bit = concat.chain_success(*stages)
     base_params = {
         "n": n,
@@ -539,7 +543,7 @@ def cmd_concat(args) -> list[ReportRow]:
         "sr_permutation_standin": args.permute_seed is not None,
     }
     rows = [
-        ReportRow("concat", "analytic-per-bit", per_bit, {**base_params, "bit": bit, "stages": list(stages)})
+        ReportRow("concat", "analytic-per-bit", per_bit, {**base_params, "bit": bit, "stages": stages})
         for bit in range(n)
     ]
     rows.append(ReportRow("concat", "quantum-upper-bound", concat.quantum_bound(n), base_params))
@@ -599,9 +603,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
     )
 
     # expression bounds: telescoping identity and brute-force maxima
-    mismatches = sum(
-        bell.classical_bound(n) != bell.classical_bound_telescoped(n) for n in range(1, 31)
-    )
+    mismatches = sum(bell.classical_bound(n) != bell.classical_bound_telescoped(n) for n in range(1, 31))
     add("bound-identity-mismatches-n1-30", mismatches, 0, 0, "telescoping-identity")
     for n in (2, 3, 4):
         add(
@@ -636,7 +638,7 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
 
     # sampled estimator at the protocol settings
     state = qcore.maximally_entangled_state()
-    settings = mzi.protocol_settings(*mzi.steering_bases())
+    settings = mzi.protocol_settings(*qrac.steering_bases())
 
     def protocol_run(run_settings):
         """A run's protocol estimates and first tally row, sampled without outcome bits."""
@@ -702,7 +704,11 @@ def report_rows(seed: int, shots: int, concat_shots: int, workers: int) -> list[
 def cmd_report(args) -> list[ReportRow]:
     if not args.all:
         raise UsageError("report requires --all")
-    return report_rows(args.seed, args.shots, args.concat_shots, args.workers)
+    with _held_output(args.csv):
+        rows = report_rows(args.seed, args.shots, args.concat_shots, args.workers)
+        if args.csv:
+            write_csv(rows, args.csv)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -861,15 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "concat" and args.engine == "born" and args.seed is None:
-        parser.error("--seed is required for sampling engines")
-    if args.command == "quantum" and args.optimize and args.seed is None:
-        parser.error("--seed is required with --optimize")
     try:
-        with _held_output(getattr(args, "csv", None)):
-            rows = args.func(args)
-            if getattr(args, "csv", None):
-                write_csv(rows, args.csv)
+        rows = args.func(args)
     except (UsageError, OSError) as exc:  # OSError: a file that cannot be opened, read or written
         parser.exit(2, f"error: {exc}\n")
     try:

@@ -224,14 +224,13 @@ def simulate_range(
     for k, path in enumerate(tree.paths_to_leaves(queries)):
         for uid, pos in path:
             readers.setdefault(uid, {}).setdefault(pos, []).append(k)
-    needed: set[int] = set()
+    needed = {root}
 
     def chain(is_subunit: bool, uid: int) -> None:
         while is_subunit:
             needed.add(uid)
             is_subunit, uid = subunits[uid][0]
 
-    chain(True, root)
     for uid in readers:
         for child in subunits[uid]:
             chain(*child)

@@ -13,7 +13,6 @@ import numpy as np
 from . import qcore
 from .bell import bell_value, sign_matrix
 from .qcore import maximally_entangled_state  # noqa: F401  perfbench/workloads.py reads it here
-from .qrac import default_bases
 
 # Shots drawn per block by the mzi and concat samplers: a block's scratch stays in cache.
 BLOCK = 1 << 15
@@ -145,12 +144,10 @@ def sample_setting(
 
 
 def _partition(shots: int, workers: int) -> list[tuple[int, int]]:
-    # block-of-4 aligned chunks so each worker resumes the stream exactly;
-    # zero shots is one empty span
-    workers = max(1, workers)
-    step = -(-shots // workers)
-    step += (-step) % 4
-    return [(lo, min(lo + step, shots)) for lo in range(0, shots or 1, max(step, 4))]
+    # at most ``workers`` even spans; ``stream`` resumes each at its first shot,
+    # so the spans need no alignment. Zero shots is one empty span
+    step = -(-shots // max(1, workers))
+    return [(lo, min(lo + step, shots)) for lo in range(0, shots or 1, max(step, 1))]
 
 
 def map_spans(task: Callable[[int, int], object], shots: int, workers: int) -> list:
@@ -249,17 +246,6 @@ def correlator_product_form(counts: np.ndarray) -> float:
     if total < 1:
         raise ValueError("correlator undefined for zero shots")
     return (n_plus + n_minus - m_plus - m_minus) / total * ((n_plus - n_minus + m_plus - m_minus) / total)
-
-
-def steering_bases(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Analyzer (alice, bob) directions realizing the n-bit protocol bases (n in {2, 3}) on the entangled state.
-
-    The shared state anti-correlates path and spin, so measuring the path along the
-    negated class direction of ``default_bases`` leaves the spin side in the
-    intended preparation for outcome bit 0; Bob's spin axes are unchanged.
-    """
-    alice, bob = default_bases(n)
-    return -alice, bob
 
 
 def protocol_settings(alice: np.ndarray, bob: np.ndarray) -> list[Setting]:

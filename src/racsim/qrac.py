@@ -31,6 +31,18 @@ def default_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return alice, bob
 
 
+def steering_bases(n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Analyzer (alice, bob) directions realizing the n-bit protocol bases (n in {2, 3}) on the entangled state.
+
+    The shared state anti-correlates path and spin, so measuring the path along the
+    negated class direction of ``default_bases`` leaves the spin side in the
+    intended preparation for outcome bit 0; Bob's spin axes are unchanged.
+    ``steered_table`` measures the path along the same -A_i.
+    """
+    alice, bob = default_bases(n)
+    return -alice, bob
+
+
 # Direction pairs per joint_table call in steered_table: about 1 MB of temporaries.
 PAIR_SLICE = 1024
 

@@ -560,6 +560,8 @@ BAD_ARGV = {
     "mzi-settings-label-j-only": ["mzi", "--shots", "8", "--seed", "1", "--settings", "{label_j_only}"],
     "quantum-bases-one-bit": ["quantum", "--bases", "{bases_n1}"],
     "quantum-negative-seed": ["quantum", "--optimize", "--seed", "-1"],
+    "quantum-optimize-without-seed": ["quantum", "--optimize", "--bases", "{missing}"],
+    "concat-born-without-seed": ["concat", "--n", "4", "--engine", "born", "--input", "01x1"],
     "quantum-zero-starts": ["quantum", "--optimize", "--seed", "1", "--starts", "0"],
     "quantum-zero-iterations": ["quantum", "--optimize", "--seed", "1", "--iterations", "0"],
     "quantum-missing-bases": ["quantum", "--bases", "{missing}"],
@@ -646,6 +648,9 @@ BAD_ARGV_MESSAGES = {
     "report-csv-full-device": "error: [Errno 28] No space left on device",
     # formula mode has no strategies to dump
     "classical-formula-dump-strategies": "error: --dump-strategies needs --mode enumerate",
+    # each command checks its own seed rule first, before reading any other input
+    "quantum-optimize-without-seed": "error: --seed is required with --optimize",
+    "concat-born-without-seed": "error: --seed is required for sampling engines",
 }
 
 
@@ -1110,7 +1115,7 @@ def test_events_reach_a_fifo_reader(tmp_path):
     _, received = read_fifo_while_running(fifo, ["mzi", "--shots", "10", "--seed", "1", "--events", str(fifo)])
     a = 1.0 / math.sqrt(2.0)  # the command's default state
     state = qcore.entangled_state(a, math.sqrt(max(0.0, 1.0 - a**2)), math.pi)
-    settings = mzi.protocol_settings(*mzi.steering_bases())
+    settings = mzi.protocol_settings(*qrac.steering_bases())
     reference = tmp_path / "reference.jsonl"
     reference_write_events(mzi.sample_events(state, settings, 10, 1, events=True), str(reference))
     assert received == reference.read_bytes()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from racsim import cli, concat, mzi, qcore, qrac
 
 STATE = qcore.maximally_entangled_state()
-SETTING = mzi.protocol_settings(*mzi.steering_bases())[0]
+SETTING = mzi.protocol_settings(*qrac.steering_bases())[0]
 SMOOTH = [2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36]
 
 blocks = st.sampled_from([1, 3, 8])
@@ -70,7 +70,7 @@ def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, st
 
 
 # the protocol settings and the aligned-z ones, whose Born rows are exactly 0, 1/2, 1/2, 0
-PROTOCOL = mzi.protocol_settings(*mzi.steering_bases())
+PROTOCOL = mzi.protocol_settings(*qrac.steering_bases())
 Z_PAIR = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 ALIGNED = mzi.protocol_settings(Z_PAIR, Z_PAIR)
 

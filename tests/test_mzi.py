@@ -134,7 +134,7 @@ class TestSampling:
     @pytest.mark.parametrize("shots", [10_000, 1_000_000])
     def test_frequencies_approach_born_probabilities(self, shots):
         state = qcore.maximally_entangled_state()
-        settings = mzi.protocol_settings(*mzi.steering_bases())
+        settings = mzi.protocol_settings(*qrac.steering_bases())
         result = mzi.sample_events(state, settings, shots, seed=2024)
         bound = 5.0 / math.sqrt(shots)
         probs = mzi.born_probabilities(state, settings)
@@ -161,14 +161,14 @@ class TestSampling:
             assert mzi.correlators(result.probs[0]) == pytest.approx(exact, abs=1e-12)
 
     def test_born_rows_computed_once_per_run(self):
-        settings = mzi.protocol_settings(*mzi.steering_bases())
+        settings = mzi.protocol_settings(*qrac.steering_bases())
         with mock.patch.object(mzi, "born_probabilities", wraps=mzi.born_probabilities) as born:
             mzi.sample_events(qcore.maximally_entangled_state(), settings, 1000, seed=3, workers=2)
         born.assert_called_once()
 
     def test_reproducible_across_worker_counts(self):
         state = qcore.maximally_entangled_state()
-        settings = mzi.protocol_settings(*mzi.steering_bases())
+        settings = mzi.protocol_settings(*qrac.steering_bases())
         baseline = mzi.sample_events(state, settings, 30_000, seed=5, workers=1, events=True)
         for workers in (2, 3, 5):
             rerun = mzi.sample_events(state, settings, 30_000, seed=5, workers=workers, events=True)
@@ -216,7 +216,7 @@ EVENT_SHOTS += [cli.EVENT_TEMPLATE + d for d in (-1, 0, 1)] + [mzi.BLOCK + d for
 
 
 def assert_writes_reference_bytes(shots, n_settings, workers, seed):
-    base = mzi.protocol_settings(*mzi.steering_bases())
+    base = mzi.protocol_settings(*qrac.steering_bases())
     chosen = [base[k % len(base)] for k in range(n_settings)]
     result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers, events=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -256,7 +256,7 @@ def test_write_events_small_chunks_match_reference_bytes(template, shots, n_sett
 
 def events_and_reference(shots, seed=1):
     """Two protocol settings' sampled events and the reference writer's bytes for them."""
-    settings = mzi.protocol_settings(*mzi.steering_bases())[:2]
+    settings = mzi.protocol_settings(*qrac.steering_bases())[:2]
     result = mzi.sample_events(qcore.maximally_entangled_state(), settings, shots, seed, events=True)
     with tempfile.TemporaryDirectory() as tmp:
         reference = Path(tmp, "reference.jsonl")
@@ -425,7 +425,7 @@ def protocol_counts(bases, shots, seed):
 
 class TestEstimateProtocol:
     def test_steering_settings_hit_quantum_values(self):
-        value = mzi.protocol_value(protocol_counts(mzi.steering_bases(), 1_000_000, seed=42))
+        value = mzi.protocol_value(protocol_counts(qrac.steering_bases(), 1_000_000, seed=42))
         assert abs(success_from_bell(2, value) - 0.8535534) <= 0.002
         assert abs(value - 2 * math.sqrt(2)) <= 0.01
 
@@ -444,14 +444,14 @@ class TestEstimateProtocol:
             mzi.protocol_value(counts)
 
     def test_rejects_zero_shots(self):
-        counts = protocol_counts(mzi.steering_bases(), 0, seed=1)
+        counts = protocol_counts(qrac.steering_bases(), 0, seed=1)
         with pytest.raises(ValueError):
             mzi.protocol_value(counts)
 
 
 def exact_protocol_value(state):
     """Two-bit expression at the steering bases: ``protocol_value`` of the four settings' Born rows."""
-    return mzi.protocol_value(mzi.born_probabilities(state, mzi.protocol_settings(*mzi.steering_bases())))
+    return mzi.protocol_value(mzi.born_probabilities(state, mzi.protocol_settings(*qrac.steering_bases())))
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from racsim import concat, mzi, qcore
+from racsim import concat, mzi, qcore, qrac
 
 STATE = qcore.maximally_entangled_state()
-SETTINGS = mzi.protocol_settings(*mzi.steering_bases())
+SETTINGS = mzi.protocol_settings(*qrac.steering_bases())
 TREE = concat.build_tree(6)
 
 shot_counts = st.integers(min_value=1, max_value=2000)
@@ -16,15 +16,19 @@ worker_counts = st.integers(min_value=1, max_value=4)
 
 @settings(max_examples=200, deadline=None)
 @given(shots=shot_counts, workers=worker_counts)
-def test_spans_tile_the_shot_range_on_block_boundaries(shots, workers):
+def test_spans_tile_the_shot_range_in_at_most_workers_spans(shots, workers):
     spans = mzi._partition(shots, workers)
     assert spans[0][0] == 0 and spans[-1][1] == shots
     assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(spans, spans[1:]))
-    assert all(lo < hi and lo % 4 == 0 for lo, hi in spans)
+    assert all(lo < hi for lo, hi in spans)
+    assert len(spans) <= workers
 
 
 @settings(max_examples=100, deadline=None)
 @given(shots=shot_counts, workers=worker_counts, seed=st.integers(0, 2**63 - 1))
+# spans that start mid-block: (0, 5), (5, 9) and (0, 334), (334, 668), (668, 1001)
+@example(shots=9, workers=2, seed=1)
+@example(shots=1001, workers=3, seed=2)
 def test_results_do_not_depend_on_worker_count(shots, workers, seed):
     one = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=1, events=True)
     many = mzi.sample_events(STATE, SETTINGS, shots, seed, workers=workers, events=True)

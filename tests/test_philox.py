@@ -111,7 +111,7 @@ def test_simulate_range_success_count():
 def test_events_file_from_reference_words(tmp_path):
     # the second span resumes each stream 3 words into a 4-word block, and both cross a sampling block
     seed, shots, spans = 11, 150, [(0, 75), (75, 150)]
-    chosen = mzi.protocol_settings(*mzi.steering_bases())[1:3]
+    chosen = mzi.protocol_settings(*qrac.steering_bases())[1:3]
     with mock.patch.object(mzi, "BLOCK", 64), mock.patch.object(mzi, "_partition", lambda *_: spans):
         result = mzi.sample_events(qcore.maximally_entangled_state(), chosen, shots, seed, workers=2, events=True)
     cli.write_events(result, str(tmp_path / "events.jsonl"))

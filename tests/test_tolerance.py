@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim import cli, concat, mzi, qcore
+from racsim import cli, concat, mzi, qcore, qrac
 from test_golden import SETTINGS
 
 SEEDS = range(400)  # fixed in advance, never chosen after looking at the result
@@ -34,7 +34,7 @@ def assert_standard_normal(z: np.ndarray) -> None:
 
 
 def test_protocol_stderr_is_calibrated():
-    state, settings_ = qcore.maximally_entangled_state(), mzi.protocol_settings(*mzi.steering_bases())
+    state, settings_ = qcore.maximally_entangled_state(), mzi.protocol_settings(*qrac.steering_bases())
     z = []
     for seed in SEEDS:
         result = mzi.sample_events(state, settings_, SHOTS, seed)
