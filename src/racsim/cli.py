@@ -440,28 +440,39 @@ def write_events(result: mzi.SamplingResult, path: str) -> None:
     Chunks end at decades below T = ``EVENT_TEMPLATE`` and at multiples of T
     above it, so a chunk's shot numbers are one constant, ``lo // T`` (none
     below T), followed by the rows of a zero-padded template of 0 .. T - 1 laid
-    out once per call. One (rows, line) uint8 block, rebuilt for each setting and
-    shot width, holds a chunk's lines; a chunk rewrites only that constant and the
-    path and spin columns. Scratch memory is O(T) lines whatever the shot count.
+    out once per call. A (rows, line) uint8 block per (setting width, shot width)
+    holds a chunk's lines. Below T each is kept for the whole call and reused by
+    every setting of that width; from T on one is held at a time. A setting
+    rewrites its digits into a block once, and a chunk rewrites only that
+    constant and the path and spin columns. Scratch memory is O(T) lines
+    whatever the shot count.
     """
     size = EVENT_TEMPLATE
     places = [np.arange(48, 58, dtype=np.uint8)] * (len(str(size)) - 1)  # ASCII 0 .. 9 in each place
     template = np.stack(np.meshgrid(*places, indexing="ij"), axis=-1).reshape(size, -1)
+    head, mid = (np.frombuffer(text, dtype=np.uint8) for text in (b'{"setting": ', b', "shot": '))
+    blocks: dict[tuple[int, int], np.ndarray] = {}
     with _rewrite(path) as handle:
         for s_idx, (path_bits, spin_bits) in enumerate(result.outcomes):
-            head = np.frombuffer(f'{{"setting": {s_idx}, "shot": '.encode(), dtype=np.uint8)
+            label = np.frombuffer(str(s_idx).encode(), dtype=np.uint8)
+            shot_col = len(head) + len(label) + len(mid)
             lo, shots = 0, len(path_bits)
             while lo < shots:
                 width = len(str(lo))
                 hi = min(shots, 10**width if lo < size else lo + size)
                 high = np.frombuffer(str(lo // size).encode() if lo >= size else b"", dtype=np.uint8)
+                key = (len(label), width)
                 if lo in (0, 10 ** (width - 1)):  # a new setting or shot width starts at 0 or a power of ten
-                    block = rows = None  # release the old block first: one is held at a time
-                    digits = template[lo % size : lo % size + hi - lo, len(high) - width :]  # the low digits
-                    block = np.tile(np.concatenate([head, high, digits[0], _EVENT_TAIL]), (hi - lo, 1))
-                    block[:, len(head) + len(high) : -len(_EVENT_TAIL)] = digits
-                rows = block[: hi - lo]
-                rows[:, len(head) : len(head) + len(high)] = high
+                    rows = None  # release the old rows, and the blocks no later chunk reuses, before building
+                    if len(blocks.get(key, ())) < hi - lo:
+                        blocks = {k: b for k, b in blocks.items() if k[0] == key[0] and k[1] < len(str(size))}
+                        digits = template[lo % size : lo % size + hi - lo, len(high) - width :]  # the low digits
+                        line = np.concatenate([head, label, mid, high, digits[0], _EVENT_TAIL])
+                        blocks[key] = np.tile(line, (hi - lo, 1))
+                        blocks[key][:, shot_col + len(high) : -len(_EVENT_TAIL)] = digits
+                    blocks[key][:, len(head) : shot_col - len(mid)] = label
+                rows = blocks[key][: hi - lo]
+                rows[:, shot_col : shot_col + len(high)] = high
                 np.add(path_bits[lo:hi], 48, out=rows[:, _PATH_COL])
                 np.add(spin_bits[lo:hi], 48, out=rows[:, _SPIN_COL])
                 handle.write(rows)

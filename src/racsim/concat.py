@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,11 +75,10 @@ class ConcatTree:
 
         An unknown leaf raises ``ValueError``.
         """
+        paths = []
         for leaf in leaves:
             if not 0 <= leaf < self.n:
                 raise ValueError(f"leaf {leaf} not present (n={self.n})")
-        paths = []
-        for leaf in leaves:
             path = [self._leaf_links[leaf]]
             while (link := self._subunit_links[path[-1][0]]) is not None:
                 path.append(link)
@@ -178,14 +178,27 @@ class SimulationResults:
     shots: int
 
 
-def _spin_tables(arity: int) -> list[np.ndarray]:
-    """Per child slot j: P(spin outcome 0 | class i, Alice bit a) at flat index 2 i + a.
+@functools.cache
+def _spin_tables(arity: int) -> np.ndarray:
+    """Per child slot j, read-only: P(spin outcome 0 | class i, Alice bit a) at flat index 2 i + a.
 
     Twice the steered Born table of ``qrac.default_bases``: Alice measures the
     path along the negated class direction -A_i, and the path marginal is 1/2.
     """
-    cond = 2.0 * qrac.steered_table(*qrac.default_bases(arity))[..., 0]
-    return [cond[:, j].ravel() for j in range(arity)]
+    tables = 2.0 * np.moveaxis(qrac.steered_table(*qrac.default_bases(arity))[..., 0], 1, 0).reshape(arity, -1)
+    tables.flags.writeable = False
+    return tables
+
+
+@functools.cache
+def _spin_thresholds(arity: int) -> np.ndarray:
+    """Read-only ``mzi.thresholds(_spin_tables(arity)) << 11``: for K < 2^53, ``x >= K << 11`` is ``(x >> 11) >= K``."""
+    ks = mzi.thresholds(_spin_tables(arity))
+    if ks.max() >= 2**53:
+        raise ValueError(f"arity {arity}: a spin threshold reaches 2^53")
+    ks <<= 11
+    ks.flags.writeable = False
+    return ks
 
 
 def simulate_range(
@@ -214,26 +227,16 @@ def simulate_range(
     """
     subunits = tree.internal_postorder()
     root = len(subunits) - 1
-    tables = {
-        arity: [mzi.thresholds(table) for table in _spin_tables(arity)]
-        for arity in {len(kids) for kids in subunits}
-    }
-    half = mzi.thresholds(0.5)
     # on-path subunit -> child slot -> the queries whose path leaves it there
     readers: dict[int, dict[int, list[int]]] = {}
     for k, path in enumerate(tree.paths_to_leaves(queries)):
         for uid, pos in path:
             readers.setdefault(uid, {}).setdefault(pos, []).append(k)
     needed = {root}
-
-    def chain(is_subunit: bool, uid: int) -> None:
-        while is_subunit:
+    for is_subunit, uid in (child for on_path in readers for child in subunits[on_path]):
+        while is_subunit:  # down the child's first-child chain
             needed.add(uid)
             is_subunit, uid = subunits[uid][0]
-
-    for uid in readers:
-        for child in subunits[uid]:
-            chain(*child)
     order = sorted(needed)  # subunits are numbered in postorder, so children come first
     alice_gens = {uid: mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo) for uid in order}
     bob_gens = {uid: mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid in readers}
@@ -256,16 +259,17 @@ def simulate_range(
                 messages.pop(i) if is_subunit else bits[i]
                 for is_subunit, i in (kids if slots else kids[:1])
             )
-            a = (mzi.draws(alice_gens[uid], size) < half).view(np.uint8)
+            # numpy's double (x >> 11) * 2^-53 is below 1/2 exactly where the raw word x is below 2^63
+            a = (alice_gens[uid].random_raw(size) < 2**63).view(np.uint8)
             messages[uid] = ref ^ a
             if slots:
                 cls = 0
                 for value in rest:
                     cls = (cls << 1) | (value ^ ref)
                 index = (cls << 1) | a
-                x = mzi.draws(bob_gens[uid], size)
+                x = bob_gens[uid].random_raw(size)
                 for pos, ks in slots.items():
-                    spin = (x >= tables[len(kids)][pos][index]).view(np.uint8)
+                    spin = (x >= _spin_thresholds(len(kids))[pos][index]).view(np.uint8)
                     for k in ks:
                         flips[k] ^= spin
         np.equal(flips, messages.pop(root), out=flips)
@@ -302,6 +306,8 @@ def simulate(
     if len(bits) != tree.n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"input must be {tree.n} bits")
 
+    for arity in {len(kids) for kids in tree.internal_postorder()}:
+        _spin_thresholds(arity)  # cached before the span threads start, so each arity's table is built once
     parts = mzi.map_spans(lambda lo, hi: simulate_range(tree, bits, queries, seed, lo, hi), shots, workers)
     return SimulationResults(tuple(sum(counts) for counts in zip(*parts)), shots)
 

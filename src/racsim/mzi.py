@@ -79,19 +79,10 @@ def born_probabilities(state: qcore.PureState, settings: Sequence[Setting]) -> n
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def draws(bitgen: np.random.Philox, count: int) -> np.ndarray:
-    """The next ``count`` words of ``bitgen``, each shifted to its top 53 bits: uint64 x < 2^53.
+def thresholds(probs) -> np.ndarray:
+    """uint64 K with ``x >= K`` exactly where ``x * 2^-53 >= probs``, for every x = w >> 11 of a raw word w.
 
     numpy builds a Philox double x * 2^-53 from the same 53 bits of one word.
-    """
-    x = bitgen.random_raw(count)
-    x >>= 11
-    return x
-
-
-def thresholds(probs) -> np.ndarray:
-    """uint64 K with ``x >= K`` exactly where ``x * 2^-53 >= probs``, for every x of ``draws``.
-
     For c in [0, 1], c * 2^53 and its ceiling are exact doubles, so the integer
     x reaches c * 2^53 exactly when x >= ceil(c * 2^53). Every x passes a c below
     0 (K = 0); none passes a c above 1 or NaN (K = 2^53).
@@ -127,7 +118,8 @@ def sample_setting(
     n0 = n1 = n2 = 0
     for lo in range(0, shots, BLOCK):
         hi = min(lo + BLOCK, shots)
-        x = draws(bitgen, hi - lo)
+        x = bitgen.random_raw(hi - lo)
+        x >>= 11
         m0, m1, m2 = scratch[:, : hi - lo]
         if path_bits is not None:
             m1 = path_bits[lo:hi].view(bool)

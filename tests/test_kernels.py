@@ -91,10 +91,18 @@ def test_counts_only_sampling_matches_kept_bits(block, settings_, shots, workers
 
 
 def assert_threshold_exact(c: float) -> None:
-    """``x >= thresholds(c)`` equals ``x * 2^-53 >= c`` at the integers next to c * 2^53."""
+    """``x >= thresholds(c)`` equals ``x * 2^-53 >= c`` at the integers next to c * 2^53.
+
+    For 0 < K < 2^53, a raw word w also passes ``w >= K << 11`` exactly where
+    ``(w >> 11) >= K``, at the words next to K << 11 and at the last word above it.
+    """
     edge = math.ceil(c * 2**53)
     ks = np.clip(np.array([edge - 1, edge, edge + 1]), 0, 2**53 - 1).astype(np.uint64)
-    assert ((ks >= mzi.thresholds(c)) == (ks * 2.0**-53 >= c)).all()
+    k = mzi.thresholds(c)
+    assert ((ks >= k) == (ks * 2.0**-53 >= c)).all()
+    if 0 < k < 2**53:
+        words = np.array([(int(k) << 11) - 1, int(k) << 11, (int(k) << 11) + 2047], dtype=np.uint64)
+        assert ((words >= k << 11) == ((words >> 11) >= k)).all()
 
 
 @pytest.mark.parametrize(
@@ -116,6 +124,18 @@ def assert_threshold_exact(c: float) -> None:
 )
 def test_threshold_matches_double_compare_at_boundaries(c):
     assert_threshold_exact(c)
+
+
+def test_boundaries_reach_the_extreme_raw_word_thresholds():
+    # the raw-word form is checked at K = 1, 2^52 and 2^53 - 1 by the boundaries above
+    assert mzi.thresholds([2.0**-53, 0.5, 1 - 2.0**-53]).tolist() == [1, 2**52, 2**53 - 1]
+
+
+def test_coin_on_raw_words_matches_the_double_compare():
+    # concat draws Alice's bit as w < 2^63 on the raw word w, where numpy's double is below 1/2
+    words = np.array([2**63 - 1, 2**63], dtype=np.uint64)
+    assert (words < 2**63).tolist() == ((words >> 11) < 2**52).tolist() == [True, False]
+    assert (words < 2**63).tolist() == ((words >> 11) * 2.0**-53 < 0.5).tolist()
 
 
 def test_threshold_of_nan_passes_no_draw():
@@ -275,6 +295,24 @@ def test_all_queries_open_each_stream_once():
     assert subunits == 111
     # every subunit is on some leaf's path, so each opens its Alice and its Bob stream
     assert sorted(opened_streams(tree, range(tree.n))) == list(range(2 * subunits))
+
+
+def test_each_arity_builds_its_steered_table_once():
+    tree = concat.build_padded(200, permute_seed=3).tree  # 2- and 3-bit subunits
+    built = []
+    real = qrac.steered_table
+
+    def spy(alice, bob):
+        built.append(len(bob))  # one spin direction per child slot
+        return real(alice, bob)
+
+    concat._spin_tables.cache_clear()
+    concat._spin_thresholds.cache_clear()
+    with mock.patch.object(qrac, "steered_table", spy):
+        for _ in range(2):
+            concat.simulate(tree, [k % 2 for k in range(tree.n)], range(tree.n), 64, seed=4, workers=4)
+    assert sorted(built) == [2, 3]
+    assert not concat._spin_tables(3).flags.writeable and not concat._spin_thresholds(3).flags.writeable
 
 
 def traced_peak(run) -> int:

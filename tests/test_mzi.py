@@ -254,6 +254,19 @@ def test_write_events_small_chunks_match_reference_bytes(template, shots, n_sett
         assert_writes_reference_bytes(shots, n_settings, workers, seed)
 
 
+def test_write_events_reuses_no_block_too_short_for_a_later_setting(tmp_path):
+    # hand-made outcomes of unequal lengths: a later setting may need more rows of a
+    # (setting width, shot width) block than an earlier one built
+    rng = np.random.default_rng(1)
+    lengths = [3, 12, 1, 25, 0, 25, 9, 10, 11, 105, 2, 30]
+    outcomes = tuple(tuple(rng.integers(0, 2, (2, n), dtype=np.uint8)) for n in lengths)
+    result = mzi.SamplingResult(np.zeros((len(lengths), 4)), np.zeros((len(lengths), 4), dtype=np.int64), outcomes)
+    with mock.patch.object(cli, "EVENT_TEMPLATE", 10):
+        cli.write_events(result, str(tmp_path / "written.jsonl"))
+    reference_write_events(result, str(tmp_path / "expected.jsonl"))
+    assert (tmp_path / "written.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+
+
 def events_and_reference(shots, seed=1):
     """Two protocol settings' sampled events and the reference writer's bytes for them."""
     settings = mzi.protocol_settings(*qrac.steering_bases())[:2]

@@ -71,6 +71,6 @@ def test_raw_words_resume_where_doubles_do(seed, stream_id, blocks, offset, draw
     resumed = mzi.stream(seed, stream_id, start).random_raw(draws)
     whole = mzi.stream(seed, stream_id).random_raw(start + draws)
     assert np.array_equal(resumed, whole[start:])
-    as_doubles = mzi.draws(mzi.stream(seed, stream_id, start), draws) * 2.0**-53
+    as_doubles = (mzi.stream(seed, stream_id, start).random_raw(draws) >> 11) * 2.0**-53
     whole_doubles = np.random.Generator(mzi.stream(seed, stream_id)).random(start + draws)
     assert np.array_equal(as_doubles, whole_doubles[start:])
