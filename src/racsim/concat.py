@@ -201,6 +201,25 @@ def _spin_thresholds(arity: int) -> np.ndarray:
     return ks
 
 
+_NO_COINS = np.empty(0, dtype=np.uint8)
+
+
+def _coins(bitgen: np.random.Philox, carried: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``size`` coins of an Alice stream, and the bits of its last word left over.
+
+    Coin k of a stream is bit k mod 64 of word k // 64, little-endian. ``carried``
+    holds the unused bits of the last word drawn, fewer than 64; the ones left
+    over are copied, so a span's carry never pins a whole unpacked block.
+    """
+    need = size - len(carried)
+    if need <= 0:
+        return carried[:size], carried[size:]
+    words = bitgen.random_raw(-(-need // 64)).astype("<u8", copy=False)
+    fresh = np.unpackbits(words.view(np.uint8), bitorder="little")
+    coins = np.concatenate((carried, fresh[:need])) if len(carried) else fresh[:need]
+    return coins, fresh[need:].copy()
+
+
 def simulate_range(
     tree: ConcatTree,
     bits: Sequence[int],
@@ -219,11 +238,15 @@ def simulate_range(
     each once, and draws each once per block for all queries. Off-path subunits
     only pass their first child's message through. Streams are keyed per
     subunit and positioned per shot, so a stream left closed changes no other
-    draw, and every query's count equals a run of that query alone.
+    draw, and every query's count equals a run of that query alone. Shot k's
+    spin reads word k of its Bob stream; its coin, a fair Alice bit, is bit
+    k mod 64 of word k // 64 of its Alice stream, little-endian, so a span
+    opens each Alice stream at word lo // 64 and skips lo mod 64 bits.
 
     Shots run ``mzi.BLOCK`` at a time. A message lives until its parent consumes
     it and each query keeps one block of spin-flip parity, so scratch memory is
-    O(block x (live subunits + queries)), not O(shots x subunits).
+    O(block x (live subunits + queries)), not O(shots x subunits). Between
+    blocks an Alice stream carries fewer than 64 unused coins.
     """
     subunits = tree.internal_postorder()
     root = len(subunits) - 1
@@ -238,7 +261,10 @@ def simulate_range(
             needed.add(uid)
             is_subunit, uid = subunits[uid][0]
     order = sorted(needed)  # subunits are numbered in postorder, so children come first
-    alice_gens = {uid: mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo) for uid in order}
+    # Alice's coins come 64 shots to a word: open each stream at shot lo's word, skip the
+    # shots before lo, and carry a word's unused coins from block to block
+    alice_gens = {uid: mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo // 64) for uid in order}
+    carried = {uid: _coins(gen, _NO_COINS, lo % 64)[1] for uid, gen in alice_gens.items() if lo % 64}
     bob_gens = {uid: mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid in readers}
     # each query's row starts at its own bit, so a shot succeeds where the row
     # ends equal to the root's message
@@ -259,8 +285,9 @@ def simulate_range(
                 messages.pop(i) if is_subunit else bits[i]
                 for is_subunit, i in (kids if slots else kids[:1])
             )
-            # numpy's double (x >> 11) * 2^-53 is below 1/2 exactly where the raw word x is below 2^63
-            a = (alice_gens[uid].random_raw(size) < 2**63).view(np.uint8)
+            a, left = _coins(alice_gens[uid], carried.get(uid, _NO_COINS), size)
+            if start + size < hi:  # no one reads a carry past the span: at 10^5 streams it costs MBs
+                carried[uid] = left
             messages[uid] = ref ^ a
             if slots:
                 cls = 0

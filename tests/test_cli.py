@@ -337,9 +337,16 @@ class TestConcatCommand:
     def test_few_shot_runs_are_checked_at_the_target_rate(self, capsys):
         # 35 shots may all succeed: the SE read at that estimate would be 0
         argv = ["concat", "--n", "2", "--engine", "born", "--shots", "35", "--query", "0", "--seed"]
-        failed = [seed for seed in range(400) if cli.main(argv + [str(seed)]) != 0]  # seeds fixed in advance
-        capsys.readouterr()
+        failed, all_success = [], []
+        for seed in range(400):  # seeds fixed in advance
+            code, rows = run(capsys, argv + [str(seed)])
+            if code != 0:
+                failed.append(seed)
+            if by_quantity(rows, "simulated-per-bit")[0]["value"] == 1.0:
+                all_success.append(seed)
         assert failed == []
+        # the case the rule is for occurs among these seeds: 110 and 343
+        assert all_success
 
     def test_query_all_simulates_every_bit(self, capsys):
         code, rows = run(

@@ -45,34 +45,34 @@ GOLDEN = {
     "concat-n6-mzi": (
         ["concat", "--n", "6", "--engine", "born", "--shots", "5003", "--seed", "7",
          "--workers", "2"],
-        "c81cb2a73c0eaa693d5baa8fa3906de832df5dca8d70694bb868d813e96de7b4",
+        "7a03c1f066f8d976ba87d10d267d160d723c640defae462545c1b1df9f2eff75",
     ),
     "concat-n200-born-permuted": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--query", "17",
          "--seed", "7", "--workers", "2"],
-        "7563df9a428a16cfb751dfd4874d38cd2feab74b58eaa8d664f9232a9740bd81",
+        "9db899a36aacf83d9460dbf6d1abe6b0c1c78313693fa652b7107d7883a46538",
     ),
     # --query all: every simulated-per-bit row of one shared multi-query pass
     "concat-n200-born-permuted-all": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--seed", "7",
          "--shots", "2000", "--workers", "2"],
-        "83879daca23587d8477a279d5c19b8c5bf75bbddc07c66b055ed49cdeea76187",
+        "73058ff88478ce484a15e6bca3aba186237e54af5abe059ace406321881aa254",
     ),
     "concat-n12-mzi-all": (
         ["concat", "--n", "12", "--engine", "born", "--seed", "7", "--shots", "3001",
          "--workers", "2"],
-        "0c9f4908723b394395bc93505d5e0035bcd839265c8b945fe6beca8515ef0476",
+        "beddc050c16db95e79a063f00f5e66c6da6a036a6f1256a61bbda51fde6fc7b1",
     ),
     # non-zero input on padded, permuted codes: a bit on the wrong leaf changes the rows
     "concat-n7-born-permuted-input": (
         ["concat", "--n", "7", "--engine", "born", "--permute-seed", "3", "--input", "1011001",
          "--shots", "4001", "--seed", "11", "--workers", "2"],
-        "66775b25cb493733468efd10a3f4af97d781dbb6909469e9dd2400323e744728",
+        "30c46627d080e26d3a9689e68653bb2cd16c6ff82e586d90008604da5fa4c65a",
     ),
     "concat-n10-mzi-permuted-input": (
         ["concat", "--n", "10", "--engine", "born", "--permute-seed", "5", "--input", "1101000111",
          "--shots", "3001", "--seed", "2", "--workers", "2"],
-        "a0d77d084fcb13748bdedec573dd1a5b5c7470b050c42fd4892e8f161796b53d",
+        "a173a5f9f6aad91be29d612e05927cd0a35f27a85878ecfc7a9285a05da60a05",
     ),
     # analytic engine only: 973 bits padded to 1024 = 2^10, every row from stages [10, 0]
     "concat-n973-analytic-permuted": (
@@ -83,7 +83,7 @@ GOLDEN = {
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",
          "--workers", "1"],
-        "8a5b08007aa2a9ca0ed043a0860879ce9774eaa383ec9751ecb70ad3e8b8b231",
+        "c2b5987bb7ef6bdd785eab8929445a180624395b89a375ab0dc692151dbeb35a",
     ),
     "quantum-n3-optimize": (
         ["quantum", "--n", "3", "--optimize", "--seed", "7"],

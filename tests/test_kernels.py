@@ -2,9 +2,11 @@
 
 ``mzi.BLOCK`` is patched down to a few shots so that block edges fall inside
 small spans; each kernel is also checked once at the real block. The references
-draw each span's uniforms in one call, as doubles.
+draw each span's uniforms in one call, as doubles, and each span's concat coins
+in one call, as the bits of raw words.
 """
 
+import inspect
 import math
 import tracemalloc
 from unittest import mock
@@ -131,11 +133,26 @@ def test_boundaries_reach_the_extreme_raw_word_thresholds():
     assert mzi.thresholds([2.0**-53, 0.5, 1 - 2.0**-53]).tolist() == [1, 2**52, 2**53 - 1]
 
 
-def test_coin_on_raw_words_matches_the_double_compare():
-    # concat draws Alice's bit as w < 2^63 on the raw word w, where numpy's double is below 1/2
-    words = np.array([2**63 - 1, 2**63], dtype=np.uint64)
-    assert (words < 2**63).tolist() == ((words >> 11) < 2**52).tolist() == [True, False]
-    assert (words < 2**63).tolist() == ((words >> 11) * 2.0**-53 < 0.5).tolist()
+class FixedWords:
+    """A bit generator stand-in that hands out the given raw words in order."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+
+    def random_raw(self, count):
+        out, self.words = self.words[:count], self.words[count:]
+        return np.array(out, dtype=np.uint64)
+
+
+def test_coin_k_is_bit_k_mod_64_of_word_k_div_64():
+    # word 0 sets coins 0 and 63; word 1 sets coins 64 + 1, 64 + 2 and 64 + 63
+    gen = FixedWords(1 | 1 << 63, 0b110 | 1 << 63)
+    got, left = concat._coins(gen, concat._NO_COINS, 70)
+    assert np.flatnonzero(got).tolist() == [0, 63, 65, 66] and len(got) == 70
+    assert np.flatnonzero(left).tolist() == [63 - 6] and len(left) == 58
+    # the carried bits serve the next call before any word is drawn
+    got, left = concat._coins(gen, left, 58)
+    assert np.flatnonzero(got).tolist() == [57] and len(left) == 0 and gen.words == []
 
 
 def test_threshold_of_nan_passes_no_draw():
@@ -152,6 +169,14 @@ def test_threshold_matches_double_compare(c):
 def doubles(seed, stream_id, lo, count):
     """``count`` doubles of a stream from shot ``lo``, drawn in one call."""
     return np.random.Generator(mzi.stream(seed, stream_id, lo)).random(count)
+
+
+def coins(seed, stream_id, lo, count):
+    """``count`` coins of an Alice stream from shot ``lo``: bit k % 64 of word k // 64, by shifts."""
+    first = lo // 64
+    raw = mzi.stream(seed, stream_id, first).random_raw((lo + count + 63) // 64 - first)
+    packed = (raw[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return packed.reshape(-1)[lo % 64 : lo % 64 + count].astype(np.uint8)
 
 
 def reference_simulate_range(tree, bits, query, seed, lo, hi):
@@ -177,7 +202,7 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi):
         cls = np.zeros(count, dtype=np.intp)
         for value in child_vals[1:]:
             cls = (cls << 1) | (value ^ ref)
-        a = (doubles(seed, 2 * uid + concat._ALICE_STREAM, lo, count) < 0.5).astype(np.uint8)
+        a = coins(seed, 2 * uid + concat._ALICE_STREAM, lo, count)
         messages[uid] = ref ^ a
         alice_bits[uid] = a
         classes[uid] = cls
@@ -225,7 +250,7 @@ def relabeled(nested, order):
     n=st.sampled_from(SMOOTH),
     data=st.data(),
     seed=seeds,
-    lo=st.integers(0, 250).map(lambda k: 4 * k),
+    lo=st.integers(0, 1000),
     shots=st.integers(1, 50),
 )
 def test_concat_kernel_matches_full_array_reference(block, n, data, seed, lo, shots):
@@ -237,6 +262,28 @@ def test_concat_kernel_matches_full_array_reference(block, n, data, seed, lo, sh
     expected = [reference_simulate_range(tree, bits, q, seed, lo, lo + shots) for q in queries]
     with mock.patch.object(mzi, "BLOCK", block):
         assert concat.simulate_range(tree, bits, queries, seed, lo, lo + shots) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=blocks,
+    n=st.sampled_from(SMOOTH),
+    seed=seeds,
+    lo=st.integers(0, 1000),
+    shots=st.integers(1, 200),
+    cuts=st.lists(st.integers(1, 199), max_size=4),
+)
+# cuts on both sides of a 64-shot word edge, and one inside a word
+@example(block=8, n=6, seed=3, lo=60, shots=80, cuts=[3, 4, 5, 37])
+def test_concat_counts_add_up_over_any_span_cut(block, n, seed, lo, shots, cuts):
+    tree = concat.build_tree(n)
+    bits = [k % 3 % 2 for k in range(n)]
+    queries = list(range(n))
+    edges = [lo] + sorted({lo + c for c in cuts if c < shots}) + [lo + shots]
+    with mock.patch.object(mzi, "BLOCK", block):
+        whole = concat.simulate_range(tree, bits, queries, seed, lo, lo + shots)
+        parts = [concat.simulate_range(tree, bits, queries, seed, a, b) for a, b in zip(edges, edges[1:])]
+    assert [sum(counts) for counts in zip(*parts)] == whole
 
 
 def opened_streams(tree, queries) -> list[int]:
@@ -350,6 +397,39 @@ def test_concat_all_queries_scratch_does_not_grow_with_shots():
 
     peak(1)  # lazy imports on a first call are not scratch
     assert peak(8) <= 1.25 * peak(2)
+
+
+def test_deep_span_carries_fewer_than_64_coins_per_stream():
+    # query 17 of the padded n = 200 code opens 24 Alice streams (n = 216). A span that starts
+    # one shot past a word edge carries 63 coins per stream from block to block; a carry kept
+    # as a view would pin a whole unpacked block, 2^15 bytes, per stream
+    tree = concat.build_padded(200, permute_seed=3).tree
+    bits = [k % 2 for k in range(tree.n)]
+    streams, calls, held = 24, [], []
+    source, first = inspect.getsourcelines(concat._coins)
+    real = concat._coins
+
+    def traced(bitgen, carried, size):
+        calls.append(size)
+        # one opening skip per stream, then 3 blocks: measure as blocks 2 and 3 start
+        if len(calls) in (2 * streams + 1, 3 * streams + 1):
+            held.append(sum(
+                trace.size for trace in tracemalloc.take_snapshot().traces
+                if trace.traceback[0].filename == concat.__file__
+                and first <= trace.traceback[0].lineno < first + len(source)
+            ))
+        return real(bitgen, carried, size)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(concat, "_coins", traced):
+            concat.simulate_range(tree, bits, [17], 9, 65, 65 + 3 * mzi.BLOCK)
+    finally:
+        tracemalloc.stop()
+    assert calls == [1] * streams + [mzi.BLOCK] * 3 * streams
+    # what _coins allocated and is still live: each stream's carry, and the coins of the
+    # block just done that the span still holds, one block of bytes
+    assert len(held) == 2 and max(held) < mzi.BLOCK + streams * 1024, held
 
 
 def sample_events_scratch(blocks: int, events: bool) -> int:

@@ -14,6 +14,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_golden import GOLDEN, SETTINGS
 
 from racsim import cli, concat, mzi, qcore, qrac
@@ -90,22 +92,69 @@ def test_sample_setting_tally_across_a_block_edge():
     assert spin_bits.tolist() == [k & 1 for k in outcomes]
 
 
+def coins(seed, stream_id, lo, hi):
+    """Alice's coins for shots ``lo .. hi - 1``: coin k is bit k % 64 of word k // 64."""
+    packed = words(seed, stream_id, lo // 64, (hi + 63) // 64 - lo // 64)
+    return [(packed[k // 64 - lo // 64] >> (k % 64)) & 1 for k in range(lo, hi)]
+
+
 def test_simulate_range_success_count():
-    # one 3->1 subunit, number 0: Alice's word sets her bit, Bob's his spin along the queried slot
+    # one 3->1 subunit, number 0: Alice's coin sets her bit, Bob's word his spin along the
+    # queried slot; the span starts 37 bits into word 62 and ends inside word 67
     tree = concat.build_tree(3)
     bits, query, seed, lo, hi = [1, 0, 1], 2, 9, 4005, 4305
     alice, bob = qrac.default_bases(3)
     cls = ((bits[1] ^ bits[0]) << 1) | (bits[2] ^ bits[0])
-    alice_words = words(seed, concat._ALICE_STREAM, lo, hi - lo)
+    alice_coins = coins(seed, concat._ALICE_STREAM, lo, hi)
     bob_words = words(seed, concat._BOB_STREAM, lo, hi - lo)
     successes = 0
-    for wa, wb in zip(alice_words, bob_words):
-        a = int((wa >> 11) < 2**52)
+    for a, wb in zip(alice_coins, bob_words):
         # P(spin 0 | class, a) = (1 + (-1)^a A_class . B_query) / 2 on the steered state
         p_spin0 = 0.5 * (1.0 + (-1) ** a * float(alice[cls] @ bob[query]))
         spin = int((wb >> 11) * 2.0**-53 >= p_spin0)
         successes += (bits[0] ^ a) ^ spin == bits[query]
     assert concat.simulate_range(tree, bits, [query], seed, lo, hi) == [successes]
+
+
+# a span start one shot before, at and after the edge of word w: every fourth word opens a
+# Philox block
+word_edges = st.integers(0, 40).flatmap(lambda w: st.sampled_from([64 * w - 1, 64 * w, 64 * w + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, MASK),
+    stream_id=st.integers(0, MASK),
+    lo=word_edges.filter(lambda lo: lo >= 0) | st.integers(0, 3000),
+    shots=st.integers(1, 300),
+    block=st.sampled_from([1, 3, 8, mzi.BLOCK]),
+)
+@example(seed=MASK, stream_id=MASK, lo=255, shots=3, block=1)  # words 3 and 4: a Philox block edge
+@example(seed=0, stream_id=0, lo=257, shots=2 * mzi.BLOCK + 70, block=mzi.BLOCK)
+@example(seed=1, stream_id=2, lo=64, shots=65, block=3)  # a span that opens on a word edge skips nothing
+def test_concat_coins_are_bits_of_reference_words(seed, stream_id, lo, shots, block):
+    # a one-subunit tree opens one Alice stream: key it (seed, stream_id) and record every coin
+    # it hands out, the lo % 64 skipped on opening first (if any), then one draw per block
+    drawn = []
+    real_stream, real_coins = mzi.stream, concat._coins
+
+    def keyed(seed_, sid, start=0):
+        return real_stream(seed_, stream_id if sid == concat._ALICE_STREAM else sid, start)
+
+    def recorded(bitgen, carried, size):
+        out, left = real_coins(bitgen, carried, size)
+        drawn.append(out.tolist())
+        return out, left
+
+    with (
+        mock.patch.object(mzi, "BLOCK", block),
+        mock.patch.object(mzi, "stream", keyed),
+        mock.patch.object(concat, "_coins", recorded),
+    ):
+        concat.simulate_range(concat.build_tree(2), [0, 1], [0], seed, lo, lo + shots)
+    skipped, blocks = (drawn[0], drawn[1:]) if lo % 64 else ([], drawn)
+    assert [len(b) for b in blocks] == [min(block, lo + shots - k) for k in range(lo, lo + shots, block)]
+    assert skipped + sum(blocks, []) == coins(seed, stream_id, lo - lo % 64, lo + shots)
 
 
 def test_events_file_from_reference_words(tmp_path):
