@@ -150,8 +150,9 @@ def _quantum_values(alice: np.ndarray, bob: np.ndarray) -> tuple[float, float, f
 
 
 # A sampled row passes within Z standard errors of its target, each SE that of the
-# distribution sampled: a correct sampler misses by 5 SE about once in 1.7 million
-# rows (two-sided normal tail).
+# distribution sampled. Where the estimate is near normal, a correct sampler misses by
+# 5 SE about once in 1.7 million rows (two-sided normal tail). A correlator near +-1
+# over 10 to 100 shots is skewed, and there the exact binomial rate reaches 2.8e-3.
 Z = 5
 
 

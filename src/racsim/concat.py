@@ -192,32 +192,16 @@ def _spin_tables(arity: int) -> np.ndarray:
 
 @functools.cache
 def _spin_thresholds(arity: int) -> np.ndarray:
-    """Read-only ``mzi.thresholds(_spin_tables(arity)) << 11``: for K < 2^53, ``x >= K << 11`` is ``(x >> 11) >= K``."""
+    """Read-only uint32 stack of ``mzi.split_thresholds(mzi.thresholds(_spin_tables(arity)))``.
+
+    Every K is below 2^53, so each high part q fits 32 bits.
+    """
     ks = mzi.thresholds(_spin_tables(arity))
     if ks.max() >= 2**53:
         raise ValueError(f"arity {arity}: a spin threshold reaches 2^53")
-    ks <<= 11
-    ks.flags.writeable = False
-    return ks
-
-
-_NO_COINS = np.empty(0, dtype=np.uint8)
-
-
-def _coins(bitgen: np.random.Philox, carried: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``size`` coins of an Alice stream, and the bits of its last word left over.
-
-    Coin k of a stream is bit k mod 64 of word k // 64, little-endian. ``carried``
-    holds the unused bits of the last word drawn, fewer than 64; the ones left
-    over are copied, so a span's carry never pins a whole unpacked block.
-    """
-    need = size - len(carried)
-    if need <= 0:
-        return carried[:size], carried[size:]
-    words = bitgen.random_raw(-(-need // 64)).astype("<u8", copy=False)
-    fresh = np.unpackbits(words.view(np.uint8), bitorder="little")
-    coins = np.concatenate((carried, fresh[:need])) if len(carried) else fresh[:need]
-    return coins, fresh[need:].copy()
+    split = np.stack(mzi.split_thresholds(ks)).astype(np.uint32)
+    split.flags.writeable = False
+    return split
 
 
 def simulate_range(
@@ -239,14 +223,16 @@ def simulate_range(
     only pass their first child's message through. Streams are keyed per
     subunit and positioned per shot, so a stream left closed changes no other
     draw, and every query's count equals a run of that query alone. Shot k's
-    spin reads word k of its Bob stream; its coin, a fair Alice bit, is bit
-    k mod 64 of word k // 64 of its Alice stream, little-endian, so a span
-    opens each Alice stream at word lo // 64 and skips lo mod 64 bits.
+    coin, a fair Alice bit, is bit k mod 64 of word k // 64 of its Alice
+    stream, and its spin draw is 32-bit half k mod 2 of word k // 2 of its Bob
+    stream, both low bits first (``mzi.Units``). ``mzi.fill_passes`` compares a
+    draw with its threshold: a tie reads the Bob stream's tie lane.
 
     Shots run ``mzi.BLOCK`` at a time. A message lives until its parent consumes
     it and each query keeps one block of spin-flip parity, so scratch memory is
     O(block x (live subunits + queries)), not O(shots x subunits). Between
-    blocks an Alice stream carries fewer than 64 unused coins.
+    blocks an Alice stream carries fewer than 64 unused coins and a Bob stream
+    at most one draw; a stream is dropped after the span's last block.
     """
     subunits = tree.internal_postorder()
     root = len(subunits) - 1
@@ -261,21 +247,35 @@ def simulate_range(
             needed.add(uid)
             is_subunit, uid = subunits[uid][0]
     order = sorted(needed)  # subunits are numbered in postorder, so children come first
-    # Alice's coins come 64 shots to a word: open each stream at shot lo's word, skip the
-    # shots before lo, and carry a word's unused coins from block to block
-    alice_gens = {uid: mzi.stream(seed, 2 * uid + _ALICE_STREAM, lo // 64) for uid in order}
-    carried = {uid: _coins(gen, _NO_COINS, lo % 64)[1] for uid, gen in alice_gens.items() if lo % 64}
-    bob_gens = {uid: mzi.stream(seed, 2 * uid + _BOB_STREAM, lo) for uid in readers}
+    # open streams by id: each opens at its first take and closes after the span's last,
+    # so a one-block span holds a stream only while its subunit draws
+    streams: dict[int, mzi.Units] = {}
+
+    def take(stream_id: int, width: int, start: int, size: int) -> np.ndarray:
+        units = streams.pop(stream_id, None) or mzi.Units(seed, stream_id, lo, width)
+        if start + size < hi:
+            streams[stream_id] = units
+        return units.take(size)
+
     # each query's row starts at its own bit, so a shot succeeds where the row
     # ends equal to the root's message
     query_bits = np.array([[bits[q]] for q in queries], dtype=np.uint8)
-    parity = np.empty((len(queries), min(hi - lo, mzi.BLOCK)), dtype=np.uint8)
+    block = min(hi - lo, mzi.BLOCK)
+    parity = np.empty((len(queries), block), dtype=np.uint8)
+    # one subunit's class and coin index, and per slot it reads, each shot's threshold
+    # high bits, spin and tie
+    rows = max(map(len, readers.values()), default=0)
+    index_scratch = np.empty(block, dtype=np.intp)
+    q_scratch = np.empty((rows, block), dtype=np.uint32)
+    compare_scratch = np.empty((2, rows, block), dtype=bool)
 
     successes = np.zeros(len(queries), dtype=np.int64)
     for start in range(lo, hi, mzi.BLOCK):
         size = min(mzi.BLOCK, hi - start)
         flips = parity[:, :size]
         flips[...] = query_bits
+        index, q_rows, (spins, ties) = index_scratch[:size], q_scratch[:, :size], compare_scratch[..., :size]
+        spin_bits = spins.view(np.uint8)
         messages: dict[int, np.ndarray] = {}
         for uid in order:
             kids = subunits[uid]
@@ -285,18 +285,21 @@ def simulate_range(
                 messages.pop(i) if is_subunit else bits[i]
                 for is_subunit, i in (kids if slots else kids[:1])
             )
-            a, left = _coins(alice_gens[uid], carried.get(uid, _NO_COINS), size)
-            if start + size < hi:  # no one reads a carry past the span: at 10^5 streams it costs MBs
-                carried[uid] = left
+            a = take(2 * uid + _ALICE_STREAM, 1, start, size)
             messages[uid] = ref ^ a
             if slots:
                 cls = 0
                 for value in rest:
                     cls = (cls << 1) | (value ^ ref)
-                index = (cls << 1) | a
-                x = bob_gens[uid].random_raw(size)
-                for pos, ks in slots.items():
-                    spin = (x >= _spin_thresholds(len(kids))[pos][index]).view(np.uint8)
+                np.copyto(index, (cls << 1) | a)
+                h = take(2 * uid + _BOB_STREAM, 32, start, size)
+                qs, rs = _spin_thresholds(len(kids))[:, list(slots)]
+                read = len(slots)
+                # every index is in range; wrap is the fastest mode
+                q = np.take(qs, index, axis=1, out=q_rows[:read], mode="wrap")
+                lane = (seed, 2 * uid + _BOB_STREAM, start)
+                mzi.fill_passes(spins[:read], h, q, rs, lane, ties[:read], index)
+                for spin, ks in zip(spin_bits, slots.values()):
                     for k in ks:
                         flips[k] ^= spin
         np.equal(flips, messages.pop(root), out=flips)

@@ -53,22 +53,114 @@ class Setting:
         object.__setattr__(self, "spin_axis", qcore.require_unit(self.spin_axis))
 
 
-def stream(seed: int, stream_id: int, start: int = 0) -> np.random.Philox:
+def stream(seed: int, stream_id: int, start: int = 0, lane: int = 0) -> np.random.Philox:
     """Counter-based bit generator for (seed, stream_id), positioned at 64-bit word ``start``.
 
     Philox advances in blocks of four words, so position by whole blocks and
-    discard the remainder; each sampled shot consumes exactly one word, which
-    makes any partition of the shot range reproduce the unpartitioned stream.
-    A ``np.random.Generator`` over it draws one double per word, so its
-    ``random`` doubles sit at the same positions.
+    discard the remainder: from any start, the words are those the stream read
+    from word 0 gives there. ``lane`` is counter word 2. The samplers draw from
+    lane 0 and read lane 1, the tie lane, only to settle a draw that ties a
+    threshold (``fill_passes``).
     """
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    bitgen = np.random.Philox(key=key, counter=[0, 0, lane, 0])
     if start:
         bitgen.advance(start // 4)
     if start % 4:
         bitgen.random_raw(start % 4)
     return bitgen
+
+
+# Each width's carry of no units, shared: a stream that opens on a word edge carries none
+_NO_UNITS = {1: np.empty(0, dtype=np.uint8), 32: np.empty(0, dtype=np.uint32)}
+
+
+class Units:
+    """Stream (seed, stream_id) read as ``width``-bit units, 1 or 32, from unit ``start`` on.
+
+    Unit k is bits w j .. w (j + 1) - 1 of word k // m, for w = ``width``,
+    m = 64 // w and j = k mod m: each word is read from its low bits up. The
+    stream opens at word start // m and drops the start mod m units before
+    ``start``. Where a take ends inside a word, the word's unused units, fewer
+    than m and copied, serve the next take first, so any cut of the units
+    reads the same values and a carry never pins a whole block.
+    """
+
+    __slots__ = ("bitgen", "width", "carried")
+
+    def __init__(self, seed: int, stream_id: int, start: int, width: int):
+        per_word = 64 // width
+        self.bitgen = stream(seed, stream_id, start // per_word)
+        self.width = width
+        self.carried = _NO_UNITS[width]
+        if start % per_word:
+            self.take(start % per_word)
+
+    def take(self, size: int) -> np.ndarray:
+        """The next ``size`` units: bits as uint8 at width 1, uint32 at width 32."""
+        carried = self.carried
+        need = size - len(carried)
+        if need <= 0:
+            self.carried = carried[size:]
+            return carried[:size]
+        words = self.bitgen.random_raw(-(-need * self.width // 64)).astype("<u8", copy=False)
+        fresh = words.view("<u4") if self.width == 32 else np.unpackbits(words.view(np.uint8), bitorder="little")
+        self.carried = fresh[need:].copy()
+        return np.concatenate((carried, fresh[:need])) if len(carried) else fresh[:need]
+
+
+# A threshold K's low bits, below a 32-bit draw's: K = q 2^TIE_BITS + r
+TIE_BITS = 21
+
+
+def split_thresholds(ks) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 (q, r) of each threshold K from ``thresholds``: K = q 2^TIE_BITS + r, as ``fill_passes`` reads it."""
+    ks = np.asarray(ks, dtype=np.uint64)
+    return ks >> TIE_BITS, ks & ((1 << TIE_BITS) - 1)
+
+
+def fill_passes(masks, h: np.ndarray, q, r, lane: tuple[int, int, int], ties: np.ndarray, index=None) -> None:
+    """Set ``masks[j]`` where the uint32 draws ``h`` pass threshold j, K = q_j 2^TIE_BITS + r_j.
+
+    With ``lane = (seed, stream_id, first)``, h[i] is draw first + i of stream
+    (seed, stream_id). Its 53-bit x = h 2^TIE_BITS + t passes K, x >= K, where
+    h > q, or where h = q and t >= r; t is the top TIE_BITS bits of word
+    first + i of the stream's tie lane. Only a tie with r != 0 reads t, once
+    per draw however many thresholds it ties, so masks of rising K nest.
+
+    Either q and r hold one Python int per mask (a uint64 scalar would promote
+    the block to uint64) and ``ties`` is one bool row of scratch; or, given
+    ``index``, q is a uint32 array shaped like ``masks`` with each draw's q,
+    draw i's r_j is r[j][index[i]], and ``ties`` is bool scratch of that shape.
+    """
+    tied = []
+    if index is None:
+        for j, (q_j, r_j) in enumerate(zip(q, r)):
+            if q_j > 0xFFFFFFFF:  # K = 2^53 passes no draw; numpy compares an out-of-range int slowly
+                masks[j].fill(False)
+            elif not r_j:
+                np.greater_equal(h, q_j, out=masks[j])
+            else:
+                np.greater(h, q_j, out=masks[j])
+                if np.equal(h, q_j, out=ties).any():
+                    draws = np.flatnonzero(ties)
+                    tied.append((j, draws, np.full(len(draws), r_j)))
+    else:
+        np.greater(h, q, out=masks)
+        if np.equal(h, q, out=ties).any():
+            for j, row in enumerate(ties):
+                draws = np.flatnonzero(row)
+                tied.append((j, draws, r[j][index[draws]]))
+    if not tied:
+        return
+    seed, stream_id, first = lane
+    tie_words: dict[int, int] = {}
+    for j, draws, lows in tied:
+        for i, low in zip(draws.tolist(), lows.tolist()):
+            if low and i not in tie_words:
+                word = stream(seed, stream_id, first + i, lane=1).random_raw(1)[0]
+                tie_words[i] = int(word) >> (64 - TIE_BITS)
+            masks[j][i] = not low or tie_words[i] >= low
 
 
 def born_probabilities(state: qcore.PureState, settings: Sequence[Setting]) -> np.ndarray:
@@ -80,12 +172,13 @@ def born_probabilities(state: qcore.PureState, settings: Sequence[Setting]) -> n
 
 
 def thresholds(probs) -> np.ndarray:
-    """uint64 K with ``x >= K`` exactly where ``x * 2^-53 >= probs``, for every x = w >> 11 of a raw word w.
+    """uint64 K with ``x >= K`` exactly where ``x * 2^-53 >= probs``, for every 53-bit integer x.
 
-    numpy builds a Philox double x * 2^-53 from the same 53 bits of one word.
-    For c in [0, 1], c * 2^53 and its ceiling are exact doubles, so the integer
-    x reaches c * 2^53 exactly when x >= ceil(c * 2^53). Every x passes a c below
-    0 (K = 0); none passes a c above 1 or NaN (K = 2^53).
+    numpy builds a Philox double x * 2^-53 from 53 bits of one word. For c in
+    [0, 1], c * 2^53 and its ceiling are exact doubles, so the integer x reaches
+    c * 2^53 exactly when x >= ceil(c * 2^53). Every x passes a c below 0
+    (K = 0); none passes a c above 1 or NaN (K = 2^53). The samplers build x
+    from a 32-bit draw and, on a tie, 21 bits of the tie lane (``fill_passes``).
     """
     c = np.asarray(probs, dtype=float)
     return np.ceil(np.where(c <= 1.0, np.maximum(c, 0.0), 1.0) * 2.0**53).astype(np.uint64)
@@ -107,25 +200,29 @@ def sample_setting(
     ``spin_bits`` (length ``shots``), also writes each shot's path and spin bit
     into them. Draws come ``BLOCK`` at a time and the masks reuse one block of
     scratch, so scratch does not grow with ``shots``.
+
+    Shot k's draw h is 32-bit unit k of stream (seed, setting_index): half
+    k mod 2 of word k // 2, low half first. Its uniform is x 2^-53 with
+    x = h 2^21 + t, where t is the top 21 bits of word k of the tie lane, and
+    ``fill_passes`` compares x with each threshold K = q 2^21 + r from
+    ``thresholds``. So h alone decides but for a tie, h = q with r != 0, which
+    a shot meets with probability 2^-32, and only a tie reads the tie lane.
     """
-    # a draw's outcome is the number of cumulative probabilities at or below it,
-    # as searchsorted(cumsum(probs), u, side="right") counts them; the masks
-    # x >= Kk nest (K0 <= K1 <= K2), so the outcome's high bit, the path bit, is
-    # the middle mask, and its parity, the spin bit, is the XOR of all three
-    k0, k1, k2 = thresholds(np.cumsum(probs)[:3])
-    bitgen = stream(seed, setting_index, start)
-    scratch = np.empty((3, min(shots, BLOCK)), dtype=bool)
+    # a draw's outcome is the number of cumulative probabilities its x reaches,
+    # as searchsorted(cumsum(probs), x 2^-53, side="right") counts them; the masks
+    # nest (K0 <= K1 <= K2), so the outcome's high bit, the path bit, is the middle
+    # mask, and its parity, the spin bit, is the XOR of all three
+    q, r = (part.tolist() for part in split_thresholds(thresholds(np.cumsum(probs)[:3])))
+    draws = Units(seed, setting_index, start, 32)
+    scratch = np.empty((4, min(shots, BLOCK)), dtype=bool)
     n0 = n1 = n2 = 0
     for lo in range(0, shots, BLOCK):
         hi = min(lo + BLOCK, shots)
-        x = bitgen.random_raw(hi - lo)
-        x >>= 11
-        m0, m1, m2 = scratch[:, : hi - lo]
+        h = draws.take(hi - lo)
+        m0, m1, m2, tie = scratch[:, : hi - lo]
         if path_bits is not None:
             m1 = path_bits[lo:hi].view(bool)
-        np.greater_equal(x, k0, out=m0)
-        np.greater_equal(x, k1, out=m1)
-        np.greater_equal(x, k2, out=m2)
+        fill_passes((m0, m1, m2), h, q, r, (seed, setting_index, start + lo), tie)
         if spin_bits is not None:
             spin = np.bitwise_xor(m0, m1, out=spin_bits[lo:hi].view(bool))
             spin ^= m2

@@ -345,7 +345,7 @@ class TestConcatCommand:
             if by_quantity(rows, "simulated-per-bit")[0]["value"] == 1.0:
                 all_success.append(seed)
         assert failed == []
-        # the case the rule is for occurs among these seeds: 110 and 343
+        # the case the rule is for occurs among these seeds: 38 alone
         assert all_success
 
     def test_query_all_simulates_every_bit(self, capsys):

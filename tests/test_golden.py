@@ -29,50 +29,50 @@ BASES = json.dumps({"alice": _DIRECTIONS[:8].tolist(), "bob": _DIRECTIONS[8:].to
 GOLDEN = {
     "mzi-counts-workers-1": (
         ["mzi", "--shots", "100000", "--seed", "5", "--workers", "1"],
-        "b2184227b6cd958c6c5e4e0e98a053f9e57176324d252013c9539e428b60e240",
+        "66026a77b0ae09ffeb1d841d83381396fdaaf3d827d32d69161e801351d37f3c",
     ),
     "mzi-counts-workers-2": (
         ["mzi", "--shots", "100000", "--seed", "5", "--workers", "2"],
-        "810a314ac9a355f2dbead3c570455bc4f857b0081d68760ae31856bb501c3446",
+        "6cbb4d05c578851e347ca422316b7cf40c331077a8623cdbe71e62a54939075d",
     ),
     "mzi-settings-events": (
         ["mzi", "--settings", "{settings}", "--shots", "5001", "--seed", "3",
          "--events", "{events}", "--workers", "2"],
-        "2f66816f8d1ca52a70ab8700e22466110fb8e8ca83c1b08d04ff6d07712c5e86",
+        "9814c636af7dbbf5d83d9b5cb69a6304b80f8633cf2702e83374225a630d5fec",
     ),
     # the "-mzi" entries were recorded under the former --engine mzi, which drew from the
     # same steered path-spin table as born; their rows differ only in the engine name
     "concat-n6-mzi": (
         ["concat", "--n", "6", "--engine", "born", "--shots", "5003", "--seed", "7",
          "--workers", "2"],
-        "7a03c1f066f8d976ba87d10d267d160d723c640defae462545c1b1df9f2eff75",
+        "9a705d7620da5f2b86ae9943a3ef1a07b69d77cd1999f917ac198e0141f88a2f",
     ),
     "concat-n200-born-permuted": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--query", "17",
          "--seed", "7", "--workers", "2"],
-        "9db899a36aacf83d9460dbf6d1abe6b0c1c78313693fa652b7107d7883a46538",
+        "f0ce35c8efdc251c02d4b261695b3c36b35f14e514d1b26be66bda1dc06961e1",
     ),
     # --query all: every simulated-per-bit row of one shared multi-query pass
     "concat-n200-born-permuted-all": (
         ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--seed", "7",
          "--shots", "2000", "--workers", "2"],
-        "73058ff88478ce484a15e6bca3aba186237e54af5abe059ace406321881aa254",
+        "8c5c4ba5354c4ad235a7f9abad08b32b11cf7f681d38ea62a3c1666a90fd9b8e",
     ),
     "concat-n12-mzi-all": (
         ["concat", "--n", "12", "--engine", "born", "--seed", "7", "--shots", "3001",
          "--workers", "2"],
-        "beddc050c16db95e79a063f00f5e66c6da6a036a6f1256a61bbda51fde6fc7b1",
+        "dbc7de7d0097901a7d0b4bc66a129880f517576b0570f84feb85eb6e1210ccf4",
     ),
     # non-zero input on padded, permuted codes: a bit on the wrong leaf changes the rows
     "concat-n7-born-permuted-input": (
         ["concat", "--n", "7", "--engine", "born", "--permute-seed", "3", "--input", "1011001",
          "--shots", "4001", "--seed", "11", "--workers", "2"],
-        "30c46627d080e26d3a9689e68653bb2cd16c6ff82e586d90008604da5fa4c65a",
+        "24746a9e2744f364f7d4fd2e47265b6d637fe1dc0929fb9a9519410c69c3dbd4",
     ),
     "concat-n10-mzi-permuted-input": (
         ["concat", "--n", "10", "--engine", "born", "--permute-seed", "5", "--input", "1101000111",
          "--shots", "3001", "--seed", "2", "--workers", "2"],
-        "a173a5f9f6aad91be29d612e05927cd0a35f27a85878ecfc7a9285a05da60a05",
+        "e2ac0abccabf37587fdfc18f2d48272e5dad7314cfa66fbfecd08a214d043223",
     ),
     # analytic engine only: 973 bits padded to 1024 = 2^10, every row from stages [10, 0]
     "concat-n973-analytic-permuted": (
@@ -83,7 +83,7 @@ GOLDEN = {
     "report-all-seed-5": (
         ["report", "--all", "--seed", "5", "--shots", "20000", "--concat-shots", "20000",
          "--workers", "1"],
-        "c2b5987bb7ef6bdd785eab8929445a180624395b89a375ab0dc692151dbeb35a",
+        "2e68d1edcacc35da4afc5c455f97b2d816fdc956bf3ea64cf66f636fb1dde0f8",
     ),
     "quantum-n3-optimize": (
         ["quantum", "--n", "3", "--optimize", "--seed", "7"],

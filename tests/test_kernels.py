@@ -2,8 +2,9 @@
 
 ``mzi.BLOCK`` is patched down to a few shots so that block edges fall inside
 small spans; each kernel is also checked once at the real block. The references
-draw each span's uniforms in one call, as doubles, and each span's concat coins
-in one call, as the bits of raw words.
+draw each span's uniforms in one call, from the 32-bit halves of raw words and a
+tie word for every draw, and each span's concat coins in one call, as the bits
+of raw words. The kernels read a tie word only where a draw ties a threshold.
 """
 
 import inspect
@@ -57,8 +58,7 @@ def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, st
     probs = np.asarray(weights) / sum(weights)
     cum = np.cumsum(probs)
     cum[-1] = 1.0
-    uniforms = np.random.Generator(mzi.stream(seed, setting_index, start)).random(shots)
-    outcomes = np.searchsorted(cum, uniforms, side="right")
+    outcomes = np.searchsorted(cum, uniforms(seed, setting_index, start, shots), side="right")
     path_bits = np.empty(shots, dtype=np.uint8)
     spin_bits = np.empty(shots, dtype=np.uint8)
     with mock.patch.object(mzi, "BLOCK", block):
@@ -144,15 +144,67 @@ class FixedWords:
         return np.array(out, dtype=np.uint64)
 
 
+def fixed_units(width, *words):
+    """``mzi.Units`` of the given width at unit 0, reading the given words."""
+    units = mzi.Units(0, 0, 0, width)
+    units.bitgen = FixedWords(*words)
+    return units
+
+
 def test_coin_k_is_bit_k_mod_64_of_word_k_div_64():
     # word 0 sets coins 0 and 63; word 1 sets coins 64 + 1, 64 + 2 and 64 + 63
-    gen = FixedWords(1 | 1 << 63, 0b110 | 1 << 63)
-    got, left = concat._coins(gen, concat._NO_COINS, 70)
+    units = fixed_units(1, 1 | 1 << 63, 0b110 | 1 << 63)
+    got = units.take(70)
     assert np.flatnonzero(got).tolist() == [0, 63, 65, 66] and len(got) == 70
-    assert np.flatnonzero(left).tolist() == [63 - 6] and len(left) == 58
-    # the carried bits serve the next call before any word is drawn
-    got, left = concat._coins(gen, left, 58)
-    assert np.flatnonzero(got).tolist() == [57] and len(left) == 0 and gen.words == []
+    assert np.flatnonzero(units.carried).tolist() == [63 - 6] and len(units.carried) == 58
+    # the carried bits serve the next take before any word is drawn
+    got = units.take(58)
+    assert np.flatnonzero(got).tolist() == [57] and len(units.carried) == 0 and units.bitgen.words == []
+
+
+def test_draw_k_is_half_k_mod_2_of_word_k_div_2():
+    units = fixed_units(32, 5 | 7 << 32, 11 | 13 << 32, 17 | 19 << 32)
+    assert units.take(3).tolist() == [5, 7, 11] and units.carried.tolist() == [13]
+    assert units.take(1).tolist() == [13] and units.bitgen.words == [17 | 19 << 32]
+    assert units.take(1).tolist() == [17] and units.carried.tolist() == [19]
+    assert units.take(0).dtype == np.uint32
+
+
+class TieLane:
+    """``mzi.stream`` stand-in: lane 1 hands out one tie word with top 21 bits ``t``, and counts its opens."""
+
+    def __init__(self, t):
+        self.t, self.opens = t, 0
+
+    def __call__(self, seed, stream_id, start=0, lane=0):
+        assert lane == 1
+        self.opens += 1
+        return FixedWords(self.t << 43 | 2**43 - 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(0, 2**53), dh=st.integers(-2, 2), t=st.integers(0, 2**21 - 1))
+@example(k=2**53, dh=0, t=2**21 - 1)  # q = 2^32 passes no draw, not even h = 2^32 - 1
+@example(k=0, dh=0, t=0)  # K = 0 passes every draw
+@example(k=5 << 21, dh=0, t=0)  # a tie with r = 0 passes without its tie word
+def test_draw_passes_exactly_where_its_53_bit_uniform_does(k, dh, t):
+    # one shot whose draw h sits next to K's high bits q, against the row's first threshold K
+    h = min(max((k >> 21) + dh, 0), 2**32 - 1)
+    c = k * 2.0**-53
+    probs = [c, 1.0 - c, 0.0, 0.0]
+
+    class OneDraw:
+        def __init__(self, *_):
+            pass
+
+        def take(self, size):
+            return np.array([h], dtype=np.uint32)
+
+    lane = TieLane(t)
+    with mock.patch.object(mzi, "Units", OneDraw), mock.patch.object(mzi, "stream", lane):
+        tallies = mzi.sample_setting(probs, 1, 0, 0, 0)
+    assert tallies[1:].sum() == ((h << 21 | t) >= k)
+    assert lane.opens == (h == k >> 21 and k % 2**21 != 0)
 
 
 def test_threshold_of_nan_passes_no_draw():
@@ -166,9 +218,17 @@ def test_threshold_matches_double_compare(c):
     assert_threshold_exact(c)
 
 
-def doubles(seed, stream_id, lo, count):
-    """``count`` doubles of a stream from shot ``lo``, drawn in one call."""
-    return np.random.Generator(mzi.stream(seed, stream_id, lo)).random(count)
+def uniforms(seed, stream_id, lo, count):
+    """``count`` uniforms of a stream from shot ``lo``, drawn in one call: x 2^-53 for x = h 2^21 + t.
+
+    Draw k's h is half k % 2 of word k // 2, low half first, by shifts; its t
+    is the top 21 bits of word k of the tie lane, read for every draw.
+    """
+    first = lo // 2
+    raw = mzi.stream(seed, stream_id, first).random_raw((lo + count + 1) // 2 - first)
+    h = ((raw[:, None] >> np.array([0, 32], dtype=np.uint64)) & np.uint64(2**32 - 1)).reshape(-1)
+    t = mzi.stream(seed, stream_id, lo, lane=1).random_raw(count) >> np.uint64(43)
+    return ((h[lo % 2 : lo % 2 + count] << np.uint64(21)) | t) * 2.0**-53
 
 
 def coins(seed, stream_id, lo, count):
@@ -210,7 +270,7 @@ def reference_simulate_range(tree, bits, query, seed, lo, hi):
     received = messages[len(subunits) - 1]
     for uid, pos in tree.paths_to_leaves([query])[0]:
         p_spin0 = cond_tables[len(subunits[uid])][classes[uid], alice_bits[uid], pos]
-        spin = doubles(seed, 2 * uid + concat._BOB_STREAM, lo, count) >= p_spin0
+        spin = uniforms(seed, 2 * uid + concat._BOB_STREAM, lo, count) >= p_spin0
         received = spin.astype(np.uint8) ^ received
     return int(np.sum(received == bits[query]))
 
@@ -399,37 +459,66 @@ def test_concat_all_queries_scratch_does_not_grow_with_shots():
     assert peak(8) <= 1.25 * peak(2)
 
 
-def test_deep_span_carries_fewer_than_64_coins_per_stream():
-    # query 17 of the padded n = 200 code opens 24 Alice streams (n = 216). A span that starts
-    # one shot past a word edge carries 63 coins per stream from block to block; a carry kept
-    # as a view would pin a whole unpacked block, 2^15 bytes, per stream
+def deep_span_carries() -> tuple[dict, list, list]:
+    """Sizes taken, carries and live bytes of one deep span.
+
+    Query 17 of the padded n = 200 code (n = 216) opens 24 Alice and 6 Bob
+    streams. The span runs 3 blocks from shot 65, one shot past a coin word
+    edge and an odd draw. Returns each width's take sizes; as blocks 2 and 3
+    start, each width's carried units per stream; and as each take starts, the
+    last block's included, the bytes that ``mzi.Units.take`` allocated and are
+    still live.
+    """
     tree = concat.build_padded(200, permute_seed=3).tree
     bits = [k % 2 for k in range(tree.n)]
-    streams, calls, held = 24, [], []
-    source, first = inspect.getsourcelines(concat._coins)
-    real = concat._coins
+    takes, carried, held, opened = {1: [], 32: []}, [], [], {}
+    source, first = inspect.getsourcelines(mzi.Units.take)
+    real = mzi.Units.take
 
-    def traced(bitgen, carried, size):
-        calls.append(size)
-        # one opening skip per stream, then 3 blocks: measure as blocks 2 and 3 start
-        if len(calls) in (2 * streams + 1, 3 * streams + 1):
-            held.append(sum(
-                trace.size for trace in tracemalloc.take_snapshot().traces
-                if trace.traceback[0].filename == concat.__file__
-                and first <= trace.traceback[0].lineno < first + len(source)
-            ))
-        return real(bitgen, carried, size)
+    def traced(units, size):
+        opened.setdefault(id(units), units)
+        takes[units.width].append(size)
+        # one opening skip per Alice stream, then 3 blocks: carries before blocks 2 and 3
+        if units.width == 1 and len(takes[1]) in (2 * 24 + 1, 3 * 24 + 1):
+            carried.append({w: [len(u.carried) for u in opened.values() if u.width == w] for w in (1, 32)})
+            if len(carried) == 2:
+                opened.clear()  # the last block drops each stream after its take
+        held.append(sum(
+            trace.size for trace in tracemalloc.take_snapshot().traces
+            if trace.traceback[0].filename == mzi.__file__
+            and first <= trace.traceback[0].lineno < first + len(source)
+        ))
+        return real(units, size)
 
     tracemalloc.start()
     try:
-        with mock.patch.object(concat, "_coins", traced):
+        with mock.patch.object(mzi.Units, "take", traced):
             concat.simulate_range(tree, bits, [17], 9, 65, 65 + 3 * mzi.BLOCK)
     finally:
         tracemalloc.stop()
-    assert calls == [1] * streams + [mzi.BLOCK] * 3 * streams
-    # what _coins allocated and is still live: each stream's carry, and the coins of the
-    # block just done that the span still holds, one block of bytes
-    assert len(held) == 2 and max(held) < mzi.BLOCK + streams * 1024, held
+    return takes, carried, held
+
+
+# what take allocated and is still live as a take starts: each stream's carry, and the
+# coins (1 B each) and draws (4 B each) of the block the span still holds. A carry kept
+# as a view, or a stream kept open past its last take with its carry so kept, would pin
+# a whole block, 2^15 B of coins or 2^17 B of draws, per stream
+HELD_BOUND = 5 * mzi.BLOCK + (24 + 6) * 1024
+
+
+def test_deep_span_carries_fewer_than_64_coins_per_stream():
+    takes, carried, held = deep_span_carries()
+    # each stream opens as its subunit first draws: a skip of one unit, then its first block
+    assert takes[1] == [1, mzi.BLOCK] * 24 + [mzi.BLOCK] * 2 * 24
+    assert [c[1] for c in carried] == [[63] * 24] * 2
+    assert len(held) == 4 * (24 + 6) and max(held) < HELD_BOUND, held
+
+
+def test_deep_span_carries_at_most_one_draw_per_bob_stream():
+    takes, carried, held = deep_span_carries()
+    assert takes[32] == [1, mzi.BLOCK] * 6 + [mzi.BLOCK] * 2 * 6
+    assert [c[32] for c in carried] == [[1] * 6] * 2
+    assert len(held) == 4 * (24 + 6) and max(held) < HELD_BOUND, held
 
 
 def sample_events_scratch(blocks: int, events: bool) -> int:

@@ -3,9 +3,10 @@
 Philox4x64-10 is the counter-based generator of Salmon, Moraes, Dror and Shaw,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11. Stream (seed, id) is
 keyed (seed, id); word w is lane w % 4 of the block at counter w // 4 + 1, as
-numpy increments the counter before each block. Each test rebuilds a sampler's
-output from these words alone, so a changed stream fails and names the first
-word that differs.
+numpy increments the counter before each block. The stream's tie lane is keyed
+the same with counter word 2 set to 1. Each test rebuilds a sampler's output
+from these words alone, so a changed stream fails and names the first word
+that differs.
 """
 
 import json
@@ -37,13 +38,25 @@ def philox4x64_10(counter, key):
     return c0, c1, c2, c3
 
 
-def words(seed, stream_id, start, count):
-    """Words ``start .. start + count - 1`` of stream (seed, stream_id)."""
+def words(seed, stream_id, start, count, lane=0):
+    """Words ``start .. start + count - 1`` of stream (seed, stream_id), counter word 2 at ``lane``."""
     out = []
     for block in range(start // 4, (start + count + 3) // 4):
-        out.extend(philox4x64_10((block + 1, 0, 0, 0), (seed, stream_id)))
+        out.extend(philox4x64_10((block + 1, 0, lane, 0), (seed, stream_id)))
     skip = start % 4
     return out[skip : skip + count]
+
+
+def halves(seed, stream_id, start, count):
+    """32-bit draws ``start .. start + count - 1``: draw k is half k % 2 of word k // 2, low half first."""
+    packed = words(seed, stream_id, start // 2, (start + count + 1) // 2 - start // 2)
+    return [packed[k // 2 - start // 2] >> (32 * (k % 2)) & 0xFFFFFFFF for k in range(start, start + count)]
+
+
+def uniforms(seed, stream_id, start, count):
+    """The 53-bit x = h 2^21 + t of draws ``start ..``, t the top 21 bits of tie word k, read for every draw."""
+    ties = words(seed, stream_id, start, count, lane=1)
+    return [h << 21 | t >> 43 for h, t in zip(halves(seed, stream_id, start, count), ties)]
 
 
 def assert_same_words(actual, expected, start, what):
@@ -76,13 +89,22 @@ def test_stream_words_at_every_start(seed, stream_id, start):
     assert_same_words(actual, words(seed, stream_id, start, 9), start, f"stream({seed}, {stream_id}, {start})")
 
 
+@pytest.mark.parametrize("start", [0, 1, 3, 4, 4003])
+def test_tie_lane_words_at_every_start(start):
+    seed, stream_id = 42, 3
+    actual = mzi.stream(seed, stream_id, start, lane=1).random_raw(9).tolist()
+    expected = words(seed, stream_id, start, 9, lane=1)
+    assert_same_words(actual, expected, start, f"tie lane of ({seed}, {stream_id}) at {start}")
+    assert expected != words(seed, stream_id, start, 9)
+
+
 def test_sample_setting_tally_across_a_block_edge():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     cumulative = np.cumsum(probs)[:3]
     seed, setting_index, start, shots = 5, 2, 4003, 300
     # the outcome is the number of cumulative probabilities at or below the draw's double
-    draws = words(seed, setting_index, start, shots)
-    outcomes = [int(np.sum((w >> 11) * 2.0**-53 >= cumulative)) for w in draws]
+    draws = uniforms(seed, setting_index, start, shots)
+    outcomes = [int(np.sum(x * 2.0**-53 >= cumulative)) for x in draws]
     path_bits = np.empty(shots, dtype=np.uint8)
     spin_bits = np.empty(shots, dtype=np.uint8)
     with mock.patch.object(mzi, "BLOCK", 128):
@@ -99,21 +121,104 @@ def coins(seed, stream_id, lo, hi):
 
 
 def test_simulate_range_success_count():
-    # one 3->1 subunit, number 0: Alice's coin sets her bit, Bob's word his spin along the
-    # queried slot; the span starts 37 bits into word 62 and ends inside word 67
-    tree = concat.build_tree(3)
+    # one 3->1 subunit, number 0: Alice's coin sets her bit, Bob's draw his spin along the
+    # queried slot; the span starts 37 bits into word 62 and ends inside word 67 of Alice's
+    # stream, and in the high half of word 2002 of Bob's
     bits, query, seed, lo, hi = [1, 0, 1], 2, 9, 4005, 4305
     alice, bob = qrac.default_bases(3)
     cls = ((bits[1] ^ bits[0]) << 1) | (bits[2] ^ bits[0])
-    alice_coins = coins(seed, concat._ALICE_STREAM, lo, hi)
-    bob_words = words(seed, concat._BOB_STREAM, lo, hi - lo)
-    successes = 0
-    for a, wb in zip(alice_coins, bob_words):
+
+    def p_spin0(a):
         # P(spin 0 | class, a) = (1 + (-1)^a A_class . B_query) / 2 on the steered state
-        p_spin0 = 0.5 * (1.0 + (-1) ** a * float(alice[cls] @ bob[query]))
-        spin = int((wb >> 11) * 2.0**-53 >= p_spin0)
-        successes += (bits[0] ^ a) ^ spin == bits[query]
-    assert concat.simulate_range(tree, bits, [query], seed, lo, hi) == [successes]
+        return 0.5 * (1.0 + (-1) ** a * float(alice[cls] @ bob[query]))
+
+    successes = one_subunit_successes(bits, query, seed, lo, hi, lambda a, x: x * 2.0**-53 >= p_spin0(a))
+    assert concat.simulate_range(concat.build_tree(3), bits, [query], seed, lo, hi) == [successes]
+
+
+def one_subunit_successes(bits, query, seed, lo, hi, spin):
+    """Successes of a one-subunit tree over shots [lo, hi), with ``spin(a, x)`` for coin a and draw x."""
+    alice_coins = coins(seed, concat._ALICE_STREAM, lo, hi)
+    bob_draws = uniforms(seed, concat._BOB_STREAM, lo, hi - lo)
+    return sum((bits[0] ^ a) ^ int(spin(a, x)) == bits[query] for a, x in zip(alice_coins, bob_draws))
+
+
+def tied_row(seed, stream_id, shot, lows):
+    """A Born row whose first thresholds share the high 32 bits of draw ``shot``, with low parts ``lows``."""
+    (h,) = halves(seed, stream_id, shot, 1)
+    cumulative = [((h << 21) + r) * 2.0**-53 for r in lows]
+    return np.diff(cumulative + [1.0] * (4 - len(lows)), prepend=0.0)
+
+
+@pytest.mark.parametrize(
+    "offsets, outcome",
+    [
+        ([0], 1),  # r = t: the draw passes
+        ([1], 0),  # r = t + 1: it does not
+        ([0, 1], 1),  # two thresholds share q; the draw passes the first only
+        ([-1, 0], 2),  # it passes both
+        ([1, 2], 0),  # it passes neither
+    ],
+)
+def test_tied_draw_reads_its_tie_word_once(offsets, outcome):
+    seed, setting_index, start, shots, shot = 5, 2, 4003, 300, 4140
+    (t,) = (w >> 43 for w in words(seed, setting_index, shot, 1, lane=1))
+    assert 2 <= t < 2**21 - 2
+    probs = tied_row(seed, setting_index, shot, [t + d for d in offsets])
+    cumulative = np.cumsum(probs)[:3]
+    outcomes = [int(np.sum(x * 2.0**-53 >= cumulative)) for x in uniforms(seed, setting_index, start, shots)]
+    assert outcomes[shot - start] == outcome
+    path_bits = np.empty(shots, dtype=np.uint8)
+    spin_bits = np.empty(shots, dtype=np.uint8)
+    lanes = []
+    real = mzi.stream
+
+    def spy(seed_, stream_id, start_=0, lane=0):
+        lanes.append((lane, start_))
+        return real(seed_, stream_id, start_, lane)
+
+    with mock.patch.object(mzi, "BLOCK", 128), mock.patch.object(mzi, "stream", spy):
+        tallies = mzi.sample_setting(probs, shots, seed, setting_index, start, path_bits, spin_bits)
+    assert [lane for lane in lanes if lane[0]] == [(1, shot)]
+    # nested masks: every tally is the count of its outcome, none negative
+    assert tallies.tolist() == [outcomes.count(k) for k in range(4)]
+    assert path_bits.tolist() == [k >> 1 for k in outcomes]
+    assert spin_bits.tolist() == [k & 1 for k in outcomes]
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_tied_spin_draw_reads_its_tie_word(offset):
+    # every spin threshold of the 3->1 tables is moved onto draw 4140 of Bob's stream
+    bits, query, seed, lo, hi, shot = [1, 0, 1], 2, 9, 4005, 4305, 4140
+    (h,) = halves(seed, concat._BOB_STREAM, shot, 1)
+    (t,) = (w >> 43 for w in words(seed, concat._BOB_STREAM, shot, 1, lane=1))
+    k = (h << 21) + t + offset
+    split = np.array([[[k >> 21] * 8] * 3, [[k & (2**21 - 1)] * 8] * 3], dtype=np.uint32)
+    successes = one_subunit_successes(bits, query, seed, lo, hi, lambda a, x: x >= k)
+    with mock.patch.object(concat, "_spin_thresholds", lambda arity: split):
+        assert concat.simulate_range(concat.build_tree(3), bits, [query], seed, lo, hi) == [successes]
+
+
+def test_tied_spin_draws_of_every_read_slot_share_one_tie_word():
+    # all three queries of the 3->1 subunit read draw 4140 of Bob's stream against their own
+    # slot's threshold, each tied on q: r = t, t + 1 and t - 1
+    bits, seed, lo, hi, shot = [1, 0, 1], 9, 4005, 4305, 4140
+    (h,) = halves(seed, concat._BOB_STREAM, shot, 1)
+    (t,) = (w >> 43 for w in words(seed, concat._BOB_STREAM, shot, 1, lane=1))
+    assert 2 <= t < 2**21 - 2
+    ks = [(h << 21) + t + offset for offset in (0, 1, -1)]
+    split = np.array([[[k >> 21] * 8 for k in ks], [[k & (2**21 - 1)] * 8 for k in ks]], dtype=np.uint32)
+    successes = [one_subunit_successes(bits, q, seed, lo, hi, lambda a, x, k=k: x >= k) for q, k in enumerate(ks)]
+    lanes = []
+    real = mzi.stream
+
+    def spy(seed_, stream_id, start=0, lane=0):
+        lanes.append((lane, start))
+        return real(seed_, stream_id, start, lane)
+
+    with mock.patch.object(concat, "_spin_thresholds", lambda arity: split), mock.patch.object(mzi, "stream", spy):
+        assert concat.simulate_range(concat.build_tree(3), bits, [0, 1, 2], seed, lo, hi) == successes
+    assert [lane for lane in lanes if lane[0]] == [(1, shot)]
 
 
 # a span start one shot before, at and after the edge of word w: every fourth word opens a
@@ -133,32 +238,39 @@ word_edges = st.integers(0, 40).flatmap(lambda w: st.sampled_from([64 * w - 1, 6
 @example(seed=0, stream_id=0, lo=257, shots=2 * mzi.BLOCK + 70, block=mzi.BLOCK)
 @example(seed=1, stream_id=2, lo=64, shots=65, block=3)  # a span that opens on a word edge skips nothing
 def test_concat_coins_are_bits_of_reference_words(seed, stream_id, lo, shots, block):
-    # a one-subunit tree opens one Alice stream: key it (seed, stream_id) and record every coin
-    # it hands out, the lo % 64 skipped on opening first (if any), then one draw per block
-    drawn = []
-    real_stream, real_coins = mzi.stream, concat._coins
+    # a one-subunit tree opens one Alice and one Bob stream: key Alice's (seed, stream_id) and
+    # record every unit each hands out, the ones skipped on opening inside a word first, then
+    # one take per block
+    drawn = {1: [], 32: []}
+    real_stream, real_take = mzi.stream, mzi.Units.take
 
-    def keyed(seed_, sid, start=0):
-        return real_stream(seed_, stream_id if sid == concat._ALICE_STREAM else sid, start)
+    def keyed(seed_, sid, start=0, lane=0):
+        return real_stream(seed_, stream_id if sid == concat._ALICE_STREAM else sid, start, lane)
 
-    def recorded(bitgen, carried, size):
-        out, left = real_coins(bitgen, carried, size)
-        drawn.append(out.tolist())
-        return out, left
+    def recorded(units, size):
+        out = real_take(units, size)
+        drawn[units.width].append(out.tolist())
+        return out
 
     with (
         mock.patch.object(mzi, "BLOCK", block),
         mock.patch.object(mzi, "stream", keyed),
-        mock.patch.object(concat, "_coins", recorded),
+        mock.patch.object(mzi.Units, "take", recorded),
     ):
         concat.simulate_range(concat.build_tree(2), [0, 1], [0], seed, lo, lo + shots)
-    skipped, blocks = (drawn[0], drawn[1:]) if lo % 64 else ([], drawn)
-    assert [len(b) for b in blocks] == [min(block, lo + shots - k) for k in range(lo, lo + shots, block)]
-    assert skipped + sum(blocks, []) == coins(seed, stream_id, lo - lo % 64, lo + shots)
+    sizes = [min(block, lo + shots - k) for k in range(lo, lo + shots, block)]
+    # Alice's coins, bits of 64-bit words, and Bob's spin draws, half k % 2 of word k // 2
+    for width, skip, reference in (
+        (1, lo % 64, coins(seed, stream_id, lo - lo % 64, lo + shots)),
+        (32, lo % 2, halves(seed, concat._BOB_STREAM, lo - lo % 2, shots + lo % 2)),
+    ):
+        assert [len(units) for units in drawn[width]] == [skip] * (skip > 0) + sizes
+        assert sum(drawn[width], []) == reference
 
 
 def test_events_file_from_reference_words(tmp_path):
-    # the second span resumes each stream 3 words into a 4-word block, and both cross a sampling block
+    # the second span resumes each stream at the high half of word 37, 1 word into a 4-word
+    # block, and both cross a sampling block
     seed, shots, spans = 11, 150, [(0, 75), (75, 150)]
     chosen = mzi.protocol_settings(*qrac.steering_bases())[1:3]
     with mock.patch.object(mzi, "BLOCK", 64), mock.patch.object(mzi, "_partition", lambda *_: spans):
@@ -168,7 +280,7 @@ def test_events_file_from_reference_words(tmp_path):
     expected = []
     for s_idx, probs in enumerate(result.probs):
         cuts = mzi.thresholds(np.cumsum(probs)[:3]).tolist()
-        outcomes = [sum((w >> 11) >= cut for cut in cuts) for w in words(seed, s_idx, 0, shots)]
+        outcomes = [sum(x >= cut for cut in cuts) for x in uniforms(seed, s_idx, 0, shots)]
         expected += [
             f'{{"setting": {s_idx}, "shot": {k}, "path": {o >> 1}, "spin": {o & 1}}}' for k, o in enumerate(outcomes)
         ]
@@ -195,7 +307,7 @@ def test_golden_settings_run_tallies_from_reference_words(tmp_path, capsys):
     expected = []
     for s_idx, probs in enumerate(mzi.born_probabilities(state, cli.load_settings(str(settings_path)))):
         cuts = mzi.thresholds(np.cumsum(probs)[:3]).tolist()
-        outcomes = [sum((w >> 11) >= cut for cut in cuts) for w in words(args.seed, s_idx, 0, args.shots)]
+        outcomes = [sum(x >= cut for cut in cuts) for x in uniforms(args.seed, s_idx, 0, args.shots)]
         expected.append([outcomes.count(k) for k in range(4)])
     assert (args.seed, args.shots, args.workers, len(expected)) == (3, 5001, 2, 3)
     assert printed == expected
