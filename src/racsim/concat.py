@@ -225,14 +225,14 @@ def simulate_range(
     draw, and every query's count equals a run of that query alone. Shot k's
     coin, a fair Alice bit, is bit k mod 64 of word k // 64 of its Alice
     stream, and its spin draw is 32-bit half k mod 2 of word k // 2 of its Bob
-    stream, both low bits first (``mzi.Units``). ``mzi.fill_passes`` compares a
+    stream, both low bits first (``mzi.units``). ``mzi.fill_passes`` compares a
     draw with its threshold: a tie reads the Bob stream's tie lane.
 
-    Shots run ``mzi.BLOCK`` at a time. A message lives until its parent consumes
-    it and each query keeps one block of spin-flip parity, so scratch memory is
-    O(block x (live subunits + queries)), not O(shots x subunits). Between
-    blocks an Alice stream carries fewer than 64 unused coins and a Bob stream
-    at most one draw; a stream is dropped after the span's last block.
+    Shots run in the blocks of ``mzi.blocks``. A message lives until its parent
+    consumes it and each query keeps one block of spin-flip parity, so scratch
+    memory is O(block x (live subunits + queries)), not O(shots x subunits).
+    Every block after the first starts on a word edge, so a stream keeps no
+    unused units between blocks; it is dropped after the span's last block.
     """
     subunits = tree.internal_postorder()
     root = len(subunits) - 1
@@ -249,13 +249,13 @@ def simulate_range(
     order = sorted(needed)  # subunits are numbered in postorder, so children come first
     # open streams by id: each opens at its first take and closes after the span's last,
     # so a one-block span holds a stream only while its subunit draws
-    streams: dict[int, mzi.Units] = {}
+    streams: dict[int, np.random.Philox] = {}
 
     def take(stream_id: int, width: int, start: int, size: int) -> np.ndarray:
-        units = streams.pop(stream_id, None) or mzi.Units(seed, stream_id, lo, width)
+        bitgen = streams.pop(stream_id, None) or mzi.stream(seed, stream_id, start // (64 // width))
         if start + size < hi:
-            streams[stream_id] = units
-        return units.take(size)
+            streams[stream_id] = bitgen
+        return mzi.units(bitgen, start, size, width)
 
     # each query's row starts at its own bit, so a shot succeeds where the row
     # ends equal to the root's message
@@ -270,8 +270,8 @@ def simulate_range(
     compare_scratch = np.empty((2, rows, block), dtype=bool)
 
     successes = np.zeros(len(queries), dtype=np.int64)
-    for start in range(lo, hi, mzi.BLOCK):
-        size = min(mzi.BLOCK, hi - start)
+    for start, end in mzi.blocks(lo, hi):
+        size = end - start
         flips = parity[:, :size]
         flips[...] = query_bits
         index, q_rows, (spins, ties) = index_scratch[:size], q_scratch[:, :size], compare_scratch[..., :size]

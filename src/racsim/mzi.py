@@ -6,7 +6,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from . import qcore
 from .bell import bell_value, sign_matrix
 from .qcore import maximally_entangled_state  # noqa: F401  perfbench/workloads.py reads it here
 
-# Shots drawn per block by the mzi and concat samplers: a block's scratch stays in cache.
+# Most shots per block (``blocks``) of the mzi and concat samplers: a block's scratch stays in cache.
 BLOCK = 1 << 15
 
 
@@ -71,42 +71,38 @@ def stream(seed: int, stream_id: int, start: int = 0, lane: int = 0) -> np.rando
     return bitgen
 
 
-# Each width's carry of no units, shared: a stream that opens on a word edge carries none
-_NO_UNITS = {1: np.empty(0, dtype=np.uint8), 32: np.empty(0, dtype=np.uint32)}
+def blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(start, end) of each block of shots [lo, hi): cut at multiples of ``BLOCK``.
+
+    The first block runs from lo to the next edge, so every later block starts
+    on a word edge of both the 1-bit and the 32-bit units (``units``), and no
+    block exceeds ``BLOCK``. Raises ``ValueError`` unless ``BLOCK`` is a
+    multiple of 64, the units in one word.
+    """
+    if BLOCK % 64:
+        raise ValueError(f"BLOCK must be a multiple of 64, got {BLOCK}")
+    start = lo
+    while start < hi:
+        end = min(hi, start - start % BLOCK + BLOCK)
+        yield start, end
+        start = end
 
 
-class Units:
-    """Stream (seed, stream_id) read as ``width``-bit units, 1 or 32, from unit ``start`` on.
+def units(bitgen: np.random.Philox, start: int, size: int, width: int) -> np.ndarray:
+    """The ``width``-bit units, 1 or 32, start .. start + size - 1 of a stream, as uint8 or uint32.
 
     Unit k is bits w j .. w (j + 1) - 1 of word k // m, for w = ``width``,
-    m = 64 // w and j = k mod m: each word is read from its low bits up. The
-    stream opens at word start // m and drops the start mod m units before
-    ``start``. Where a take ends inside a word, the word's unused units, fewer
-    than m and copied, serve the next take first, so any cut of the units
-    reads the same values and a carry never pins a whole block.
+    m = 64 // w and j = k mod m: each word is read from its low bits up.
+    ``bitgen``, the stream's ``stream``, stands at word start // m and is left
+    at the word after the take's last; a take that ends on a word edge, as
+    every block of ``blocks`` but a span's last does, leaves it at the next
+    block's first word.
     """
-
-    __slots__ = ("bitgen", "width", "carried")
-
-    def __init__(self, seed: int, stream_id: int, start: int, width: int):
-        per_word = 64 // width
-        self.bitgen = stream(seed, stream_id, start // per_word)
-        self.width = width
-        self.carried = _NO_UNITS[width]
-        if start % per_word:
-            self.take(start % per_word)
-
-    def take(self, size: int) -> np.ndarray:
-        """The next ``size`` units: bits as uint8 at width 1, uint32 at width 32."""
-        carried = self.carried
-        need = size - len(carried)
-        if need <= 0:
-            self.carried = carried[size:]
-            return carried[:size]
-        words = self.bitgen.random_raw(-(-need * self.width // 64)).astype("<u8", copy=False)
-        fresh = words.view("<u4") if self.width == 32 else np.unpackbits(words.view(np.uint8), bitorder="little")
-        self.carried = fresh[need:].copy()
-        return np.concatenate((carried, fresh[:need])) if len(carried) else fresh[:need]
+    per_word = 64 // width
+    skip = start % per_word
+    words = bitgen.random_raw(-(-(skip + size) // per_word)).astype("<u8", copy=False)
+    unpacked = words.view("<u4") if width == 32 else np.unpackbits(words.view(np.uint8), bitorder="little")
+    return unpacked[skip : skip + size]
 
 
 # A threshold K's low bits, below a 32-bit draw's: K = q 2^TIE_BITS + r
@@ -198,8 +194,8 @@ def sample_setting(
     ``probs`` is that setting's row of ``born_probabilities``. Returns the 4
     tallies in the same order; given the uint8 arrays ``path_bits`` and
     ``spin_bits`` (length ``shots``), also writes each shot's path and spin bit
-    into them. Draws come ``BLOCK`` at a time and the masks reuse one block of
-    scratch, so scratch does not grow with ``shots``.
+    into them. Draws come a block of ``blocks`` at a time and the masks reuse
+    one block of scratch, so scratch does not grow with ``shots``.
 
     Shot k's draw h is 32-bit unit k of stream (seed, setting_index): half
     k mod 2 of word k // 2, low half first. Its uniform is x 2^-53 with
@@ -213,16 +209,16 @@ def sample_setting(
     # nest (K0 <= K1 <= K2), so the outcome's high bit, the path bit, is the middle
     # mask, and its parity, the spin bit, is the XOR of all three
     q, r = (part.tolist() for part in split_thresholds(thresholds(np.cumsum(probs)[:3])))
-    draws = Units(seed, setting_index, start, 32)
+    draws = stream(seed, setting_index, start // 2)
     scratch = np.empty((4, min(shots, BLOCK)), dtype=bool)
     n0 = n1 = n2 = 0
-    for lo in range(0, shots, BLOCK):
-        hi = min(lo + BLOCK, shots)
-        h = draws.take(hi - lo)
+    for first, end in blocks(start, start + shots):
+        lo, hi = first - start, end - start  # the block's place in path_bits and spin_bits
+        h = units(draws, first, hi - lo, 32)
         m0, m1, m2, tie = scratch[:, : hi - lo]
         if path_bits is not None:
             m1 = path_bits[lo:hi].view(bool)
-        fill_passes((m0, m1, m2), h, q, r, (seed, setting_index, start + lo), tie)
+        fill_passes((m0, m1, m2), h, q, r, (seed, setting_index, first), tie)
         if spin_bits is not None:
             spin = np.bitwise_xor(m0, m1, out=spin_bits[lo:hi].view(bool))
             spin ^= m2

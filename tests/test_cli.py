@@ -289,10 +289,13 @@ class TestMziCommand:
                 row["params"].pop("workers", None)
             return rows
 
-        code1, rows1 = run(capsys, ["mzi", "--shots", "8192", "--seed", "3", "--workers", "1"])
-        code2, rows2 = run(capsys, ["mzi", "--shots", "8192", "--seed", "3", "--workers", "3"])
-        assert code1 == code2 == 0
-        assert scrub(rows1) == scrub(rows2)
+        # at 100003 shots the second of 3 spans opens on odd shot 33335 and crosses the
+        # mzi.BLOCK edge at 65536
+        for shots in ("8192", "100003"):
+            code1, rows1 = run(capsys, ["mzi", "--shots", shots, "--seed", "3", "--workers", "1"])
+            code2, rows2 = run(capsys, ["mzi", "--shots", shots, "--seed", "3", "--workers", "3"])
+            assert code1 == code2 == 0
+            assert scrub(rows1) == scrub(rows2)
 
 
 class TestConcatCommand:
@@ -317,6 +320,16 @@ class TestConcatCommand:
         sim = by_quantity(rows, "simulated-per-bit")[0]
         assert sim["pass"] is True
         assert sim["expected"] == 0.75
+
+    def test_identical_stdout_across_workers(self, capsys):
+        # the spans of 3 workers open at shots 33335 and 66670, off the word and block edges
+        outputs = []
+        for workers in ("1", "3"):
+            argv = ["concat", "--n", "200", "--engine", "born", "--permute-seed", "3", "--query", "17",
+                    "--seed", "7", "--shots", "100003", "--workers", workers]
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_padded_run_labels_standin(self, capsys):
         code, rows = run(

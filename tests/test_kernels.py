@@ -1,10 +1,12 @@
 """Block-wise sampling kernels: bit-identical to full-array references, memory flat in shots.
 
-``mzi.BLOCK`` is patched down to a few shots so that block edges fall inside
-small spans; each kernel is also checked once at the real block. The references
-draw each span's uniforms in one call, from the 32-bit halves of raw words and a
-tie word for every draw, and each span's concat coins in one call, as the bits
-of raw words. The kernels read a tie word only where a draw ties a threshold.
+``mzi.BLOCK`` is patched to 64, 128 or 192 shots, multiples of the 64 coins in
+a word as ``mzi.blocks`` requires, so that spans of a few hundred shots cross
+several block and word edges; each kernel is also checked once at the real
+block. The references draw each span's uniforms in one call, from the 32-bit
+halves of raw words and a tie word for every draw, and each span's concat coins
+in one call, as the bits of raw words. The kernels read a tie word only where a
+draw ties a threshold.
 """
 
 import inspect
@@ -23,7 +25,7 @@ STATE = qcore.maximally_entangled_state()
 SETTING = mzi.protocol_settings(*qrac.steering_bases())[0]
 SMOOTH = [2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 27, 32, 36]
 
-blocks = st.sampled_from([1, 3, 8])
+block_sizes = st.sampled_from([64, 128, 192])
 seeds = st.integers(0, 2**64 - 1)
 # zero entries, equal entries and generic weights; at least one weight is positive
 weights = st.lists(
@@ -33,14 +35,14 @@ weights = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    block=blocks,
+    block=block_sizes,
     weights=weights,
     seed=seeds,
     setting_index=st.integers(0, 2**64 - 1),
     start=st.integers(0, 1000),
-    shots=st.integers(0, 50),
+    shots=st.integers(0, 500),
 )
-# the real block, over three whole blocks and a tail from an unaligned shot
+# the real block from an unaligned shot: a short first block, two whole blocks and a tail
 @example(
     block=mzi.BLOCK, weights=[0.1, 0.2, 0.3, 0.4], seed=5, setting_index=2, start=4003,
     shots=3 * mzi.BLOCK + 5,
@@ -50,10 +52,10 @@ weights = st.lists(
     shots=3 * mzi.BLOCK + 5,
 )
 # exact 0 and 1 entries, as the aligned-z protocol run draws from, at every start % 4
-@example(block=8, weights=[0.0, 1.0, 1.0, 0.0], seed=7, setting_index=1, start=2, shots=17)
-@example(block=3, weights=[0.0, 0.0, 1.0, 0.0], seed=8, setting_index=3, start=3, shots=10)
-@example(block=1, weights=[1.0, 0.0, 0.0, 0.0], seed=9, setting_index=0, start=1, shots=4)
-@example(block=8, weights=[0.0, 0.0, 0.0, 1.0], seed=2**64 - 1, setting_index=2, start=0, shots=24)
+@example(block=64, weights=[0.0, 1.0, 1.0, 0.0], seed=7, setting_index=1, start=2, shots=170)
+@example(block=128, weights=[0.0, 0.0, 1.0, 0.0], seed=8, setting_index=3, start=3, shots=300)
+@example(block=192, weights=[1.0, 0.0, 0.0, 0.0], seed=9, setting_index=0, start=1, shots=400)
+@example(block=64, weights=[0.0, 0.0, 0.0, 1.0], seed=2**64 - 1, setting_index=2, start=0, shots=240)
 def test_mzi_kernel_matches_searchsorted(block, weights, seed, setting_index, start, shots):
     probs = np.asarray(weights) / sum(weights)
     cum = np.cumsum(probs)
@@ -79,7 +81,7 @@ ALIGNED = mzi.protocol_settings(Z_PAIR, Z_PAIR)
 
 @settings(max_examples=100, deadline=None)
 @given(
-    block=blocks, settings_=st.sampled_from([PROTOCOL, ALIGNED]), shots=st.integers(0, 50),
+    block=block_sizes, settings_=st.sampled_from([PROTOCOL, ALIGNED]), shots=st.integers(0, 500),
     workers=st.integers(1, 3), seed=seeds,
 )
 def test_counts_only_sampling_matches_kept_bits(block, settings_, shots, workers, seed):
@@ -144,30 +146,44 @@ class FixedWords:
         return np.array(out, dtype=np.uint64)
 
 
-def fixed_units(width, *words):
-    """``mzi.Units`` of the given width at unit 0, reading the given words."""
-    units = mzi.Units(0, 0, 0, width)
-    units.bitgen = FixedWords(*words)
-    return units
+@settings(max_examples=300, deadline=None)
+@given(block=block_sizes, lo=st.integers(0, 1000), shots=st.integers(0, 1000))
+@example(block=mzi.BLOCK, lo=mzi.BLOCK - 1, shots=mzi.BLOCK + 2)  # one shot, a whole block, one shot
+@example(block=mzi.BLOCK, lo=2 * mzi.BLOCK, shots=mzi.BLOCK)  # opens on an edge: one whole block
+@example(block=64, lo=5, shots=0)  # an empty span: no block
+def test_blocks_tile_the_span_on_block_edges(block, lo, shots):
+    with mock.patch.object(mzi, "BLOCK", block):
+        cut = list(mzi.blocks(lo, lo + shots))
+    assert [k for start, end in cut for k in range(start, end)] == list(range(lo, lo + shots))
+    assert all(0 < end - start <= block for start, end in cut)
+    assert all(start % block == 0 for start, _ in cut[1:])
 
 
-def test_coin_k_is_bit_k_mod_64_of_word_k_div_64():
+@pytest.mark.parametrize("block", [3, 96])
+def test_blocks_need_whole_words_of_coins(block):
+    with mock.patch.object(mzi, "BLOCK", block), pytest.raises(ValueError, match="multiple of 64"):
+        list(mzi.blocks(0, 10))
+
+
+def test_coins_are_the_bits_of_each_word_low_bit_first():
     # word 0 sets coins 0 and 63; word 1 sets coins 64 + 1, 64 + 2 and 64 + 63
-    units = fixed_units(1, 1 | 1 << 63, 0b110 | 1 << 63)
-    got = units.take(70)
-    assert np.flatnonzero(got).tolist() == [0, 63, 65, 66] and len(got) == 70
-    assert np.flatnonzero(units.carried).tolist() == [63 - 6] and len(units.carried) == 58
-    # the carried bits serve the next take before any word is drawn
-    got = units.take(58)
-    assert np.flatnonzero(got).tolist() == [57] and len(units.carried) == 0 and units.bitgen.words == []
+    words = FixedWords(1 | 1 << 63, 0b110 | 1 << 63)
+    got = mzi.units(words, 0, 70, 1)
+    assert np.flatnonzero(got).tolist() == [0, 63, 65, 66] and len(got) == 70 and got.dtype == np.uint8
+    assert words.words == []
+    # from coin 62 of word 5 to coin 1 of word 6: the take skips coins 0 .. 61 and
+    # draws no word past the one it ends in
+    words = FixedWords(1 << 62 | 1 << 63, 0b10, 7)
+    assert mzi.units(words, 5 * 64 + 62, 4, 1).tolist() == [1, 1, 0, 1] and words.words == [7]
 
 
-def test_draw_k_is_half_k_mod_2_of_word_k_div_2():
-    units = fixed_units(32, 5 | 7 << 32, 11 | 13 << 32, 17 | 19 << 32)
-    assert units.take(3).tolist() == [5, 7, 11] and units.carried.tolist() == [13]
-    assert units.take(1).tolist() == [13] and units.bitgen.words == [17 | 19 << 32]
-    assert units.take(1).tolist() == [17] and units.carried.tolist() == [19]
-    assert units.take(0).dtype == np.uint32
+def test_draws_are_the_halves_of_each_word_low_half_first():
+    words = FixedWords(5 | 7 << 32, 11 | 13 << 32, 17 | 19 << 32)
+    got = mzi.units(words, 0, 3, 32)
+    assert got.tolist() == [5, 7, 11] and got.dtype == np.uint32 and words.words == [17 | 19 << 32]
+    # from the high half of word 1 to the low half of word 2
+    words = FixedWords(5 | 7 << 32, 11 | 13 << 32, 17 | 19 << 32)
+    assert mzi.units(words, 3, 2, 32).tolist() == [7, 11] and words.words == [17 | 19 << 32]
 
 
 class TieLane:
@@ -177,7 +193,8 @@ class TieLane:
         self.t, self.opens = t, 0
 
     def __call__(self, seed, stream_id, start=0, lane=0):
-        assert lane == 1
+        if not lane:
+            return FixedWords()
         self.opens += 1
         return FixedWords(self.t << 43 | 2**43 - 1)
 
@@ -193,15 +210,11 @@ def test_draw_passes_exactly_where_its_53_bit_uniform_does(k, dh, t):
     c = k * 2.0**-53
     probs = [c, 1.0 - c, 0.0, 0.0]
 
-    class OneDraw:
-        def __init__(self, *_):
-            pass
-
-        def take(self, size):
-            return np.array([h], dtype=np.uint32)
+    def one_draw(bitgen, start, size, width):
+        return np.array([h], dtype=np.uint32)
 
     lane = TieLane(t)
-    with mock.patch.object(mzi, "Units", OneDraw), mock.patch.object(mzi, "stream", lane):
+    with mock.patch.object(mzi, "units", one_draw), mock.patch.object(mzi, "stream", lane):
         tallies = mzi.sample_setting(probs, 1, 0, 0, 0)
     assert tallies[1:].sum() == ((h << 21 | t) >= k)
     assert lane.opens == (h == k >> 21 and k % 2**21 != 0)
@@ -306,12 +319,12 @@ def relabeled(nested, order):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    block=blocks,
+    block=block_sizes,
     n=st.sampled_from(SMOOTH),
     data=st.data(),
     seed=seeds,
     lo=st.integers(0, 1000),
-    shots=st.integers(1, 50),
+    shots=st.integers(1, 500),
 )
 def test_concat_kernel_matches_full_array_reference(block, n, data, seed, lo, shots):
     order = data.draw(st.permutations(range(n)))
@@ -326,15 +339,15 @@ def test_concat_kernel_matches_full_array_reference(block, n, data, seed, lo, sh
 
 @settings(max_examples=100, deadline=None)
 @given(
-    block=blocks,
+    block=block_sizes,
     n=st.sampled_from(SMOOTH),
     seed=seeds,
     lo=st.integers(0, 1000),
-    shots=st.integers(1, 200),
-    cuts=st.lists(st.integers(1, 199), max_size=4),
+    shots=st.integers(1, 500),
+    cuts=st.lists(st.integers(1, 499), max_size=4),
 )
-# cuts on both sides of a 64-shot word edge, and one inside a word
-@example(block=8, n=6, seed=3, lo=60, shots=80, cuts=[3, 4, 5, 37])
+# cuts on both sides of a 64-shot word and block edge, and one inside a word
+@example(block=64, n=6, seed=3, lo=60, shots=300, cuts=[3, 4, 5, 37])
 def test_concat_counts_add_up_over_any_span_cut(block, n, seed, lo, shots, cuts):
     tree = concat.build_tree(n)
     bits = [k % 3 % 2 for k in range(n)]
@@ -459,66 +472,60 @@ def test_concat_all_queries_scratch_does_not_grow_with_shots():
     assert peak(8) <= 1.25 * peak(2)
 
 
-def deep_span_carries() -> tuple[dict, list, list]:
-    """Sizes taken, carries and live bytes of one deep span.
+def deep_span_takes(lo: int, hi: int) -> tuple[dict, list]:
+    """Each stream's take sizes, and live bytes, of one deep span [lo, hi).
 
     Query 17 of the padded n = 200 code (n = 216) opens 24 Alice and 6 Bob
-    streams. The span runs 3 blocks from shot 65, one shot past a coin word
-    edge and an odd draw. Returns each width's take sizes; as blocks 2 and 3
-    start, each width's carried units per stream; and as each take starts, the
-    last block's included, the bytes that ``mzi.Units.take`` allocated and are
-    still live.
+    streams. Returns per width the take sizes of each of its streams, in
+    opening order; and as each take starts, the bytes that ``mzi.units``
+    allocated and are still live.
     """
     tree = concat.build_padded(200, permute_seed=3).tree
     bits = [k % 2 for k in range(tree.n)]
-    takes, carried, held, opened = {1: [], 32: []}, [], [], {}
-    source, first = inspect.getsourcelines(mzi.Units.take)
-    real = mzi.Units.take
+    takes, held = {}, []
+    source, first = inspect.getsourcelines(mzi.units)
+    real = mzi.units
 
-    def traced(units, size):
-        opened.setdefault(id(units), units)
-        takes[units.width].append(size)
-        # one opening skip per Alice stream, then 3 blocks: carries before blocks 2 and 3
-        if units.width == 1 and len(takes[1]) in (2 * 24 + 1, 3 * 24 + 1):
-            carried.append({w: [len(u.carried) for u in opened.values() if u.width == w] for w in (1, 32)})
-            if len(carried) == 2:
-                opened.clear()  # the last block drops each stream after its take
+    def traced(bitgen, start, size, width):
+        # keyed by stream, each kept alive so that no later stream reuses its id
+        takes.setdefault(id(bitgen), (bitgen, width, []))[2].append(size)
         held.append(sum(
             trace.size for trace in tracemalloc.take_snapshot().traces
             if trace.traceback[0].filename == mzi.__file__
             and first <= trace.traceback[0].lineno < first + len(source)
         ))
-        return real(units, size)
+        return real(bitgen, start, size, width)
 
     tracemalloc.start()
     try:
-        with mock.patch.object(mzi.Units, "take", traced):
-            concat.simulate_range(tree, bits, [17], 9, 65, 65 + 3 * mzi.BLOCK)
+        with mock.patch.object(mzi, "units", traced):
+            concat.simulate_range(tree, bits, [17], 9, lo, hi)
     finally:
         tracemalloc.stop()
-    return takes, carried, held
+    return {w: [sizes for _, width, sizes in takes.values() if width == w] for w in (1, 32)}, held
 
 
-# what take allocated and is still live as a take starts: each stream's carry, and the
-# coins (1 B each) and draws (4 B each) of the block the span still holds. A carry kept
-# as a view, or a stream kept open past its last take with its carry so kept, would pin
-# a whole block, 2^15 B of coins or 2^17 B of draws, per stream
-HELD_BOUND = 5 * mzi.BLOCK + (24 + 6) * 1024
+# what ``mzi.units`` allocated and is still live as a take starts: the coins (1 B each)
+# and draws (4 B each) of the block the span still holds, and their array headers.
+# Units kept from one block to the next as a view, or a take kept past its block,
+# would pin a whole block, 2^15 B of coins or 2^17 B of draws, per stream
+HELD_BOUND = 5 * mzi.BLOCK + 2048
 
 
-def test_deep_span_carries_fewer_than_64_coins_per_stream():
-    takes, carried, held = deep_span_carries()
-    # each stream opens as its subunit first draws: a skip of one unit, then its first block
-    assert takes[1] == [1, mzi.BLOCK] * 24 + [mzi.BLOCK] * 2 * 24
-    assert [c[1] for c in carried] == [[63] * 24] * 2
-    assert len(held) == 4 * (24 + 6) and max(held) < HELD_BOUND, held
-
-
-def test_deep_span_carries_at_most_one_draw_per_bob_stream():
-    takes, carried, held = deep_span_carries()
-    assert takes[32] == [1, mzi.BLOCK] * 6 + [mzi.BLOCK] * 2 * 6
-    assert [c[32] for c in carried] == [[1] * 6] * 2
-    assert len(held) == 4 * (24 + 6) and max(held) < HELD_BOUND, held
+@pytest.mark.parametrize(
+    "lo, sizes",
+    [
+        # off a BLOCK edge, one shot past a coin word edge and an odd draw: the first
+        # block runs to the next edge and the last takes the rest
+        (65, [mzi.BLOCK - 65, mzi.BLOCK, mzi.BLOCK, 65]),
+        (2 * mzi.BLOCK, [mzi.BLOCK] * 3),
+    ],
+    ids=["off-edge", "on-edge"],
+)
+def test_deep_span_takes_whole_blocks_after_the_first(lo, sizes):
+    takes, held = deep_span_takes(lo, lo + 3 * mzi.BLOCK)
+    assert takes == {1: [sizes] * 24, 32: [sizes] * 6}
+    assert len(held) == len(sizes) * (24 + 6) and max(held) < HELD_BOUND, held
 
 
 def sample_events_scratch(blocks: int, events: bool) -> int:

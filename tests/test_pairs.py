@@ -49,6 +49,22 @@ def test_higher_is_better_and_the_regression_bound():
     assert not pairs.summarize(parent[:9], [130.0] * 9, "higher", 0.25)["gain"]
 
 
+def test_unresolved_where_the_parent_spreads_past_the_bound():
+    parent = [80.0, 90.0, 100.0, 110.0, 120.0] * 2  # quartiles 90 and 110: IQR over median 0.2
+    s = pairs.summarize(parent, [p + 1 for p in parent], "lower", 0.1)
+    assert s["parent"]["iqr_over_median"] == 0.2 and s["unresolved"] and not s["worse"]
+    # a spread within the bound, or no bound, resolves the metric
+    assert not pairs.summarize(parent, [p + 1 for p in parent], "lower", 0.25)["unresolved"]
+    assert not pairs.summarize(parent, [p + 1 for p in parent], "lower")["unresolved"]
+    # every change run beats every parent run; one change run at the best parent run does not
+    assert not pairs.summarize(parent, [79.0] * 10, "lower", 0.1)["unresolved"]
+    assert pairs.summarize(parent, [79.0] * 9 + [80.0], "lower", 0.1)["unresolved"]
+    # and higher is better
+    assert not pairs.summarize(parent, [121.0] * 10, "higher", 0.1)["unresolved"]
+    s = pairs.summarize(parent, [121.0] * 9 + [120.0], "higher", 0.1)
+    assert s["unresolved"] and s["gain"]
+
+
 def test_zero_parent_median_has_no_ratio():
     s = pairs.summarize([0.0, 0.0], [1.0, 0.0], "lower", 0.25)
     assert math.isnan(s["median_change"]) and s["wins"] == {"change": 0, "parent": 1, "ties": 1}

@@ -231,40 +231,41 @@ word_edges = st.integers(0, 40).flatmap(lambda w: st.sampled_from([64 * w - 1, 6
     seed=st.integers(0, MASK),
     stream_id=st.integers(0, MASK),
     lo=word_edges.filter(lambda lo: lo >= 0) | st.integers(0, 3000),
-    shots=st.integers(1, 300),
-    block=st.sampled_from([1, 3, 8, mzi.BLOCK]),
+    shots=st.integers(1, 500),
+    block=st.sampled_from([64, 128, 192, mzi.BLOCK]),
 )
-@example(seed=MASK, stream_id=MASK, lo=255, shots=3, block=1)  # words 3 and 4: a Philox block edge
+@example(seed=MASK, stream_id=MASK, lo=255, shots=3, block=64)  # words 3 and 4: a Philox block edge
 @example(seed=0, stream_id=0, lo=257, shots=2 * mzi.BLOCK + 70, block=mzi.BLOCK)
-@example(seed=1, stream_id=2, lo=64, shots=65, block=3)  # a span that opens on a word edge skips nothing
+@example(seed=1, stream_id=2, lo=64, shots=65, block=128)  # opens on a word edge, off a block edge
 def test_concat_coins_are_bits_of_reference_words(seed, stream_id, lo, shots, block):
     # a one-subunit tree opens one Alice and one Bob stream: key Alice's (seed, stream_id) and
-    # record every unit each hands out, the ones skipped on opening inside a word first, then
-    # one take per block
+    # record every unit each hands out, one take per block
     drawn = {1: [], 32: []}
-    real_stream, real_take = mzi.stream, mzi.Units.take
+    real_stream, real_units = mzi.stream, mzi.units
 
     def keyed(seed_, sid, start=0, lane=0):
         return real_stream(seed_, stream_id if sid == concat._ALICE_STREAM else sid, start, lane)
 
-    def recorded(units, size):
-        out = real_take(units, size)
-        drawn[units.width].append(out.tolist())
+    def recorded(bitgen, start, size, width):
+        out = real_units(bitgen, start, size, width)
+        drawn[width].append(out.tolist())
         return out
 
     with (
         mock.patch.object(mzi, "BLOCK", block),
         mock.patch.object(mzi, "stream", keyed),
-        mock.patch.object(mzi.Units, "take", recorded),
+        mock.patch.object(mzi, "units", recorded),
     ):
         concat.simulate_range(concat.build_tree(2), [0, 1], [0], seed, lo, lo + shots)
-    sizes = [min(block, lo + shots - k) for k in range(lo, lo + shots, block)]
+    # the blocks end at every multiple of the block inside the span, and at its end
+    ends = [*range(lo - lo % block + block, lo + shots, block), lo + shots]
+    sizes = [end - start for start, end in zip([lo, *ends], ends)]
     # Alice's coins, bits of 64-bit words, and Bob's spin draws, half k % 2 of word k // 2
-    for width, skip, reference in (
-        (1, lo % 64, coins(seed, stream_id, lo - lo % 64, lo + shots)),
-        (32, lo % 2, halves(seed, concat._BOB_STREAM, lo - lo % 2, shots + lo % 2)),
+    for width, reference in (
+        (1, coins(seed, stream_id, lo, lo + shots)),
+        (32, halves(seed, concat._BOB_STREAM, lo, shots)),
     ):
-        assert [len(units) for units in drawn[width]] == [skip] * (skip > 0) + sizes
+        assert [len(units) for units in drawn[width]] == sizes
         assert sum(drawn[width], []) == reference
 
 

@@ -16,8 +16,11 @@ better direction and the regression bound come from the change's
 ``BENCHMARK.json``. ``gain`` marks a metric where, over at least ten pairs,
 the change won at least nine tenths of them and its median beats the
 parent's by more than the parent's interquartile range. ``worse`` marks one whose median is worse than
-the parent's by more than its bound. The same summary, every run's result
-line and the digests of both sides go to the JSON file.
+the parent's by more than its bound. ``unresolved`` marks one whose parent runs
+spread wider than its bound (interquartile range over median), unless every
+change run beats every parent run: there a median change within the bound
+does not show the metric unchanged. The same summary, every run's result line and the
+digests of both sides go to the JSON file.
 """
 
 from __future__ import annotations
@@ -54,15 +57,18 @@ def summarize(parent: list[float], change: list[float], better: str, bound: floa
     change_wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     parent_wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     relative = (cm - pm) / pm if pm else math.nan
+    spread = (p3 - p1) / pm if pm else math.nan
+    dominates = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "better": better,
         "pairs": len(parent),
-        "parent": {"median": pm, "q1": p1, "q3": p3, "iqr_over_median": (p3 - p1) / pm if pm else math.nan},
+        "parent": {"median": pm, "q1": p1, "q3": p3, "iqr_over_median": spread},
         "change": {"median": cm, "q1": c1, "q3": c3, "iqr_over_median": (c3 - c1) / cm if cm else math.nan},
         "median_change": relative,
         "wins": {"change": change_wins, "parent": parent_wins, "ties": len(parent) - change_wins - parent_wins},
         "gain": len(parent) >= 10 and change_wins >= 0.9 * len(parent) and sign * (cm - pm) > p3 - p1,
         "worse": bound is not None and bool(-sign * relative > bound),
+        "unresolved": bound is not None and bool(spread > bound) and not dominates,
     }
 
 
@@ -101,6 +107,7 @@ def render(summary: dict[str, dict]) -> str:
     for name, s in summary.items():
         flags = " gain" if s["gain"] else ""
         flags += " WORSE" if s["worse"] else ""
+        flags += " unresolved" if s["unresolved"] else ""
         wins = s["wins"]
         lines.append(
             f"{name:<40} {s['parent']['median']:>12.6g} {s['parent']['iqr_over_median']:>8.1%}"
